@@ -8,27 +8,13 @@ import argparse
 import sys
 
 from .dynamics import ModelParams
-from .errors import (
-    DegenerateLimitError,
-    DegenerateSteadyStateError,
-    NoConvergenceError,
-    NoSignChangeError,
-    UnsupportedResetStateError,
-)
+from .errors import SOLVER_ERRORS
 from .sweep import SweepSpec, emit, evaluate_point, find_critical_point, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
-
-_SOLVER_ERRORS = (
-    DegenerateSteadyStateError,
-    NoConvergenceError,
-    NoSignChangeError,
-    DegenerateLimitError,
-    UnsupportedResetStateError,
-)
 
 
 def _add_method(parser: argparse.ArgumentParser) -> None:
@@ -113,7 +99,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except _SOLVER_ERRORS as err:
+    except SOLVER_ERRORS as err:
         print(f"resetqfi: solver error: {err}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as err:

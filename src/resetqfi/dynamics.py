@@ -9,7 +9,6 @@ integration) so they can cross-check each other.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -18,14 +17,12 @@ from .errors import (
     DegenerateLimitError,
     DegenerateSteadyStateError,
     NoConvergenceError,
-    NotHermitianError,
     NotNormalizedError,
     UnsupportedResetStateError,
 )
 from .qlinalg import (
     HermitianEig,
     hermitian_eig,
-    hermiticity_defect,
     kron,
     partial_trace,
     sigma_z,
@@ -39,6 +36,10 @@ _Z1 = kron(sigma_z, _I2)
 _Z2 = kron(_I2, sigma_z)
 
 STEADY_STATE_METHODS = ("closed_form", "nullspace", "integrate")
+
+# Which closed-form value each steady-state entry takes: 0 the diagonal 1/4,
+# 1 the anti-diagonal value, 2 r (s - i g) / (4 D), 3 its conjugate.
+_CLOSED_FORM_LAYOUT = np.array([[0, 2, 2, 1], [3, 0, 1, 3], [3, 1, 0, 3], [1, 2, 2, 0]])
 
 # kernel-uniqueness threshold on the second-smallest eigenvalue of L^dag L
 KERNEL_GAP_TOL = 1e-10
@@ -86,12 +87,13 @@ class ModelParams:
 
 
 class DensityMatrix:
-    """Validated quantum state with a cached eigendecomposition.
+    """Validated quantum state with its eigendecomposition.
 
     Hermitian within 1e-10, unit trace within 1e-10, smallest eigenvalue
-    above -1e-10.  The stored matrix is read-only.
+    above -1e-10 (see ``density_eig``).  The stored matrix is read-only.
     """
 
+    HERMITIAN_TOL = 1e-10
     TRACE_TOL = 1e-10
     PSD_TOL = -1e-10
 
@@ -99,18 +101,11 @@ class DensityMatrix:
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise BadDimensionError(f"density matrix must be square, got shape {mat.shape}")
-        defect = hermiticity_defect(mat)
-        if defect > 1e-10:
-            raise NotHermitianError(f"density matrix deviates from Hermitian by {defect:.3e}")
-        trace = mat.trace()
-        if abs(trace - 1.0) > self.TRACE_TOL:
-            raise ValueError(f"density matrix trace {trace:.12g} differs from 1")
-        smallest = float(np.linalg.eigvalsh(mat).min())
-        if smallest < self.PSD_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
+        eig = density_eig(mat[None])
         mat = mat.copy()
         mat.flags.writeable = False
         self._mat = mat
+        self._eig = HermitianEig(eig.eigenvalues[0], eig.eigenvectors[0])
 
     @property
     def mat(self) -> np.ndarray:
@@ -120,9 +115,28 @@ class DensityMatrix:
     def dim(self) -> int:
         return self._mat.shape[0]
 
-    @cached_property
+    @property
     def eig(self) -> HermitianEig:
-        return hermitian_eig(self._mat)
+        return self._eig
+
+
+def density_eig(mats) -> HermitianEig:
+    """Check a stack of density matrices, shape (N, d, d), and eigendecompose each once.
+
+    Every matrix must pass the ``DensityMatrix`` checks.  They run in the
+    order Hermitian, unit trace, positive semidefinite, each over the whole
+    stack, and the first failure raises.
+    """
+    eig = hermitian_eig(mats, tol=DensityMatrix.HERMITIAN_TOL)
+    trace = np.trace(mats, axis1=-2, axis2=-1)
+    bad = np.abs(trace - 1.0) > DensityMatrix.TRACE_TOL
+    if bad.any():
+        raise ValueError(f"density matrix trace {trace[bad.argmax()]:.12g} differs from 1")
+    smallest = eig.eigenvalues[:, 0]
+    bad = smallest < DensityMatrix.PSD_TOL
+    if bad.any():
+        raise ValueError(f"density matrix has negative eigenvalue {smallest[bad.argmax()]:.3e}")
+    return eig
 
 
 def hamiltonian(p: ModelParams) -> np.ndarray:
@@ -191,6 +205,26 @@ def liouvillian_superoperator(p: ModelParams) -> np.ndarray:
     return sup
 
 
+def closed_form_matrices(r, gamma, g) -> np.ndarray:
+    """Closed-form steady states, shape (N, 4, 4), at valid rates given as
+    arrays of shape (N,); see ``closed_form_steady_state``."""
+    if np.any((r == 0.0) & (gamma == 0.0) & (g == 0.0)):
+        raise DegenerateLimitError("r = gamma = g = 0 singles out no steady state")
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows are replaced below
+        shifted = r + 0.5 * gamma
+        denom = 2.0 * g**2 + shifted * (r + gamma)
+        anti = r**2 * shifted / (4.0 * (r + gamma) * denom)
+        # r (s - i g) / (4 D) in real arithmetic, with the rounding and the
+        # signed zeros of the complex expression
+        edge_re = r * shifted / (4.0 * denom)
+        edge_im = r * (0.0 - g) / (4.0 * denom)
+    zero = np.zeros_like(anti)
+    # (real, imaginary) parts of the four values indexed by _CLOSED_FORM_LAYOUT
+    parts = np.stack((zero + 0.25, zero, anti, zero, edge_re, edge_im, edge_re, -edge_im), axis=-1)
+    parts[r == 0.0, 2:] = 0.0  # the continuity limit I/4
+    return parts.reshape(-1, 4, 2)[:, _CLOSED_FORM_LAYOUT].view(complex)[..., 0]
+
+
 def closed_form_steady_state(p: ModelParams) -> DensityMatrix:
     """Steady state from the closed-form matrix elements.
 
@@ -203,19 +237,8 @@ def closed_form_steady_state(p: ModelParams) -> DensityMatrix:
     """
     if not p.resets_to_plus():
         raise UnsupportedResetStateError("closed form is derived for the |+> reset state only")
-    if p.r == 0.0 and p.gamma == 0.0 and p.g == 0.0:
-        raise DegenerateLimitError("r = gamma = g = 0 singles out no steady state")
-    rho = np.zeros((4, 4), dtype=complex)
-    np.fill_diagonal(rho, 0.25)
-    if p.r > 0.0:
-        shifted = p.r + 0.5 * p.gamma
-        denom = 2.0 * p.g**2 + shifted * (p.r + p.gamma)
-        anti = p.r**2 * shifted / (4.0 * (p.r + p.gamma) * denom)
-        edge = p.r * (shifted - 1j * p.g) / (4.0 * denom)
-        rho[0, 3] = rho[1, 2] = rho[2, 1] = rho[3, 0] = anti
-        rho[0, 1] = rho[0, 2] = rho[3, 1] = rho[3, 2] = edge
-        rho[1, 0] = rho[1, 3] = rho[2, 0] = rho[2, 3] = edge.conjugate()
-    return DensityMatrix(rho)
+    mats = closed_form_matrices(np.array([p.r]), np.array([p.gamma]), np.array([p.g]))
+    return DensityMatrix(mats[0])
 
 
 def _nullspace_steady_state(p: ModelParams) -> DensityMatrix:

@@ -17,20 +17,31 @@ def _two_qubit_state(rho: DensityMatrix) -> np.ndarray:
     return rho.mat
 
 
+def concurrences(mats: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each two-qubit state in a stack of shape (N, 4, 4)."""
+    spun = mats @ _YY @ mats.conj() @ _YY
+    eigenvalues = np.linalg.eigvals(spun).real  # spectrum is real and non-negative
+    low = eigenvalues.min(initial=0.0)
+    if low < NEGATIVE_EIG_TOL:
+        raise OutOfRangeError(f"spin-flipped product has eigenvalue {low:.3e} below zero")
+    mu = np.sort(np.sqrt(np.maximum(eigenvalues, 0.0)), axis=-1)[:, ::-1]
+    value = mu[:, 0] - mu[:, 1] - mu[:, 2] - mu[:, 3]
+    return np.where(value > 0.0, value, 0.0)
+
+
+def negativities(mats: np.ndarray) -> np.ndarray:
+    """Negativity of each two-qubit state in a stack of shape (N, 4, 4)."""
+    value = 0.5 * (trace_norm(partial_transpose(mats, 2)) - 1.0)
+    return np.where(value > 0.0, value, 0.0)  # trace norm of a unit-trace state is >= 1
+
+
 def concurrence(rho: DensityMatrix) -> float:
     """Wootters concurrence, 0 for separable states and 1 for Bell states.
 
     Computed from the square roots mu_1 >= ... >= mu_4 of the eigenvalues
     of rho (Y x Y) rho* (Y x Y) as max(0, mu_1 - mu_2 - mu_3 - mu_4).
     """
-    mat = _two_qubit_state(rho)
-    spun = mat @ _YY @ mat.conj() @ _YY
-    eigenvalues = np.linalg.eigvals(spun).real  # spectrum is real and non-negative
-    low = float(eigenvalues.min())
-    if low < NEGATIVE_EIG_TOL:
-        raise OutOfRangeError(f"spin-flipped product has eigenvalue {low:.3e} below zero")
-    mu = np.sort(np.sqrt(np.maximum(eigenvalues, 0.0)))[::-1]
-    return max(0.0, float(mu[0] - mu[1] - mu[2] - mu[3]))
+    return float(concurrences(_two_qubit_state(rho)[None])[0])
 
 
 def negativity(rho: DensityMatrix) -> float:
@@ -39,6 +50,4 @@ def negativity(rho: DensityMatrix) -> float:
     Zero whenever the partial transpose is positive semidefinite and 1/2
     for Bell states.
     """
-    mat = _two_qubit_state(rho)
-    value = 0.5 * (trace_norm(partial_transpose(mat, 2)) - 1.0)
-    return max(0.0, float(value))  # trace norm of a unit-trace state is >= 1
+    return float(negativities(_two_qubit_state(rho)[None])[0])

@@ -51,3 +51,14 @@ class NoConvergenceError(RuntimeError):
 
 class NoSignChangeError(RuntimeError):
     """Bisection target has the same sign at both interval endpoints."""
+
+
+# Failures of a solver on valid input (as opposed to bad input): run_sweep
+# names the grid point they occur at, and the command line exits with 3.
+SOLVER_ERRORS = (
+    DegenerateSteadyStateError,
+    NoConvergenceError,
+    NoSignChangeError,
+    DegenerateLimitError,
+    UnsupportedResetStateError,
+)

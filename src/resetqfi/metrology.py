@@ -138,14 +138,12 @@ def _check_dims(rho: DensityMatrix, spin: CollectiveSpin) -> None:
 
 
 def _spectral_weights(p: np.ndarray) -> np.ndarray:
-    """(p_i - p_j)^2 / (p_i + p_j) with vanishing pairs excluded."""
-    sums = p[:, None] + p[None, :]
-    diffs = p[:, None] - p[None, :]
-    keep = sums > EIGENVALUE_CUTOFF
-    np.fill_diagonal(keep, False)
-    weights = np.zeros_like(sums)
-    weights[keep] = diffs[keep] ** 2 / sums[keep]
-    return weights
+    """(p_i - p_j)^2 / (p_i + p_j) with vanishing pairs excluded, for
+    eigenvalues p of shape (..., d)."""
+    sums = p[..., :, None] + p[..., None, :]
+    diffs = p[..., :, None] - p[..., None, :]
+    keep = (sums > EIGENVALUE_CUTOFF) & ~np.eye(p.shape[-1], dtype=bool)
+    return np.divide(diffs**2, sums, out=np.zeros_like(sums), where=keep)
 
 
 def qfi_direction(rho: DensityMatrix, direction: Direction, spin: CollectiveSpin) -> float:
@@ -172,6 +170,22 @@ def qfi_pure(psi, direction: Direction, spin: CollectiveSpin) -> float:
     return float(4.0 * (mean_sq - mean**2))
 
 
+def moment_matrices(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
+                    spin: CollectiveSpin) -> np.ndarray:
+    """Moment matrices C, shape (N, 3, 3), of a stack of N states given by
+    their eigendecompositions, shapes (N, d) and (N, d, d); see ``c_matrix``."""
+    basis = eigenvectors[:, None]
+    generators = np.stack((spin.jx, spin.jy, spin.jz))
+    elements = basis.conj().swapaxes(-1, -2) @ generators @ basis  # (N, 3, d, d)
+    half = np.einsum("nab,nkab,nlba->nkl",
+                     _spectral_weights(eigenvalues), elements, elements)
+    c = half + half.swapaxes(-1, -2)
+    residue = np.abs(c.imag).max(initial=0.0)
+    if residue > IMAG_RESIDUE_TOL:
+        raise OutOfRangeError(f"moment matrix has imaginary residue {residue:.3e}")
+    return np.ascontiguousarray(c.real)
+
+
 def c_matrix(rho: DensityMatrix, spin: CollectiveSpin) -> np.ndarray:
     """Real symmetric 3x3 matrix C with n . C n = qfi_direction(rho, n, spin).
 
@@ -182,19 +196,28 @@ def c_matrix(rho: DensityMatrix, spin: CollectiveSpin) -> np.ndarray:
     """
     _check_dims(rho, spin)
     eig = rho.eig
-    basis = eig.eigenvectors
-    mats = [basis.conj().T @ j @ basis for j in (spin.jx, spin.jy, spin.jz)]
-    weights = _spectral_weights(eig.eigenvalues)
-    c = np.zeros((3, 3), dtype=complex)
-    for k in range(3):
-        for l in range(k, 3):
-            value = (weights * (mats[k] * mats[l].T + mats[l] * mats[k].T)).sum()
-            c[k, l] = value
-            c[l, k] = value
-    residue = float(np.abs(c.imag).max())
-    if residue > IMAG_RESIDUE_TOL:
-        raise OutOfRangeError(f"moment matrix has imaginary residue {residue:.3e}")
-    return np.ascontiguousarray(c.real)
+    return moment_matrices(eig.eigenvalues[None], eig.eigenvectors[None], spin)[0]
+
+
+def top_axes(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue, clipped at 0, and optimal axis of each moment matrix
+    in a stack of shape (N, 3, 3); see ``optimal_direction``."""
+    eigenvalues, eigenvectors = np.linalg.eigh(c)
+    top = eigenvalues[:, -1]
+    tie = DIRECTION_TIE_TOL * np.maximum(1.0, np.abs(top))
+    candidate = eigenvalues >= (top - tie)[:, None]
+    # among tied eigenvectors keep the largest |nx|, then the largest |ny|,
+    # then the first
+    for component in (0, 1):
+        size = np.abs(eigenvectors[:, component, :])
+        largest = np.where(candidate, size, -1.0).max(axis=1)
+        candidate &= size == largest[:, None]
+    rows = np.arange(len(c))
+    axes = eigenvectors[rows, :, candidate.argmax(axis=1)]
+    lead = axes[rows, (np.abs(axes) > 1e-12).argmax(axis=1)]
+    axes = np.where(lead[:, None] < 0.0, -axes, axes)
+    # C is positive semidefinite up to eigensolver noise
+    return np.where(top > 0.0, top, 0.0), axes
 
 
 def optimal_direction(c) -> Direction:
@@ -210,28 +233,21 @@ def optimal_direction(c) -> Direction:
     defect = float(np.abs(c - c.T).max())
     if defect > 1e-10:
         raise NotSymmetricError(f"moment matrix deviates from symmetric by {defect:.3e}")
-    eigenvalues, eigenvectors = np.linalg.eigh(c)
-    tie = DIRECTION_TIE_TOL * max(1.0, abs(eigenvalues[-1]))
-    candidates = [eigenvectors[:, k] for k in range(3)
-                  if eigenvalues[k] >= eigenvalues[-1] - tie]
-    best = max(candidates, key=lambda u: (abs(u[0]), abs(u[1])))
-    lead = best[np.abs(best) > 1e-12][0]
-    if lead < 0.0:
-        best = -best
-    return Direction(*best)
+    _, axes = top_axes(c[None])
+    return Direction(*axes[0])
 
 
 def mean_qfi_max(rho: DensityMatrix, spin: CollectiveSpin) -> QfiResult:
     """Maximize the QFI over rotation axes and report it per particle."""
     c = c_matrix(rho, spin)
-    lam = float(np.linalg.eigvalsh(c)[-1])
-    lam = max(0.0, lam)  # C is positive semidefinite up to eigensolver noise
+    top, axes = top_axes(c[None])
+    lam = float(top[0])
     return QfiResult(
         c=c,
         lambda_max=lam,
         f_max=lam,
         mean_f=lam / spin.n_particles,
-        opt_dir=optimal_direction(c),
+        opt_dir=Direction(*axes[0]),
     )
 
 

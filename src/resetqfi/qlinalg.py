@@ -2,7 +2,9 @@
 
 Plain complex ndarrays are the carrier throughout: Hermitian
 eigendecomposition with a fixed phase convention, tensor products,
-two-qubit partial trace / partial transpose, and the trace norm.
+two-qubit partial trace / partial transpose, and the trace norm.  Every
+function except ``kron`` acts on the last two axes, so it takes one
+matrix or a stack of them, shape (..., n, n).
 """
 
 from dataclasses import dataclass
@@ -25,24 +27,27 @@ del _pauli
 
 def _as_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise BadDimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation of m from its conjugate transpose."""
+def hermiticity_defect(m):
+    """Largest entrywise deviation of m from its conjugate transpose.
+
+    A float for one matrix, an array of one value per matrix for a stack.
+    """
     m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max())
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
 class HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each in a stack.
 
-    ``eigenvalues`` are sorted ascending and ``eigenvectors[:, k]`` is the
-    orthonormal eigenvector paired with ``eigenvalues[k]``, phased so that
-    its first component of modulus above 1e-12 is real and positive.
+    ``eigenvalues`` are sorted ascending and ``eigenvectors[..., :, k]`` is
+    the orthonormal eigenvector paired with ``eigenvalues[..., k]``, phased
+    so that its first component of modulus above 1e-12 is real and positive.
     """
 
     eigenvalues: np.ndarray
@@ -50,12 +55,10 @@ class HermitianEig:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    vectors = vectors.astype(complex, copy=True)
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        lead = col[np.abs(col) > PHASE_TOL][0]  # a unit vector always has one
-        col *= lead.conjugate() / abs(lead)
-    return vectors
+    # a unit vector always has a component above PHASE_TOL
+    first = (np.abs(vectors) > PHASE_TOL).argmax(axis=-2)
+    lead = np.take_along_axis(vectors, first[..., None, :], axis=-2)
+    return vectors * (lead.conj() / np.abs(lead))
 
 
 def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> HermitianEig:
@@ -64,7 +67,7 @@ def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> HermitianEig:
     Parameters
     ----------
     m : array_like
-        Square matrix, Hermitian within ``tol`` (entrywise).
+        Square matrix, or stack of them, Hermitian within ``tol`` (entrywise).
     tol : float
         Largest tolerated entry of ``m - m.conj().T``.
 
@@ -76,7 +79,7 @@ def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> HermitianEig:
         If the underlying eigensolver fails to converge.
     """
     m = _as_square(m)
-    defect = hermiticity_defect(m)
+    defect = np.max(hermiticity_defect(m), initial=0.0)
     if defect > tol:
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.1e})")
@@ -92,11 +95,11 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def _two_qubit(m) -> np.ndarray:
+def _two_qubit_blocks(m) -> np.ndarray:
     m = _as_square(m)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise BadDimensionError(f"expected a 4x4 two-qubit operator, got shape {m.shape}")
-    return m
+    return m.reshape(m.shape[:-2] + (2, 2, 2, 2))  # [..., i, j, k, l] = <ij|M|kl>
 
 
 def partial_trace(m, qubit: int) -> np.ndarray:
@@ -105,34 +108,34 @@ def partial_trace(m, qubit: int) -> np.ndarray:
     The result is 2x2 and has the same trace as the input.  ``qubit`` is
     1 (left tensor factor) or 2 (right).
     """
-    blocks = _two_qubit(m).reshape(2, 2, 2, 2)  # [i, j, k, l] = <ij|M|kl>
+    blocks = _two_qubit_blocks(m)
     if qubit == 1:
-        return np.trace(blocks, axis1=0, axis2=2)
+        return np.trace(blocks, axis1=-4, axis2=-2)
     if qubit == 2:
-        return np.trace(blocks, axis1=1, axis2=3)
+        return np.trace(blocks, axis1=-3, axis2=-1)
     raise ValueError(f"qubit must be 1 or 2, got {qubit}")
 
 
 def partial_transpose(m, qubit: int) -> np.ndarray:
     """Transpose the indices of one qubit; applying it twice is the identity."""
-    blocks = _two_qubit(m).reshape(2, 2, 2, 2)
+    blocks = _two_qubit_blocks(m)
     if qubit == 1:
-        swapped = blocks.transpose(2, 1, 0, 3)
+        swapped = blocks.swapaxes(-4, -2)
     elif qubit == 2:
-        swapped = blocks.transpose(0, 3, 2, 1)
+        swapped = blocks.swapaxes(-3, -1)
     else:
         raise ValueError(f"qubit must be 1 or 2, got {qubit}")
-    return swapped.reshape(4, 4)
+    return swapped.reshape(blocks.shape[:-4] + (4, 4))
 
 
-def trace_norm(m, tol: float = HERMITIAN_TOL) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
+def trace_norm(m, tol: float = HERMITIAN_TOL):
+    """Sum of absolute eigenvalues of a Hermitian matrix, or of each in a stack."""
     m = _as_square(m)
-    defect = hermiticity_defect(m)
+    defect = np.max(hermiticity_defect(m), initial=0.0)
     if defect > tol:
         raise NotHermitianError(f"trace_norm needs a Hermitian input; defect {defect:.3e}")
     try:
         eigenvalues = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as err:
         raise NoConvergenceError(f"Hermitian eigensolver failed: {err}") from err
-    return float(np.abs(eigenvalues).sum())
+    return np.abs(eigenvalues).sum(axis=-1)

@@ -11,29 +11,28 @@ digits.
 import csv
 import io
 import json
-import math
+import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams, steady_state
-from .entanglement import concurrence, negativity
-from .errors import (
-    DegenerateLimitError,
-    DegenerateSteadyStateError,
-    NoConvergenceError,
-    NoSignChangeError,
-)
-from .metrology import collective_spin_ops, mean_qfi_max
+from .dynamics import ModelParams, closed_form_matrices, density_eig, steady_state
+from .entanglement import concurrences, negativities
+from .errors import SOLVER_ERRORS, NoSignChangeError
+from .metrology import c_matrix, collective_spin_ops, moment_matrices, top_axes
 
 CSV_HEADER = ("r,gamma,g,mean_qfi,lambda_x,lambda_yz_hi,lambda_yz_lo,"
               "concurrence,negativity,opt_nx,opt_ny,opt_nz")
 CSV_FIELDS = tuple(CSV_HEADER.split(","))
 CRITICAL_BRACKET_WIDTH = 1e-4
+# Grid points evaluated per stacked pass of run_sweep; bounds its memory
+# at a few KB per point whatever the grid size.
+SWEEP_CHUNK = 512
 
 _SPIN2 = collective_spin_ops(2)
-_SOLVER_ERRORS = (DegenerateSteadyStateError, NoConvergenceError, DegenerateLimitError)
+_ROW_FORMAT = ",".join(["%.9g"] * len(CSV_FIELDS))
+_ROW_VALUES = operator.attrgetter(*CSV_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -108,11 +107,40 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
 
-    def params_at(self, value: float) -> ModelParams:
-        r = value if self.vary == "r" else self.fixed_r
-        gamma = value if self.vary == "gamma" else self.fixed_gamma
+    def rates(self, values):
+        """(r, gamma, g) at values of the varied rate, scalars or arrays."""
+        r = values if self.vary == "r" else self.fixed_r
+        gamma = values if self.vary == "gamma" else self.fixed_gamma
         g = self.g if self.g is not None else self.g_ratio * gamma
+        return r, gamma, g
+
+    def params_at(self, value: float) -> ModelParams:
+        r, gamma, g = self.rates(value)
         return ModelParams(r=r, gamma=gamma, g=g)
+
+
+def _stack(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Matrices, eigenvalues and eigenvectors of validated states, stacked."""
+    return (np.array([rho.mat for rho in states]),
+            np.array([rho.eig.eigenvalues for rho in states]),
+            np.array([rho.eig.eigenvectors for rho in states]))
+
+
+def _branches(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lambda_x, lambda_yz_hi and lambda_yz_lo of a stack of moment matrices."""
+    block_mean = 0.5 * (c[:, 1, 1] + c[:, 2, 2])
+    half_gap = np.hypot(0.5 * (c[:, 1, 1] - c[:, 2, 2]), c[:, 1, 2])
+    return c[:, 0, 0], block_mean + half_gap, block_mean - half_gap
+
+
+def _rows(rates, mats, eigenvalues, eigenvectors) -> list[SweepRow]:
+    """Sweep rows of N validated states; ``rates`` holds r, gamma and g as
+    arrays of shape (N,)."""
+    c = moment_matrices(eigenvalues, eigenvectors, _SPIN2)
+    lambda_max, axes = top_axes(c)
+    columns = (*rates, lambda_max / _SPIN2.n_particles, *_branches(c),
+               concurrences(mats), negativities(mats), *axes.T)
+    return [SweepRow(*values) for values in zip(*(column.tolist() for column in columns))]
 
 
 def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow:
@@ -124,34 +152,44 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
     bisects on.
     """
     rho = steady_state(params, method=method)
-    result = mean_qfi_max(rho, _SPIN2)
-    c = result.c
-    block_mean = 0.5 * float(c[1, 1] + c[2, 2])
-    half_gap = math.hypot(0.5 * (c[1, 1] - c[2, 2]), c[1, 2])
-    return SweepRow(
-        r=params.r,
-        gamma=params.gamma,
-        g=params.g,
-        mean_qfi=result.mean_f,
-        lambda_x=float(c[0, 0]),
-        lambda_yz_hi=block_mean + half_gap,
-        lambda_yz_lo=block_mean - half_gap,
-        concurrence=concurrence(rho),
-        negativity=negativity(rho),
-        opt_nx=result.opt_dir.nx,
-        opt_ny=result.opt_dir.ny,
-        opt_nz=result.opt_dir.nz,
-    )
+    return _rows(np.array([[params.r], [params.gamma], [params.g]]), *_stack([rho]))[0]
+
+
+def _evaluate(spec: SweepSpec, values: np.ndarray) -> list[SweepRow]:
+    rates = np.broadcast_arrays(*spec.rates(values))
+    if spec.method == "closed_form":
+        # the rates are monotone in the varied one, so valid at both ends
+        # means valid throughout
+        spec.params_at(values[0])
+        spec.params_at(values[-1])
+        mats = closed_form_matrices(*rates)
+        eig = density_eig(mats)
+        return _rows(rates, mats, eig.eigenvalues, eig.eigenvectors)
+    states = [steady_state(spec.params_at(value), spec.method) for value in values]
+    return _rows(rates, *_stack(states))
+
+
+def _raise_first_failure(spec: SweepSpec, values: np.ndarray) -> None:
+    """Evaluate points one at a time; raise the first solver error, naming its point."""
+    for value in values:
+        try:
+            evaluate_point(spec.params_at(value), spec.method)
+        except SOLVER_ERRORS as err:
+            raise type(err)(f"{err} [at {spec.vary} = {value:.9g}]") from err
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate every grid point; solver failures name the offending point."""
+    """Evaluate every grid point, SWEEP_CHUNK points per stacked pass;
+    solver failures name the offending point."""
+    grid = spec.grid()
     rows = []
-    for value in spec.grid():
+    for start in range(0, len(grid), SWEEP_CHUNK):
+        values = grid[start:start + SWEEP_CHUNK]
         try:
-            rows.append(evaluate_point(spec.params_at(value), spec.method))
-        except _SOLVER_ERRORS as err:
-            raise type(err)(f"{err} [at {spec.vary} = {value:.9g}]") from err
+            rows += _evaluate(spec, values)
+        except SOLVER_ERRORS:
+            _raise_first_failure(spec, values)
+            raise
     return rows
 
 
@@ -163,8 +201,9 @@ def find_critical_point(spec: SweepSpec) -> CriticalPoint:
     """
 
     def gap(value: float) -> float:
-        row = evaluate_point(spec.params_at(value), spec.method)
-        return row.lambda_x - row.lambda_yz_hi
+        rho = steady_state(spec.params_at(value), spec.method)
+        lambda_x, lambda_yz_hi, _ = _branches(c_matrix(rho, _SPIN2)[None])
+        return float(lambda_x[0] - lambda_yz_hi[0])
 
     lo, hi = spec.start, spec.stop
     gap_lo, gap_hi = gap(lo), gap(hi)
@@ -192,8 +231,7 @@ def _to_csv(payload) -> str:
                 f"{payload.vary},{_nine_digits(payload.value)},"
                 f"{_nine_digits(payload.bracket_width)}\n")
     lines = [CSV_HEADER]
-    for row in payload:
-        lines.append(",".join(_nine_digits(getattr(row, name)) for name in CSV_FIELDS))
+    lines += [_ROW_FORMAT % _ROW_VALUES(row) for row in payload]
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import resetqfi
 from resetqfi import CSV_HEADER, parse_csv
 from resetqfi.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 
@@ -116,11 +119,14 @@ class TestCritical:
 
 def test_module_entry_point(tmp_path):
     target = tmp_path / "rows.csv"
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(resetqfi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "resetqfi", "sweep", "--vary", "gamma",
          "--from", "0.01", "--to", "3", "--steps", "5", "--r", "1", "--g-ratio", "5",
          "--out", str(target)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert result.returncode == 0
     rows = parse_csv(target.read_text())
     assert len(rows) == 5

@@ -227,6 +227,33 @@ class TestOptimalDirection:
         with pytest.raises(NotSymmetricError):
             optimal_direction(bad)
 
+    def test_stack_matches_per_matrix_reference(self, spin2):
+        from resetqfi.metrology import top_axes
+
+        def reference(c):
+            # the per-matrix tie-break: largest |nx|, then |ny|, then the first
+            eigenvalues, eigenvectors = np.linalg.eigh(c)
+            tie = 1e-10 * max(1.0, abs(eigenvalues[-1]))
+            candidates = [eigenvectors[:, k] for k in range(3)
+                          if eigenvalues[k] >= eigenvalues[-1] - tie]
+            best = max(candidates, key=lambda u: (abs(u[0]), abs(u[1])))
+            lead = best[np.abs(best) > 1e-12][0]
+            return max(0.0, float(eigenvalues[-1])), -best if lead < 0.0 else best
+
+        rng = np.random.default_rng(35)
+        stack = [np.zeros((3, 3)), np.eye(3), np.diag([2.0, 2.0, 1.0]), np.diag([1.0, 2.0, 2.0]),
+                 np.diag([1.0, 5.0, 2.0]), np.diag([3.0, 3.0, 3.0 + 1e-11])]
+        stack += [c_matrix(closed_form_steady_state(ModelParams(r=r, gamma=0.5, g=2.5)), spin2)
+                  for r in (0.0, 1.8, 2.3, 14.0)]
+        for _ in range(20):
+            m = rng.normal(size=(3, 3))
+            stack.append(m @ m.T)
+        lambda_max, axes = top_axes(np.array(stack))
+        for c, lam, axis in zip(stack, lambda_max, axes):
+            ref_lam, ref_axis = reference(c)
+            assert lam == ref_lam
+            assert [float.hex(x) for x in axis] == [float.hex(x) for x in ref_axis]
+
 
 class TestMeanQfiMax:
     def test_reference_values(self, spin2):

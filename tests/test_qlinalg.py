@@ -66,6 +66,28 @@ class TestHermitianEig:
             assert np.abs(gram - np.eye(5)).max() <= 1e-10
             assert np.all(np.diff(eig.eigenvalues) >= -1e-14)
 
+    def test_stack_matches_per_matrix_reference(self):
+        def reference(m):
+            # per-column phase fix: first component above 1e-12 made real positive
+            eigenvalues, vectors = np.linalg.eigh(m)
+            vectors = vectors.copy()
+            for k in range(vectors.shape[1]):
+                col = vectors[:, k]
+                lead = col[np.abs(col) > 1e-12][0]
+                col *= lead.conjugate() / abs(lead)
+            return eigenvalues, vectors
+
+        rng = np.random.default_rng(13)
+        stack = [random_hermitian(rng, 4) for _ in range(20)]
+        # eigenvectors whose leading components vanish
+        stack += [np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), BELL,
+                  np.kron(np.eye(2), random_hermitian(rng, 2))]
+        eig = hermitian_eig(np.array(stack))
+        for m, values, vectors in zip(stack, eig.eigenvalues, eig.eigenvectors):
+            ref_values, ref_vectors = reference(m)
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(vectors, ref_vectors)
+
     def test_phase_convention(self):
         rng = np.random.default_rng(9)
         for _ in range(50):

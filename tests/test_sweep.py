@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from resetqfi import (
     CSV_FIELDS,
     CSV_HEADER,
     CriticalPoint,
+    DegenerateLimitError,
     DegenerateSteadyStateError,
     ModelParams,
     NoSignChangeError,
@@ -17,6 +19,10 @@ from resetqfi import (
     parse_csv,
     run_sweep,
 )
+from resetqfi.cli import EXIT_OK, main
+from resetqfi.sweep import SWEEP_CHUNK
+
+DATA = Path(__file__).parent / "data"
 
 RESET_SWEEP = SweepSpec(vary="r", start=0.0, stop=20.0, steps=201,
                       fixed_gamma=0.5, g_ratio=5.0)
@@ -111,6 +117,77 @@ class TestRunSweep:
                          fixed_gamma=0.5, g=2.5, method="nullspace")
         with pytest.raises(DegenerateSteadyStateError, match=r"at r = 0"):
             run_sweep(spec)
+
+    def test_closed_form_failure_names_the_point(self):
+        spec = SweepSpec(vary="r", start=0.0, stop=1.0, steps=3, fixed_gamma=0.0, g=0.0)
+        with pytest.raises(DegenerateLimitError, match=r"at r = 0"):
+            run_sweep(spec)
+
+
+def _bits(row):
+    return tuple(float.hex(getattr(row, name)) for name in CSV_FIELDS)
+
+
+class TestStackedSweep:
+    """run_sweep evaluates its grid in stacked chunks; evaluate_point is one
+    state through the same stages."""
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(vary="r", start=0.0, stop=20.0, steps=SWEEP_CHUNK + 3,
+                  fixed_gamma=0.5, g_ratio=5.0),
+        # nullspace has no unique kernel at r = 0, so its grid starts at gamma = g = 0
+        SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=SWEEP_CHUNK + 3,
+                  fixed_r=1.0, g_ratio=5.0, method="nullspace"),
+    ], ids=["closed_form", "nullspace"])
+    def test_rows_equal_single_points_bit_for_bit(self, spec):
+        rows = run_sweep(spec)
+        assert len(rows) == spec.steps
+        for value, row in zip(spec.grid(), rows):
+            assert _bits(row) == _bits(evaluate_point(spec.params_at(value), spec.method))
+
+    def test_tie_break_and_sign_through_the_stack(self):
+        rows = run_sweep(SweepSpec(vary="r", start=0.0, stop=14.0, steps=3,
+                                   fixed_gamma=0.5, g_ratio=5.0))
+        # r = 0: C = 0, every axis ties and the tie goes to x
+        no_reset = rows[0]
+        assert (no_reset.mean_qfi, no_reset.lambda_x, no_reset.lambda_yz_hi,
+                no_reset.lambda_yz_lo) == (0.0, 0.0, 0.0, 0.0)
+        assert (no_reset.opt_nx, no_reset.opt_ny, no_reset.opt_nz) == (1.0, 0.0, 0.0)
+        strong = rows[2]
+        assert strong.r == 14.0
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        assert abs(strong.opt_nx) <= 1e-9
+        assert abs(strong.opt_ny - inv_sqrt2) <= 1e-9
+        assert abs(strong.opt_nz - inv_sqrt2) <= 1e-9
+
+
+class TestGoldenOutput:
+    """The README sweeps print as they did before sweeps were stacked.
+
+    Fields at numerical-noise level (both values below 1e-10 in magnitude)
+    may print different digits; they must agree within 1e-10.
+    """
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("sweep_vary_r.csv", ["--vary", "r", "--from", "0", "--to", "20", "--steps", "201",
+                              "--gamma", "0.5", "--g-ratio", "5"]),
+        ("sweep_vary_gamma.csv", ["--vary", "gamma", "--from", "0.01", "--to", "3",
+                                  "--steps", "300", "--r", "1", "--g-ratio", "5"]),
+    ])
+    def test_cli_sweep_matches_golden(self, capsys, golden, argv):
+        assert main(["sweep", *argv]) == EXIT_OK
+        got = capsys.readouterr().out.split("\n")
+        want = (DATA / golden).read_text().split("\n")
+        assert len(got) == len(want)
+        assert got[0] == want[0] == CSV_HEADER
+        for line, (got_line, want_line) in enumerate(zip(got, want)):
+            for name, a, b in zip(CSV_FIELDS, got_line.split(","), want_line.split(",")):
+                if a == b:
+                    continue
+                x, y = float(a), float(b)
+                where = f"line {line} {name}: {a} != {b}"
+                assert max(abs(x), abs(y)) < 1e-10, where
+                assert abs(x - y) <= 1e-10, where
 
 
 class TestCriticalPoint:
