@@ -34,6 +34,13 @@ PLUS.flags.writeable = False
 _I2 = np.eye(2, dtype=complex)
 _Z1 = kron(sigma_z, _I2)
 _Z2 = kron(_I2, sigma_z)
+_ZZ = kron(sigma_z, sigma_z)
+_EYE4 = np.eye(4, dtype=complex)
+_EYE16 = np.eye(16, dtype=complex)
+# Parameter-free pieces of the superoperator: [ZZ, .] and the two
+# dephasing terms Z_i . Z_i - 1, scaled by g and gamma / 2 per call.
+_COMMUTATOR_ZZ = np.kron(_EYE4, _ZZ) - np.kron(_ZZ.T, _EYE4)
+_DEPHASING = tuple(np.kron(z.T, z) - _EYE16 for z in (_Z1, _Z2))
 
 STEADY_STATE_METHODS = ("closed_form", "nullspace", "integrate")
 
@@ -141,7 +148,7 @@ def density_eig(mats) -> HermitianEig:
 
 def hamiltonian(p: ModelParams) -> np.ndarray:
     """H = g sigma_z x sigma_z = g diag(1, -1, -1, 1)."""
-    return p.g * kron(sigma_z, sigma_z)
+    return p.g * _ZZ
 
 
 def liouvillian_apply(p: ModelParams, rho) -> np.ndarray:
@@ -186,12 +193,9 @@ def liouvillian_superoperator(p: ModelParams) -> np.ndarray:
     reset qubit, which keeps this construction independent of the
     partial-trace route used by ``liouvillian_apply``.
     """
-    h = hamiltonian(p)
-    eye4 = np.eye(4, dtype=complex)
-    eye16 = np.eye(16, dtype=complex)
-    sup = -1j * (np.kron(eye4, h) - np.kron(h.T, eye4))
-    for z in (_Z1, _Z2):
-        sup = sup + 0.5 * p.gamma * (np.kron(z.T, z) - eye16)
+    sup = -1j * (p.g * _COMMUTATOR_ZZ)
+    for dephasing in _DEPHASING:
+        sup = sup + 0.5 * p.gamma * dephasing
     chi = p.reset_state
     for qubit in (1, 2):
         gain = np.zeros((16, 16), dtype=complex)
@@ -201,7 +205,7 @@ def liouvillian_superoperator(p: ModelParams) -> np.ndarray:
             k_small = np.outer(chi, bra)  # |chi><b|
             k_full = kron(k_small, _I2) if qubit == 1 else kron(_I2, k_small)
             gain = gain + np.kron(k_full.conj(), k_full)
-        sup = sup + p.r * (gain - eye16)
+        sup = sup + p.r * (gain - _EYE16)
     return sup
 
 

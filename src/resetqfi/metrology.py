@@ -107,13 +107,12 @@ class QfiResult:
     """Direction-optimized QFI summary for one state.
 
     ``c`` is the real symmetric moment matrix, ``lambda_max`` its top
-    eigenvalue, ``f_max`` the QFI along the best axis (equal to
-    lambda_max), ``mean_f`` the same per particle.
+    eigenvalue, which is the QFI along the best axis ``opt_dir``, and
+    ``mean_f`` the same per particle.
     """
 
     c: np.ndarray
     lambda_max: float
-    f_max: float
     mean_f: float
     opt_dir: Direction
 
@@ -245,7 +244,6 @@ def mean_qfi_max(rho: DensityMatrix, spin: CollectiveSpin) -> QfiResult:
     return QfiResult(
         c=c,
         lambda_max=lam,
-        f_max=lam,
         mean_f=lam / spin.n_particles,
         opt_dir=Direction(*axes[0]),
     )

@@ -20,12 +20,16 @@ import numpy as np
 from .dynamics import ModelParams, closed_form_matrices, density_eig, steady_state
 from .entanglement import concurrences, negativities
 from .errors import SOLVER_ERRORS, NoSignChangeError
-from .metrology import c_matrix, collective_spin_ops, moment_matrices, top_axes
+from .metrology import collective_spin_ops, moment_matrices, top_axes
 
 CSV_HEADER = ("r,gamma,g,mean_qfi,lambda_x,lambda_yz_hi,lambda_yz_lo,"
               "concurrence,negativity,opt_nx,opt_ny,opt_nz")
 CSV_FIELDS = tuple(CSV_HEADER.split(","))
 CRITICAL_BRACKET_WIDTH = 1e-4
+# Halvings of find_critical_point covered by one stacked pass of the
+# closed form, which evaluates 2**4 - 1 midpoints (16 halvings take 5
+# passes, not 16 single-point steps).
+CRITICAL_TREE_DEPTH = 4
 # Grid points evaluated per stacked pass of run_sweep; bounds its memory
 # at a few KB per point whatever the grid size.
 SWEEP_CHUNK = 512
@@ -155,7 +159,11 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
     return _rows(np.array([[params.r], [params.gamma], [params.g]]), *_stack([rho]))[0]
 
 
-def _evaluate(spec: SweepSpec, values: np.ndarray) -> list[SweepRow]:
+def _states(spec: SweepSpec, values) -> tuple:
+    """Rates, matrices and eigendecompositions of the steady states at
+    increasing values of the varied rate, stacked; the first entry holds r,
+    gamma and g as arrays of shape (N,)."""
+    values = np.asarray(values, dtype=float)
     rates = np.broadcast_arrays(*spec.rates(values))
     if spec.method == "closed_form":
         # the rates are monotone in the varied one, so valid at both ends
@@ -164,9 +172,16 @@ def _evaluate(spec: SweepSpec, values: np.ndarray) -> list[SweepRow]:
         spec.params_at(values[-1])
         mats = closed_form_matrices(*rates)
         eig = density_eig(mats)
-        return _rows(rates, mats, eig.eigenvalues, eig.eigenvectors)
+        return rates, mats, eig.eigenvalues, eig.eigenvectors
     states = [steady_state(spec.params_at(value), spec.method) for value in values]
-    return _rows(rates, *_stack(states))
+    return (rates, *_stack(states))
+
+
+def _gaps(spec: SweepSpec, values) -> list[float]:
+    """lambda_x - lambda_yz_hi at increasing values of the varied rate, in one stacked pass."""
+    _, _, eigenvalues, eigenvectors = _states(spec, values)
+    lambda_x, lambda_yz_hi, _ = _branches(moment_matrices(eigenvalues, eigenvectors, _SPIN2))
+    return (lambda_x - lambda_yz_hi).tolist()
 
 
 def _raise_first_failure(spec: SweepSpec, values: np.ndarray) -> None:
@@ -186,11 +201,21 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     for start in range(0, len(grid), SWEEP_CHUNK):
         values = grid[start:start + SWEEP_CHUNK]
         try:
-            rows += _evaluate(spec, values)
+            rows += _rows(*_states(spec, values))
         except SOLVER_ERRORS:
             _raise_first_failure(spec, values)
             raise
     return rows
+
+
+def _midpoint_tree(lo: float, hi: float, depth: int) -> list[float]:
+    """Every midpoint the next ``depth`` halvings of [lo, hi] can visit,
+    2**depth - 1 values in increasing order, each computed as the bisection
+    computes it."""
+    if depth == 0:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [*_midpoint_tree(lo, mid, depth - 1), mid, *_midpoint_tree(mid, hi, depth - 1)]
 
 
 def find_critical_point(spec: SweepSpec) -> CriticalPoint:
@@ -198,24 +223,33 @@ def find_critical_point(spec: SweepSpec) -> CriticalPoint:
 
     The sweep interval [start, stop] must bracket a sign change; the
     bisection stops once the bracket is narrower than 1e-4.
+
+    The gap is evaluated in stacked passes over midpoint trees.  The first
+    pass takes the end points and the midpoints of the first depth - 1
+    halvings; each later pass takes every midpoint the next depth halvings
+    can visit.  The bisection replays on those values with its usual
+    rules, so the result is the one a point-by-point bisection gives, bit
+    for bit.  The closed form uses depth CRITICAL_TREE_DEPTH; the
+    nullspace and integrate routes use depth 1, so they evaluate exactly
+    the points a point-by-point bisection evaluates, in the same order.
     """
-
-    def gap(value: float) -> float:
-        rho = steady_state(spec.params_at(value), spec.method)
-        lambda_x, lambda_yz_hi, _ = _branches(c_matrix(rho, _SPIN2)[None])
-        return float(lambda_x[0] - lambda_yz_hi[0])
-
+    depth = CRITICAL_TREE_DEPTH if spec.method == "closed_form" else 1
     lo, hi = spec.start, spec.stop
-    gap_lo, gap_hi = gap(lo), gap(hi)
+    inner = _midpoint_tree(lo, hi, depth - 1) if hi - lo > CRITICAL_BRACKET_WIDTH else []
+    gap_lo, *inner_gaps, gap_hi = _gaps(spec, [lo, *inner, hi])
     if gap_lo * gap_hi > 0.0:
         raise NoSignChangeError(
             f"lambda_x - lambda_yz_hi keeps its sign on {spec.vary} in [{lo}, {hi}] "
             f"({gap_lo:.3e} and {gap_hi:.3e})")
+    known = dict(zip(inner, inner_gaps))
     while hi - lo > CRITICAL_BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
-        gap_mid = gap(mid)
+        if mid not in known:
+            inner = _midpoint_tree(lo, hi, depth)
+            known = dict(zip(inner, _gaps(spec, inner)))
+        gap_mid = known[mid]
         if gap_lo * gap_mid <= 0.0:
-            hi, gap_hi = mid, gap_mid
+            hi = mid
         else:
             lo, gap_lo = mid, gap_mid
     return CriticalPoint(vary=spec.vary, value=0.5 * (lo + hi), bracket_width=0.5 * (hi - lo))

@@ -190,6 +190,35 @@ class TestSuperoperator:
         via_sup = unvectorize(sup @ vectorize(rho))
         assert np.abs(via_sup - liouvillian_apply(p, rho)).max() <= 1e-11
 
+    @pytest.mark.parametrize("r, gamma, g, chi", [
+        (0.0, 0.0, 0.0, None),
+        (14.0, 0.5, 2.5, None),
+        (1e-3, 7.0, 0.0, None),
+        (0.3, 0.0, 1e4, [1.0, 0.0]),
+        (0.9, 0.2, 1.1, [np.cos(0.3), np.exp(0.4j) * np.sin(0.3)]),
+        (2.0, 1e-6, 3.3, [0.6, 0.8j]),
+    ])
+    def test_equals_kron_construction_bit_for_bit(self, r, gamma, g, chi):
+        """The precomputed pieces give exactly the full per-call kron build."""
+        p = ModelParams(r=r, gamma=gamma, g=g,
+                        **({} if chi is None else {"reset_state": chi}))
+        i2, z = np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)
+        eye4, eye16 = np.eye(4, dtype=complex), np.eye(16, dtype=complex)
+        h = hamiltonian(p)
+        want = -1j * (np.kron(eye4, h) - np.kron(h.T, eye4))
+        for z_i in (np.kron(z, i2), np.kron(i2, z)):
+            want = want + 0.5 * p.gamma * (np.kron(z_i.T, z_i) - eye16)
+        for qubit in (1, 2):
+            gain = np.zeros((16, 16), dtype=complex)
+            for b in range(2):
+                k_small = np.outer(p.reset_state, np.eye(2, dtype=complex)[b])
+                k_full = np.kron(k_small, i2) if qubit == 1 else np.kron(i2, k_small)
+                gain = gain + np.kron(k_full.conj(), k_full)
+            want = want + p.r * (gain - eye16)
+        got = liouvillian_superoperator(p)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestClosedForm:
     def test_no_reset_gives_maximally_mixed(self):

@@ -267,12 +267,11 @@ class TestMeanQfiMax:
 
     def test_fields_are_consistent(self, spin2):
         result = mean_qfi_max(closed_form_steady_state(POINT_A), spin2)
-        assert result.f_max == result.lambda_max
         assert abs(result.mean_f - result.lambda_max / 2.0) <= 1e-15
         eigenvalues = np.linalg.eigvalsh(result.c)
         assert abs(result.lambda_max - eigenvalues[-1]) <= 1e-12
         n = result.opt_dir.as_array()
-        assert abs(n @ result.c @ n - result.f_max) <= 1e-9
+        assert abs(n @ result.c @ n - result.lambda_max) <= 1e-9
 
 
 class TestClassify:

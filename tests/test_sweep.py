@@ -18,9 +18,12 @@ from resetqfi import (
     find_critical_point,
     parse_csv,
     run_sweep,
+    steady_state,
+    sweep,
 )
 from resetqfi.cli import EXIT_OK, main
-from resetqfi.sweep import SWEEP_CHUNK
+from resetqfi.dynamics import closed_form_matrices
+from resetqfi.sweep import CRITICAL_BRACKET_WIDTH, SWEEP_CHUNK
 
 DATA = Path(__file__).parent / "data"
 
@@ -210,6 +213,159 @@ class TestCriticalPoint:
                          fixed_gamma=0.5, g_ratio=5.0)
         with pytest.raises(NoSignChangeError):
             find_critical_point(spec)
+
+
+def _serial_bisection(spec):
+    """Reference: the bisection evaluating one point per step, as
+    find_critical_point did before it evaluated midpoint trees.  Returns
+    the critical point and the number of halvings."""
+
+    def gap(value):
+        row = evaluate_point(spec.params_at(value), spec.method)
+        return row.lambda_x - row.lambda_yz_hi
+
+    lo, hi = spec.start, spec.stop
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    if gap_lo * gap_hi > 0.0:
+        raise NoSignChangeError(
+            f"lambda_x - lambda_yz_hi keeps its sign on {spec.vary} in [{lo}, {hi}] "
+            f"({gap_lo:.3e} and {gap_hi:.3e})")
+    halvings = 0
+    while hi - lo > CRITICAL_BRACKET_WIDTH:
+        mid = 0.5 * (lo + hi)
+        gap_mid = gap(mid)
+        if gap_lo * gap_mid <= 0.0:
+            hi, gap_hi = mid, gap_mid
+        else:
+            lo, gap_lo = mid, gap_mid
+        halvings += 1
+    return CriticalPoint(vary=spec.vary, value=0.5 * (lo + hi),
+                         bracket_width=0.5 * (hi - lo)), halvings
+
+
+def _outcome(search, spec):
+    try:
+        point = search(spec)
+    except NoSignChangeError as err:
+        return ("NoSignChangeError", str(err))
+    return (point.vary, float.hex(point.value), float.hex(point.bracket_width))
+
+
+def _reference_outcome(spec):
+    return _outcome(lambda spec: _serial_bisection(spec)[0], spec)
+
+
+# halving counts the seeded brackets must include
+HALVINGS = (0, 1, 3, 4, 13, 15, 16)
+
+
+def _brackets_around(spec, rng, halvings):
+    """Brackets of the varied rate around the crossing inside ``spec``, one
+    per halving count, plus one of random width."""
+    crossing = _serial_bisection(spec)[0]
+    fixed = {name: getattr(spec, name)
+             for name in ("fixed_r", "fixed_gamma", "g", "g_ratio", "method")}
+    specs = []
+    for n in halvings:
+        if n == 0:  # the reference's own final bracket
+            lo = crossing.value - crossing.bracket_width
+            hi = crossing.value + crossing.bracket_width
+        else:
+            width = CRITICAL_BRACKET_WIDTH * 2**n * rng.uniform(0.55, 0.95)
+            lo = crossing.value - rng.uniform(0.3, 0.7) * width
+            hi = lo + width
+        specs.append(SweepSpec(vary=spec.vary, start=lo, stop=hi, steps=2, **fixed))
+    return specs
+
+
+@pytest.fixture(scope="module")
+def seeded_brackets():
+    """64 closed-form brackets, half in r and half in gamma, with crossings
+    in [6, 20], and 6 nullspace brackets."""
+    rng = np.random.default_rng(2016)
+    specs = []
+    for k in range(8):
+        g_ratio = rng.uniform(2.0, 10.0)
+        estimate = rng.uniform(6.0, 20.0) if k % 2 == 0 else rng.uniform(6.0, 12.0)
+        if k % 2 == 0:
+            wide = SweepSpec(vary="r", start=0.5 * estimate, stop=2.0 * estimate, steps=2,
+                             fixed_gamma=estimate / (0.92 * g_ratio), g_ratio=g_ratio)
+        else:
+            wide = SweepSpec(vary="gamma", start=0.5 * estimate, stop=2.0 * estimate,
+                             steps=2, fixed_r=0.93 * g_ratio * estimate, g_ratio=g_ratio)
+        extra = int(rng.integers(2, 17))
+        specs += _brackets_around(wide, rng, (*HALVINGS, extra))
+    for wide in (SweepSpec(vary="r", start=1.5, stop=3.5, steps=2, fixed_gamma=0.5,
+                           g_ratio=5.0, method="nullspace"),
+                 SweepSpec(vary="gamma", start=0.1, stop=0.4, steps=2, fixed_r=1.0,
+                           g_ratio=5.0, method="nullspace")):
+        specs += _brackets_around(wide, rng, (0, 3, 5))
+    return specs
+
+
+class TestCriticalTreePasses:
+    """find_critical_point evaluates midpoint trees in stacked passes and
+    replays the serial bisection on them, with the same result bit for bit."""
+
+    def test_matches_serial_bisection_bit_for_bit(self, seeded_brackets):
+        halvings = set()
+        sign_changes = 0
+        for spec in seeded_brackets:
+            want = _reference_outcome(spec)
+            assert _outcome(find_critical_point, spec) == want, spec
+            if want[0] != "NoSignChangeError":
+                sign_changes += 1
+                halvings.add(_serial_bisection(spec)[1])
+        assert len(seeded_brackets) == 70
+        assert {spec.method for spec in seeded_brackets} == {"closed_form", "nullspace"}
+        assert set(HALVINGS) <= halvings
+        assert sign_changes >= 64
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(vary="r", start=0.5, stop=8.0, steps=2, fixed_gamma=0.5, g_ratio=5.0),
+        SweepSpec(vary="gamma", start=0.01, stop=3.0, steps=2, fixed_r=1.0, g_ratio=5.0),
+        SweepSpec(vary="r", start=0.0, stop=8.0, steps=2, fixed_gamma=0.5, g_ratio=5.0),
+        SweepSpec(vary="r", start=1, stop=8, steps=2, fixed_gamma=1, g=2),
+    ], ids=["acceptance_r", "acceptance_gamma", "from_r_0", "integer_bounds"])
+    def test_acceptance_brackets_match_serial_bisection(self, spec):
+        assert _outcome(find_critical_point, spec) == _reference_outcome(spec)
+
+    def test_no_sign_change_message(self):
+        spec = SweepSpec(vary="r", start=3.0, stop=8.0, steps=2,
+                         fixed_gamma=0.5, g_ratio=5.0)
+        message = ("lambda_x - lambda_yz_hi keeps its sign on r in [3.0, 8.0] "
+                   "(-2.326e-01 and -1.532e+00)")
+        assert _reference_outcome(spec) == ("NoSignChangeError", message)
+        assert _outcome(find_critical_point, spec) == ("NoSignChangeError", message)
+
+    def test_four_stacked_passes_for_fifteen_halvings(self, monkeypatch):
+        spec = SweepSpec(vary="r", start=1.5, stop=3.5, steps=2, fixed_gamma=0.5, g_ratio=5.0)
+        assert _serial_bisection(spec)[1] == 15
+        passes = []
+
+        def counting(r, gamma, g):
+            passes.append(len(r))
+            return closed_form_matrices(r, gamma, g)
+
+        monkeypatch.setattr(sweep, "closed_form_matrices", counting)
+        find_critical_point(spec)
+        # the end points with the 7 midpoints of 3 halvings, then 15 midpoints
+        # for each further 4 halvings
+        assert passes == [9, 15, 15, 15]
+
+    def test_superoperator_routes_evaluate_the_serial_points_only(self, monkeypatch):
+        spec = SweepSpec(vary="r", start=2.0, stop=2.5, steps=2, fixed_gamma=0.5,
+                         g_ratio=5.0, method="nullspace")
+        halvings = _serial_bisection(spec)[1]
+        calls = []
+
+        def counting(params, method):
+            calls.append(params.r)
+            return steady_state(params, method)
+
+        monkeypatch.setattr(sweep, "steady_state", counting)
+        find_critical_point(spec)
+        assert len(calls) == 2 + halvings == 15
 
 
 class TestEmit:
