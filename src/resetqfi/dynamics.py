@@ -7,6 +7,7 @@ independent routes (closed-form matrix, superoperator kernel, RK4
 integration) so they can cross-check each other.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,6 +42,11 @@ _EYE16 = np.eye(16, dtype=complex)
 # dephasing terms Z_i . Z_i - 1, scaled by g and gamma / 2 per call.
 _COMMUTATOR_ZZ = np.kron(_EYE4, _ZZ) - np.kron(_ZZ.T, _EYE4)
 _DEPHASING = tuple(np.kron(z.T, z) - _EYE16 for z in (_Z1, _Z2))
+# vectorize(rho.conj().T) == vectorize(rho).conj()[_VEC_TRANSPOSE] for 4x4 rho
+_VEC_TRANSPOSE = np.arange(16).reshape(4, 4).T.reshape(-1)
+# Reset states whose two reset pieces stay built; |+> is the default and
+# the only reset state of sweeps and the command line.
+RESET_CACHE_SIZE = 8
 
 STEADY_STATE_METHODS = ("closed_form", "nullspace", "integrate")
 
@@ -185,18 +191,12 @@ def unvectorize(v) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def liouvillian_superoperator(p: ModelParams) -> np.ndarray:
-    """16x16 matrix L with L @ vectorize(rho) = vectorize(liouvillian_apply(p, rho)).
-
-    Column stacking maps rho -> X rho Y to kron(Y.T, X).  The reset
-    channel enters through its Kraus operators |chi><b| acting on the
-    reset qubit, which keeps this construction independent of the
-    partial-trace route used by ``liouvillian_apply``.
-    """
-    sup = -1j * (p.g * _COMMUTATOR_ZZ)
-    for dephasing in _DEPHASING:
-        sup = sup + 0.5 * p.gamma * dephasing
-    chi = p.reset_state
+@functools.lru_cache(maxsize=RESET_CACHE_SIZE)
+def _reset_terms(reset_state_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The two reset pieces gain_q - 1 of the superoperator, for the reset
+    state given by its bytes; read-only, built once per reset state."""
+    chi = np.frombuffer(reset_state_bytes, dtype=complex)
+    terms = []
     for qubit in (1, 2):
         gain = np.zeros((16, 16), dtype=complex)
         for b in range(2):
@@ -205,7 +205,26 @@ def liouvillian_superoperator(p: ModelParams) -> np.ndarray:
             k_small = np.outer(chi, bra)  # |chi><b|
             k_full = kron(k_small, _I2) if qubit == 1 else kron(_I2, k_small)
             gain = gain + np.kron(k_full.conj(), k_full)
-        sup = sup + p.r * (gain - _EYE16)
+        term = gain - _EYE16
+        term.flags.writeable = False
+        terms.append(term)
+    return tuple(terms)
+
+
+def liouvillian_superoperator(p: ModelParams) -> np.ndarray:
+    """16x16 matrix L with L @ vectorize(rho) = vectorize(liouvillian_apply(p, rho)).
+
+    Column stacking maps rho -> X rho Y to kron(Y.T, X).  L is g, gamma
+    and r times fixed pieces.  The reset channel enters through its Kraus
+    operators |chi><b| acting on the reset qubit, which keeps this
+    construction independent of the partial-trace route used by
+    ``liouvillian_apply``; those pieces are built once per reset state.
+    """
+    sup = -1j * (p.g * _COMMUTATOR_ZZ)
+    for dephasing in _DEPHASING:
+        sup = sup + 0.5 * p.gamma * dephasing
+    for reset in _reset_terms(p.reset_state.tobytes()):
+        sup = sup + p.r * reset
     return sup
 
 
@@ -268,18 +287,18 @@ def _integrate_steady_state(p: ModelParams) -> DensityMatrix:
     h = 0.01 / max(p.r, p.gamma, 4.0 * p.g, 1.0)  # step shrinks with the fastest rate
     a = h * sup
     a2 = a @ a
-    one_step = np.eye(16, dtype=complex) + a + a2 / 2.0 + (a @ a2) / 6.0 + (a2 @ a2) / 24.0
+    one_step = _EYE16 + a + a2 / 2.0 + (a @ a2) / 6.0 + (a2 @ a2) / 24.0
     # RK4 on a linear equation is exactly this degree-4 polynomial, so a
     # block of RK4_BLOCK steps collapses into one matrix power; drift
-    # control and the convergence check run at the block boundaries.
+    # control (re-hermitization, on the vectorized state) and the
+    # convergence check run at the block boundaries.
     block = np.linalg.matrix_power(one_step, RK4_BLOCK)
     state = vectorize(np.eye(4, dtype=complex) / 4.0)
     for _ in range(RK4_STEP_CAP // RK4_BLOCK):
         state = block @ state
-        rho = unvectorize(state)
-        rho = 0.5 * (rho + rho.conj().T)
-        state = vectorize(rho)
+        state = 0.5 * (state + state.conj()[_VEC_TRANSPOSE])
         if np.abs(sup @ state).max() < RK4_RESIDUAL_TOL:
+            rho = unvectorize(state)
             return DensityMatrix(rho / np.trace(rho).real)
     raise NoConvergenceError(
         f"residual still above {RK4_RESIDUAL_TOL:.0e} after {RK4_STEP_CAP} RK4 steps")

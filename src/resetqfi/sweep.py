@@ -93,6 +93,14 @@ class SweepSpec:
     def __post_init__(self):
         if self.vary not in ("r", "gamma"):
             raise ValueError(f"vary must be 'r' or 'gamma', got {self.vary!r}")
+        for name in ("start", "stop"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("fixed_r", "fixed_gamma", "g", "g_ratio"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not self.start < self.stop:
             raise ValueError(f"need start < stop, got [{self.start}, {self.stop}]")
         if self.start < 0.0:

@@ -80,6 +80,14 @@ class TestSweep:
         assert code == EXIT_USAGE
         assert "start < stop" in capsys.readouterr().err
 
+    def test_negative_g_ratio_is_usage_error(self, capsys):
+        code = main(["sweep", "--vary", "gamma", "--from", "0", "--to", "3", "--steps", "2",
+                     "--r", "1", "--g-ratio", "-5"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "g_ratio" in err
+        assert "-15" not in err
+
     def test_missing_fixed_rate_is_usage_error(self, capsys):
         code = main(["sweep", "--vary", "r", "--from", "0", "--to", "1", "--steps", "3",
                      "--g", "2.5"])

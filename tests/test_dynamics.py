@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from resetqfi import dynamics
 from resetqfi import (
     BadDimensionError,
     DegenerateLimitError,
     DegenerateSteadyStateError,
     DensityMatrix,
     ModelParams,
+    NoConvergenceError,
     NotHermitianError,
     NotNormalizedError,
     UnsupportedResetStateError,
@@ -202,22 +204,73 @@ class TestSuperoperator:
         """The precomputed pieces give exactly the full per-call kron build."""
         p = ModelParams(r=r, gamma=gamma, g=g,
                         **({} if chi is None else {"reset_state": chi}))
-        i2, z = np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)
-        eye4, eye16 = np.eye(4, dtype=complex), np.eye(16, dtype=complex)
-        h = hamiltonian(p)
-        want = -1j * (np.kron(eye4, h) - np.kron(h.T, eye4))
-        for z_i in (np.kron(z, i2), np.kron(i2, z)):
-            want = want + 0.5 * p.gamma * (np.kron(z_i.T, z_i) - eye16)
-        for qubit in (1, 2):
-            gain = np.zeros((16, 16), dtype=complex)
-            for b in range(2):
-                k_small = np.outer(p.reset_state, np.eye(2, dtype=complex)[b])
-                k_full = np.kron(k_small, i2) if qubit == 1 else np.kron(i2, k_small)
-                gain = gain + np.kron(k_full.conj(), k_full)
-            want = want + p.r * (gain - eye16)
+        want = kron_superoperator(p)
         got = liouvillian_superoperator(p)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    def test_alternating_reset_states_bit_for_bit(self):
+        # a cache keyed on the wrong thing would hand one state's reset
+        # pieces to the next
+        states = [None, [1.0, 0.0], [np.cos(0.3), np.exp(0.4j) * np.sin(0.3)], None]
+        for chi, (r, gamma, g) in zip(states, [(1.4, 0.6, 2.2), (0.7, 0.1, 3.0),
+                                              (2.5, 1.2, 0.4), (0.2, 3.0, 0.1)]):
+            p = ModelParams(r=r, gamma=gamma, g=g,
+                            **({} if chi is None else {"reset_state": chi}))
+            assert liouvillian_superoperator(p).tobytes() == kron_superoperator(p).tobytes()
+
+    def test_writing_into_result_leaves_next_call_unchanged(self):
+        p = ModelParams(r=1.4, gamma=0.6, g=2.2, reset_state=[0.6, 0.8j])
+        first = liouvillian_superoperator(p)
+        first[...] = 99.0
+        assert liouvillian_superoperator(p).tobytes() == kron_superoperator(p).tobytes()
+
+    def test_cached_reset_terms_are_read_only(self):
+        p = ModelParams(r=1.0, gamma=0.5, g=2.5)
+        terms = dynamics._reset_terms(p.reset_state.tobytes())
+        assert len(terms) == 2
+        for term in terms:
+            assert not term.flags.writeable
+            with pytest.raises(ValueError):
+                term[0, 0] = 1.0
+
+
+def kron_superoperator(p):
+    """The superoperator built term by term from kron products, per call."""
+    i2, z = np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)
+    eye4, eye16 = np.eye(4, dtype=complex), np.eye(16, dtype=complex)
+    h = hamiltonian(p)
+    want = -1j * (np.kron(eye4, h) - np.kron(h.T, eye4))
+    for z_i in (np.kron(z, i2), np.kron(i2, z)):
+        want = want + 0.5 * p.gamma * (np.kron(z_i.T, z_i) - eye16)
+    for qubit in (1, 2):
+        gain = np.zeros((16, 16), dtype=complex)
+        for b in range(2):
+            k_small = np.outer(p.reset_state, np.eye(2, dtype=complex)[b])
+            k_full = np.kron(k_small, i2) if qubit == 1 else np.kron(i2, k_small)
+            gain = gain + np.kron(k_full.conj(), k_full)
+        want = want + p.r * (gain - eye16)
+    return want
+
+
+def matrix_block_rk4(p):
+    """RK4 integration that hermitizes the 4x4 matrix at every block
+    boundary; returns the normalized state and the number of blocks run."""
+    sup = liouvillian_superoperator(p)
+    h = 0.01 / max(p.r, p.gamma, 4.0 * p.g, 1.0)
+    a = h * sup
+    a2 = a @ a
+    one_step = np.eye(16, dtype=complex) + a + a2 / 2.0 + (a @ a2) / 6.0 + (a2 @ a2) / 24.0
+    block = np.linalg.matrix_power(one_step, dynamics.RK4_BLOCK)
+    state = vectorize(np.eye(4, dtype=complex) / 4.0)
+    for blocks in range(1, dynamics.RK4_STEP_CAP // dynamics.RK4_BLOCK + 1):
+        state = block @ state
+        rho = unvectorize(state)
+        rho = 0.5 * (rho + rho.conj().T)
+        state = vectorize(rho)
+        if np.abs(sup @ state).max() < dynamics.RK4_RESIDUAL_TOL:
+            return rho / np.trace(rho).real, blocks
+    return None, blocks
 
 
 class TestClosedForm:
@@ -259,6 +312,29 @@ class TestSteadyState:
         p = ModelParams(r=14.0, gamma=0.5, g=2.5)
         diff = steady_state(p, "integrate").mat - steady_state(p, "closed_form").mat
         assert np.abs(diff).max() <= 1e-8
+
+    @pytest.mark.parametrize("r, gamma, g, chi, min_blocks", [
+        (14.0, 0.5, 2.5, None, 1),
+        (1.0, 0.01, 0.05, None, 1),
+        (0.3, 2.0, 0.7, None, 1),
+        (2.0, 0.4, 1.3, [1.0, 0.0], 1),
+        (0.9, 0.2, 1.1, [np.cos(0.3), np.exp(0.4j) * np.sin(0.3)], 1),
+        (0.01, 0.005, 0.02, None, 101),
+    ])
+    def test_integrate_equals_matrix_hermitization_bit_for_bit(self, r, gamma, g, chi,
+                                                               min_blocks):
+        """Hermitizing the vectorized state gives exactly the matrix round trip."""
+        p = ModelParams(r=r, gamma=gamma, g=g,
+                        **({} if chi is None else {"reset_state": chi}))
+        want, blocks = matrix_block_rk4(p)
+        assert blocks >= min_blocks
+        assert steady_state(p, "integrate").mat.tobytes() == DensityMatrix(want).mat.tobytes()
+
+    def test_integrate_no_convergence_message(self):
+        p = ModelParams(r=0.01, gamma=0.5, g=1e3)
+        with pytest.raises(NoConvergenceError,
+                           match=r"^residual still above 1e-12 after 10000000 RK4 steps$"):
+            steady_state(p, "integrate")
 
     def test_nullspace_degenerate_without_reset(self):
         with pytest.raises(DegenerateSteadyStateError):

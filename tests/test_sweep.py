@@ -77,6 +77,35 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(vary="g", start=0.0, stop=1.0, steps=5, fixed_gamma=0.5, g=1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("start", -np.inf), ("start", np.nan), ("stop", np.inf), ("stop", np.nan),
+    ])
+    def test_rejects_non_finite_interval(self, name, value):
+        fields = dict(vary="r", start=0.0, stop=1.0, steps=5, fixed_gamma=0.5, g=1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SweepSpec(**{**fields, name: value})
+
+    @pytest.mark.parametrize("name", ["fixed_r", "fixed_gamma", "g", "g_ratio"])
+    @pytest.mark.parametrize("value", [-5.0, -np.inf, np.inf, np.nan])
+    def test_rejects_bad_rate(self, name, value):
+        # the one fixed rate and the one coupling the field needs; the field
+        # under test takes the place of its counterpart
+        fields = {"fixed_r": dict(vary="gamma", fixed_r=value, g=1.0),
+                  "fixed_gamma": dict(vary="r", fixed_gamma=value, g=1.0),
+                  "g": dict(vary="r", fixed_gamma=0.5, g=value),
+                  "g_ratio": dict(vary="r", fixed_gamma=0.5, g_ratio=value)}[name]
+        with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative"):
+            SweepSpec(start=0.0, stop=1.0, steps=5, **fields)
+
+    def test_negative_g_ratio_is_named_before_any_rate(self):
+        with pytest.raises(ValueError, match="g_ratio .* got -5"):
+            SweepSpec(vary="gamma", start=0, stop=3, steps=2, fixed_r=1, g_ratio=-5)
+
+    def test_accepts_zero_rates(self):
+        spec = SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=2, fixed_r=0.0, g_ratio=0.0)
+        p = spec.params_at(3.0)
+        assert (p.r, p.gamma, p.g) == (0.0, 3.0, 0.0)
+
 
 class TestRunSweep:
     def test_covers_both_endpoints(self, reset_sweep_rows):
