@@ -106,7 +106,6 @@ class DensityMatrix:
     above -1e-10 (see ``density_eig``).  The stored matrix is read-only.
     """
 
-    HERMITIAN_TOL = 1e-10
     TRACE_TOL = 1e-10
     PSD_TOL = -1e-10
 
@@ -140,7 +139,7 @@ def density_eig(mats) -> HermitianEig:
     order Hermitian, unit trace, positive semidefinite, each over the whole
     stack, and the first failure raises.
     """
-    eig = hermitian_eig(mats, tol=DensityMatrix.HERMITIAN_TOL)
+    eig = hermitian_eig(mats)
     trace = np.trace(mats, axis1=-2, axis2=-1)
     bad = np.abs(trace - 1.0) > DensityMatrix.TRACE_TOL
     if bad.any():
@@ -264,7 +263,7 @@ def closed_form_steady_state(p: ModelParams) -> DensityMatrix:
     return DensityMatrix(mats[0])
 
 
-def _nullspace_steady_state(p: ModelParams) -> DensityMatrix:
+def _nullspace_steady_state(p: ModelParams) -> np.ndarray:
     sup = liouvillian_superoperator(p)
     gram = sup.conj().T @ sup
     gram = 0.5 * (gram + gram.conj().T)
@@ -275,11 +274,10 @@ def _nullspace_steady_state(p: ModelParams) -> DensityMatrix:
             f"L^dag L is {eig.eigenvalues[1]:.3e}); the steady state is not unique")
     rho = unvectorize(eig.eigenvectors[:, 0])
     rho = rho / np.trace(rho)  # |trace| >= Frobenius norm for a state, so >= 1 here
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(rho)
+    return 0.5 * (rho + rho.conj().T)
 
 
-def _integrate_steady_state(p: ModelParams) -> DensityMatrix:
+def _integrate_steady_state(p: ModelParams) -> np.ndarray:
     if p.r == 0.0:
         raise DegenerateSteadyStateError(
             "integration needs r > 0; at r = 0 the steady state is not unique")
@@ -299,9 +297,18 @@ def _integrate_steady_state(p: ModelParams) -> DensityMatrix:
         state = 0.5 * (state + state.conj()[_VEC_TRANSPOSE])
         if np.abs(sup @ state).max() < RK4_RESIDUAL_TOL:
             rho = unvectorize(state)
-            return DensityMatrix(rho / np.trace(rho).real)
+            return rho / np.trace(rho).real
     raise NoConvergenceError(
         f"residual still above {RK4_RESIDUAL_TOL:.0e} after {RK4_STEP_CAP} RK4 steps")
+
+
+def route_matrix(p: ModelParams, method: str) -> np.ndarray:
+    """Unvalidated steady-state matrix by the nullspace or integrate route."""
+    if method == "nullspace":
+        return _nullspace_steady_state(p)
+    if method == "integrate":
+        return _integrate_steady_state(p)
+    raise ValueError(f"unknown method {method!r}; choose from {STEADY_STATE_METHODS}")
 
 
 def steady_state(p: ModelParams, method: str = "closed_form") -> DensityMatrix:
@@ -318,8 +325,4 @@ def steady_state(p: ModelParams, method: str = "closed_form") -> DensityMatrix:
     """
     if method == "closed_form":
         return closed_form_steady_state(p)
-    if method == "nullspace":
-        return _nullspace_steady_state(p)
-    if method == "integrate":
-        return _integrate_steady_state(p)
-    raise ValueError(f"unknown method {method!r}; choose from {STEADY_STATE_METHODS}")
+    return DensityMatrix(route_matrix(p, method))

@@ -61,15 +61,14 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * (lead.conj() / np.abs(lead))
 
 
-def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> HermitianEig:
+def hermitian_eig(m) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix with deterministic phases.
 
     Parameters
     ----------
     m : array_like
-        Square matrix, or stack of them, Hermitian within ``tol`` (entrywise).
-    tol : float
-        Largest tolerated entry of ``m - m.conj().T``.
+        Square matrix, or stack of them, Hermitian within ``HERMITIAN_TOL``
+        (largest tolerated entry of ``m - m.conj().T``).
 
     Raises
     ------
@@ -80,9 +79,9 @@ def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> HermitianEig:
     """
     m = _as_square(m)
     defect = np.max(hermiticity_defect(m), initial=0.0)
-    if defect > tol:
+    if defect > HERMITIAN_TOL:
         raise NotHermitianError(
-            f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.1e})")
+            f"matrix deviates from Hermitian by {defect:.3e} (tol {HERMITIAN_TOL:.1e})")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as err:
@@ -128,11 +127,11 @@ def partial_transpose(m, qubit: int) -> np.ndarray:
     return swapped.reshape(blocks.shape[:-4] + (4, 4))
 
 
-def trace_norm(m, tol: float = HERMITIAN_TOL):
+def trace_norm(m):
     """Sum of absolute eigenvalues of a Hermitian matrix, or of each in a stack."""
     m = _as_square(m)
     defect = np.max(hermiticity_defect(m), initial=0.0)
-    if defect > tol:
+    if defect > HERMITIAN_TOL:
         raise NotHermitianError(f"trace_norm needs a Hermitian input; defect {defect:.3e}")
     try:
         eigenvalues = np.linalg.eigvalsh(m)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams, closed_form_matrices, density_eig, steady_state
+from .dynamics import (STEADY_STATE_METHODS, ModelParams, closed_form_matrices, density_eig,
+                       route_matrix, steady_state)
 from .entanglement import concurrences, negativities
 from .errors import SOLVER_ERRORS, NoSignChangeError
 from .metrology import collective_spin_ops, moment_matrices, top_axes
@@ -105,8 +106,14 @@ class SweepSpec:
             raise ValueError(f"need start < stop, got [{self.start}, {self.stop}]")
         if self.start < 0.0:
             raise ValueError(f"rates are non-negative, got start {self.start}")
+        try:
+            operator.index(self.steps)
+        except TypeError:
+            raise ValueError(f"steps must be an integer, got {self.steps!r}") from None
         if self.steps < 2:
             raise ValueError(f"need at least 2 steps, got {self.steps}")
+        if self.method not in STEADY_STATE_METHODS:
+            raise ValueError(f"method must be one of {STEADY_STATE_METHODS}, got {self.method!r}")
         if (self.g is None) == (self.g_ratio is None):
             raise ValueError("set exactly one of g and g_ratio")
         fixed_name = "fixed_gamma" if self.vary == "r" else "fixed_r"
@@ -129,13 +136,6 @@ class SweepSpec:
     def params_at(self, value: float) -> ModelParams:
         r, gamma, g = self.rates(value)
         return ModelParams(r=r, gamma=gamma, g=g)
-
-
-def _stack(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrices, eigenvalues and eigenvectors of validated states, stacked."""
-    return (np.array([rho.mat for rho in states]),
-            np.array([rho.eig.eigenvalues for rho in states]),
-            np.array([rho.eig.eigenvectors for rho in states]))
 
 
 def _branches(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,25 +164,34 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
     bisects on.
     """
     rho = steady_state(params, method=method)
-    return _rows(np.array([[params.r], [params.gamma], [params.g]]), *_stack([rho]))[0]
+    return _rows(np.array([[params.r], [params.gamma], [params.g]]),
+                 rho.mat[None], rho.eig.eigenvalues[None], rho.eig.eigenvectors[None])[0]
 
 
 def _states(spec: SweepSpec, values) -> tuple:
     """Rates, matrices and eigendecompositions of the steady states at
     increasing values of the varied rate, stacked; the first entry holds r,
-    gamma and g as arrays of shape (N,)."""
+    gamma and g as arrays of shape (N,).  A solver error names the value it
+    occurred at."""
     values = np.asarray(values, dtype=float)
     rates = np.broadcast_arrays(*spec.rates(values))
-    if spec.method == "closed_form":
-        # the rates are monotone in the varied one, so valid at both ends
-        # means valid throughout
-        spec.params_at(values[0])
-        spec.params_at(values[-1])
-        mats = closed_form_matrices(*rates)
-        eig = density_eig(mats)
-        return rates, mats, eig.eigenvalues, eig.eigenvectors
-    states = [steady_state(spec.params_at(value), spec.method) for value in values]
-    return (rates, *_stack(states))
+    # The rates are monotone in the varied one, so valid at both ends means valid
+    # throughout, and r = gamma = g = 0, the closed form's one failure, comes first.
+    value = values[0]
+    try:
+        if spec.method == "closed_form":
+            spec.params_at(values[0])
+            spec.params_at(values[-1])
+            mats = closed_form_matrices(*rates)
+        else:
+            mats = []
+            for value in values:
+                mats.append(route_matrix(spec.params_at(value), spec.method))
+            mats = np.array(mats)
+    except SOLVER_ERRORS as err:
+        raise type(err)(f"{err} [at {spec.vary} = {value:.9g}]") from err
+    eig = density_eig(mats)
+    return rates, mats, eig.eigenvalues, eig.eigenvectors
 
 
 def _gaps(spec: SweepSpec, values) -> list[float]:
@@ -192,27 +201,13 @@ def _gaps(spec: SweepSpec, values) -> list[float]:
     return (lambda_x - lambda_yz_hi).tolist()
 
 
-def _raise_first_failure(spec: SweepSpec, values: np.ndarray) -> None:
-    """Evaluate points one at a time; raise the first solver error, naming its point."""
-    for value in values:
-        try:
-            evaluate_point(spec.params_at(value), spec.method)
-        except SOLVER_ERRORS as err:
-            raise type(err)(f"{err} [at {spec.vary} = {value:.9g}]") from err
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every grid point, SWEEP_CHUNK points per stacked pass;
     solver failures name the offending point."""
     grid = spec.grid()
     rows = []
     for start in range(0, len(grid), SWEEP_CHUNK):
-        values = grid[start:start + SWEEP_CHUNK]
-        try:
-            rows += _rows(*_states(spec, values))
-        except SOLVER_ERRORS:
-            _raise_first_failure(spec, values)
-            raise
+        rows += _rows(*_states(spec, grid[start:start + SWEEP_CHUNK]))
     return rows
 
 

@@ -124,6 +124,13 @@ class TestCritical:
         assert code == EXIT_SOLVER
         assert "sign" in capsys.readouterr().err
 
+    def test_solver_error_names_the_point(self, capsys):
+        code = main(["critical", "--vary", "r", "--lo", "0", "--hi", "1",
+                     "--gamma", "0", "--g", "0"])
+        assert code == EXIT_SOLVER
+        assert capsys.readouterr().err == ("resetqfi: solver error: r = gamma = g = 0 "
+                                           "singles out no steady state [at r = 0]\n")
+
 
 def test_module_entry_point(tmp_path):
     target = tmp_path / "rows.csv"

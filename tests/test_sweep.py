@@ -11,6 +11,7 @@ from resetqfi import (
     DegenerateLimitError,
     DegenerateSteadyStateError,
     ModelParams,
+    NoConvergenceError,
     NoSignChangeError,
     SweepSpec,
     emit,
@@ -18,14 +19,16 @@ from resetqfi import (
     find_critical_point,
     parse_csv,
     run_sweep,
-    steady_state,
     sweep,
 )
 from resetqfi.cli import EXIT_OK, main
-from resetqfi.dynamics import closed_form_matrices
+from resetqfi.dynamics import closed_form_matrices, density_eig, route_matrix
 from resetqfi.sweep import CRITICAL_BRACKET_WIDTH, SWEEP_CHUNK
 
 DATA = Path(__file__).parent / "data"
+
+DEGENERATE_KERNEL = ("Liouvillian kernel is not one-dimensional (second eigenvalue of "
+                     "L^dag L is 0.000e+00); the steady state is not unique")
 
 RESET_SWEEP = SweepSpec(vary="r", start=0.0, stop=20.0, steps=201,
                       fixed_gamma=0.5, g_ratio=5.0)
@@ -101,10 +104,37 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="g_ratio .* got -5"):
             SweepSpec(vary="gamma", start=0, stop=3, steps=2, fixed_r=1, g_ratio=-5)
 
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="^method must be one of .* got 'closed-form'"):
+            SweepSpec(vary="r", start=0.0, stop=1.0, steps=5, fixed_gamma=0.5, g=1.0,
+                      method="closed-form")
+
+    @pytest.mark.parametrize("steps", [2.5, 5.0, "5", None])
+    def test_rejects_non_integer_steps(self, steps):
+        with pytest.raises(ValueError, match="^steps must be an integer"):
+            SweepSpec(vary="r", start=0.0, stop=1.0, steps=steps, fixed_gamma=0.5, g=1.0)
+
+    def test_accepts_numpy_integer_steps(self):
+        spec = SweepSpec(vary="r", start=0.0, stop=1.0, steps=np.int64(5), fixed_gamma=0.5, g=1.0)
+        assert len(run_sweep(spec)) == 5
+
     def test_accepts_zero_rates(self):
         spec = SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=2, fixed_r=0.0, g_ratio=0.0)
         p = spec.params_at(3.0)
         assert (p.r, p.gamma, p.g) == (0.0, 3.0, 0.0)
+
+
+@pytest.fixture
+def route_calls(monkeypatch):
+    """(r, gamma, g) of every call of a superoperator route made by sweep."""
+    calls = []
+
+    def counting(params, method):
+        calls.append((params.r, params.gamma, params.g))
+        return route_matrix(params, method)
+
+    monkeypatch.setattr(sweep, "route_matrix", counting)
+    return calls
 
 
 class TestRunSweep:
@@ -144,16 +174,42 @@ class TestRunSweep:
         assert abs(rows[0].mean_qfi - 1.02124) <= 5e-3
         assert abs(rows[0].negativity - 0.0183813) <= 5e-4
 
-    def test_solver_failure_names_the_point(self):
+    def test_solver_failure_names_the_point(self, route_calls):
         spec = SweepSpec(vary="r", start=0.0, stop=1.0, steps=3,
                          fixed_gamma=0.5, g=2.5, method="nullspace")
-        with pytest.raises(DegenerateSteadyStateError, match=r"at r = 0"):
+        with pytest.raises(DegenerateSteadyStateError) as raised:
             run_sweep(spec)
+        assert str(raised.value) == f"{DEGENERATE_KERNEL} [at r = 0]"
+        assert route_calls == [(0.0, 0.5, 2.5)]
+
+    def test_integrate_failure_names_the_point(self, route_calls):
+        # g = 2000 gamma: converges at gamma = 5e-4, not at gamma = 0.5
+        spec = SweepSpec(vary="gamma", start=5e-4, stop=0.5, steps=2, fixed_r=0.01,
+                         g_ratio=2e3, method="integrate")
+        with pytest.raises(NoConvergenceError) as raised:
+            run_sweep(spec)
+        assert str(raised.value) == ("residual still above 1e-12 after 10000000 RK4 steps "
+                                     "[at gamma = 0.5]")
+        # every point up to the failing one is solved once
+        assert route_calls == [(0.01, 5e-4, 1.0), (0.01, 0.5, 1e3)]
 
     def test_closed_form_failure_names_the_point(self):
         spec = SweepSpec(vary="r", start=0.0, stop=1.0, steps=3, fixed_gamma=0.0, g=0.0)
         with pytest.raises(DegenerateLimitError, match=r"at r = 0"):
             run_sweep(spec)
+
+    def test_states_validated_once_per_chunk(self, monkeypatch):
+        spec = SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=SWEEP_CHUNK + 3,
+                         fixed_r=1.0, g_ratio=5.0, method="nullspace")
+        stacks = []
+
+        def counting(mats):
+            stacks.append(len(mats))
+            return density_eig(mats)
+
+        monkeypatch.setattr(sweep, "density_eig", counting)
+        run_sweep(spec)
+        assert stacks == [SWEEP_CHUNK, 3]
 
 
 def _bits(row):
@@ -242,6 +298,18 @@ class TestCriticalPoint:
                          fixed_gamma=0.5, g_ratio=5.0)
         with pytest.raises(NoSignChangeError):
             find_critical_point(spec)
+
+    @pytest.mark.parametrize("spec, error", [
+        (SweepSpec(vary="r", start=0.0, stop=8.0, steps=2, fixed_gamma=0.5, g_ratio=5.0,
+                   method="nullspace"),
+         DegenerateSteadyStateError(f"{DEGENERATE_KERNEL} [at r = 0]")),
+        (SweepSpec(vary="r", start=0.0, stop=1.0, steps=2, fixed_gamma=0.0, g=0.0),
+         DegenerateLimitError("r = gamma = g = 0 singles out no steady state [at r = 0]")),
+    ], ids=["nullspace", "closed_form"])
+    def test_solver_failure_names_the_point(self, spec, error):
+        with pytest.raises(type(error)) as raised:
+            find_critical_point(spec)
+        assert str(raised.value) == str(error)
 
 
 def _serial_bisection(spec):
@@ -382,19 +450,12 @@ class TestCriticalTreePasses:
         # for each further 4 halvings
         assert passes == [9, 15, 15, 15]
 
-    def test_superoperator_routes_evaluate_the_serial_points_only(self, monkeypatch):
+    def test_superoperator_routes_evaluate_the_serial_points_only(self, route_calls):
         spec = SweepSpec(vary="r", start=2.0, stop=2.5, steps=2, fixed_gamma=0.5,
                          g_ratio=5.0, method="nullspace")
         halvings = _serial_bisection(spec)[1]
-        calls = []
-
-        def counting(params, method):
-            calls.append(params.r)
-            return steady_state(params, method)
-
-        monkeypatch.setattr(sweep, "steady_state", counting)
         find_critical_point(spec)
-        assert len(calls) == 2 + halvings == 15
+        assert len(route_calls) == 2 + halvings == 15
 
 
 class TestEmit:
