@@ -144,11 +144,15 @@ def density_eig(mats) -> HermitianEig:
     bad = np.abs(trace - 1.0) > DensityMatrix.TRACE_TOL
     if bad.any():
         raise ValueError(f"density matrix trace {trace[bad.argmax()]:.12g} differs from 1")
-    smallest = eig.eigenvalues[:, 0]
+    _check_psd(eig.eigenvalues[:, 0])
+    return eig
+
+
+def _check_psd(smallest: np.ndarray) -> None:
+    """The ``DensityMatrix`` positivity check on the smallest eigenvalue of each state."""
     bad = smallest < DensityMatrix.PSD_TOL
     if bad.any():
         raise ValueError(f"density matrix has negative eigenvalue {smallest[bad.argmax()]:.3e}")
-    return eig
 
 
 def hamiltonian(p: ModelParams) -> np.ndarray:
@@ -227,11 +231,22 @@ def liouvillian_superoperator(p: ModelParams) -> np.ndarray:
     return sup
 
 
+def _reject_all_zero(r, gamma, g) -> None:
+    if np.any((r == 0.0) & (gamma == 0.0) & (g == 0.0)):
+        raise DegenerateLimitError("r = gamma = g = 0 singles out no steady state")
+
+
+def require_plus_reset(p: ModelParams) -> None:
+    """Raise UnsupportedResetStateError unless p resets to |+>, the one
+    reset state the closed form is derived for."""
+    if not p.resets_to_plus():
+        raise UnsupportedResetStateError("closed form is derived for the |+> reset state only")
+
+
 def closed_form_matrices(r, gamma, g) -> np.ndarray:
     """Closed-form steady states, shape (N, 4, 4), at valid rates given as
     arrays of shape (N,); see ``closed_form_steady_state``."""
-    if np.any((r == 0.0) & (gamma == 0.0) & (g == 0.0)):
-        raise DegenerateLimitError("r = gamma = g = 0 singles out no steady state")
+    _reject_all_zero(r, gamma, g)
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows are replaced below
         shifted = r + 0.5 * gamma
         denom = 2.0 * g**2 + shifted * (r + gamma)
@@ -247,6 +262,67 @@ def closed_form_matrices(r, gamma, g) -> np.ndarray:
     return parts.reshape(-1, 4, 2)[:, _CLOSED_FORM_LAYOUT].view(complex)[..., 0]
 
 
+def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
+    """Moment matrices C, shape (N, 3, 3), and negativities, shape (N,), of
+    the closed-form steady states at valid rates given as arrays of shape (N,).
+
+    Equal, up to rounding, to ``moment_matrices`` and ``negativities`` of
+    ``closed_form_matrices``, without building or eigensolving the states.
+    C (Hyllus, Guehne and Smerzi, arXiv:0912.4349) is block-diagonal:
+    C_xy = C_xz = 0 and C_yy = C_zz.  The entries and the negativity are
+    ratios of polynomials in the rates, derived symbolically from the
+    closed-form state; every polynomial has non-negative coefficients, so
+    nothing cancels near pure states.  The concurrence of these states is
+    twice the negativity.
+
+    The rates enter divided by the largest of them.  That keeps every power
+    finite, and rates scaled by a power of two give bit-equal results.
+    At r = 0 the continuity limit I/4 has C = 0.  Where gamma = g = 0, or g
+    is too small to square against r, the state is |++> and C is
+    diag(0, 2, 2).  The ``DensityMatrix`` positivity check runs on the
+    analytic spectrum, 1/4 - a twice and 1/4 + a +- 2|e| (a the
+    anti-diagonal entry, e the (0, 1) entry); unit trace and Hermiticity
+    hold by construction.
+    """
+    _reject_all_zero(r, gamma, g)
+    scale = np.maximum(np.maximum(r, gamma), g)
+    r, gamma, g = r / scale, gamma / scale, g / scale
+    # With K = 2 D = 4 g^2 + (r + gamma)(2 r + gamma) and P, Q, W below:
+    #   C_xx = 32 g^2 r^2 (r + gamma) / (K (4 g^2 (r + gamma) + (2 r + gamma)((r + gamma)^2 + r^2)))
+    #   C_yy = 2 r^2 Q / ((r + gamma)^2 K P),   C_yz = 4 g r^3 W / ((r + gamma)^2 K P)
+    #   negativity = max(0, 4 g (r + gamma)(r - g) - gamma (2 r + gamma)^2) / (4 (r + gamma) K)
+    rg = r + gamma
+    r2g = r + rg
+    g2 = g * g
+    k = 4.0 * g2 + rg * r2g
+    dephased = gamma * r2g * r2g * r2g
+    p = 4.0 * g2 * (4.0 * g2 + 2.0 * gamma * gamma + 6.0 * gamma * r + 3.0 * r * r) + dephased
+    cubic = ((2.0 * gamma + 7.0 * r) * gamma + 7.0 * r * r) * gamma + 3.0 * r * r * r
+    q = 16.0 * g2 * g2 * rg * rg + 4.0 * g2 * r2g * cubic + dephased * rg * r2g
+    w = 4.0 * g2 * rg * (gamma + 3.0 * r) + dephased
+    excess = 4.0 * g * rg * (r - g) - gamma * r2g * r2g
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 and |++> rows are replaced below
+        ratio = r / rg  # r^2 / (r + gamma)^2 as a square, which cannot underflow
+        c_xx = 32.0 * g2 * r * r * rg / (k * (4.0 * g2 * rg + r2g * (rg * rg + r * r)))
+        c_yy = 2.0 * ratio * ratio * q / (k * p)
+        c_yz = 4.0 * g * r * ratio * ratio * w / (k * p)
+        negativity = np.where(excess > 0.0, excess, 0.0) / (4.0 * rg * k)
+        anti = r * ratio * (r + 0.5 * gamma) / (2.0 * k)
+        edge = r * np.hypot(r + 0.5 * gamma, g) / (2.0 * k)
+    pure = p == 0.0
+    c_yy[pure] = 2.0
+    c_yz[pure] = 0.0
+    no_reset = r == 0.0
+    for value in (c_xx, c_yy, c_yz, negativity, anti, edge):
+        value[no_reset] = 0.0
+    _check_psd(np.minimum(0.25 - anti, 0.25 + anti - 2.0 * edge))
+    c = np.zeros((len(r), 3, 3))
+    c[:, 0, 0] = c_xx
+    c[:, 1, 1] = c[:, 2, 2] = c_yy
+    c[:, 1, 2] = c[:, 2, 1] = c_yz
+    return c, negativity
+
+
 def closed_form_steady_state(p: ModelParams) -> DensityMatrix:
     """Steady state from the closed-form matrix elements.
 
@@ -257,8 +333,7 @@ def closed_form_steady_state(p: ModelParams) -> DensityMatrix:
     continuity limit I/4 is returned; the kernel is degenerate there, see
     ``steady_state``.
     """
-    if not p.resets_to_plus():
-        raise UnsupportedResetStateError("closed form is derived for the |+> reset state only")
+    require_plus_reset(p)
     mats = closed_form_matrices(np.array([p.r]), np.array([p.gamma]), np.array([p.g]))
     return DensityMatrix(mats[0])
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (STEADY_STATE_METHODS, ModelParams, closed_form_matrices, density_eig,
-                       route_matrix, steady_state)
+from .dynamics import (STEADY_STATE_METHODS, ModelParams, closed_form_figures,
+                       closed_form_matrices, density_eig, require_plus_reset, route_matrix,
+                       steady_state)
 from .entanglement import concurrences, negativities
 from .errors import SOLVER_ERRORS, NoSignChangeError
 from .metrology import collective_spin_ops, moment_matrices, top_axes
@@ -145,14 +146,24 @@ def _branches(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c[:, 0, 0], block_mean + half_gap, block_mean - half_gap
 
 
-def _rows(rates, mats, eigenvalues, eigenvectors) -> list[SweepRow]:
-    """Sweep rows of N validated states; ``rates`` holds r, gamma and g as
-    arrays of shape (N,)."""
-    c = moment_matrices(eigenvalues, eigenvectors, _SPIN2)
+def _rows(rates, c, concurrence, negativity) -> list[SweepRow]:
+    """Sweep rows of N points from their rates (r, gamma and g), moment
+    matrices and entanglement measures, arrays with a leading axis of N."""
     lambda_max, axes = top_axes(c)
     columns = (*rates, lambda_max / _SPIN2.n_particles, *_branches(c),
-               concurrences(mats), negativities(mats), *axes.T)
+               concurrence, negativity, *axes.T)
     return [SweepRow(*values) for values in zip(*(column.tolist() for column in columns))]
+
+
+def _closed_form_rows(rates, c, negativity) -> list[SweepRow]:
+    # the concurrence of the closed-form states is twice their negativity
+    return _rows(rates, c, 2.0 * negativity, negativity)
+
+
+def _eigen_rows(rates, mats, eigenvalues, eigenvectors) -> list[SweepRow]:
+    """Sweep rows of N validated states given with their eigendecompositions."""
+    c = moment_matrices(eigenvalues, eigenvectors, _SPIN2)
+    return _rows(rates, c, concurrences(mats), negativities(mats))
 
 
 def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow:
@@ -161,18 +172,24 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
     lambda_x is the moment-matrix entry C_xx; the yz block contributes
     the branches m +/- sqrt(((C_yy - C_zz)/2)^2 + C_yz^2) around its mean
     m.  Their crossing with lambda_x is what ``find_critical_point``
-    bisects on.
+    bisects on.  The closed form takes C and the entanglement measures
+    from ``closed_form_figures``; the other routes from the eigendecomposed
+    state.
     """
+    rates = np.array([[params.r], [params.gamma], [params.g]])
+    if method == "closed_form":
+        require_plus_reset(params)
+        return _closed_form_rows(rates, *closed_form_figures(*rates))[0]
     rho = steady_state(params, method=method)
-    return _rows(np.array([[params.r], [params.gamma], [params.g]]),
-                 rho.mat[None], rho.eig.eigenvalues[None], rho.eig.eigenvectors[None])[0]
+    return _eigen_rows(rates, rho.mat[None], rho.eig.eigenvalues[None],
+                       rho.eig.eigenvectors[None])[0]
 
 
-def _states(spec: SweepSpec, values) -> tuple:
-    """Rates, matrices and eigendecompositions of the steady states at
-    increasing values of the varied rate, stacked; the first entry holds r,
-    gamma and g as arrays of shape (N,).  A solver error names the value it
-    occurred at."""
+def _solve(spec: SweepSpec, values, closed_form) -> tuple:
+    """Rates at increasing values of the varied rate, as arrays of shape
+    (N,), and ``closed_form(r, gamma, g)`` of them for the closed form or
+    the stacked, unvalidated steady-state matrices of the other routes.  A
+    solver error names the value it occurred at."""
     values = np.asarray(values, dtype=float)
     rates = np.broadcast_arrays(*spec.rates(values))
     # The rates are monotone in the varied one, so valid at both ends means valid
@@ -182,32 +199,38 @@ def _states(spec: SweepSpec, values) -> tuple:
         if spec.method == "closed_form":
             spec.params_at(values[0])
             spec.params_at(values[-1])
-            mats = closed_form_matrices(*rates)
-        else:
-            mats = []
-            for value in values:
-                mats.append(route_matrix(spec.params_at(value), spec.method))
-            mats = np.array(mats)
+            return rates, closed_form(*rates)
+        mats = []
+        for value in values:
+            mats.append(route_matrix(spec.params_at(value), spec.method))
     except SOLVER_ERRORS as err:
         raise type(err)(f"{err} [at {spec.vary} = {value:.9g}]") from err
-    eig = density_eig(mats)
-    return rates, mats, eig.eigenvalues, eig.eigenvectors
+    return rates, np.array(mats)
 
 
 def _gaps(spec: SweepSpec, values) -> list[float]:
-    """lambda_x - lambda_yz_hi at increasing values of the varied rate, in one stacked pass."""
-    _, _, eigenvalues, eigenvectors = _states(spec, values)
-    lambda_x, lambda_yz_hi, _ = _branches(moment_matrices(eigenvalues, eigenvectors, _SPIN2))
+    """lambda_x - lambda_yz_hi at increasing values of the varied rate, in one
+    stacked pass through the validated, eigendecomposed states."""
+    _, mats = _solve(spec, values, closed_form_matrices)
+    eig = density_eig(mats)
+    lambda_x, lambda_yz_hi, _ = _branches(
+        moment_matrices(eig.eigenvalues, eig.eigenvectors, _SPIN2))
     return (lambda_x - lambda_yz_hi).tolist()
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every grid point, SWEEP_CHUNK points per stacked pass;
-    solver failures name the offending point."""
+    solver failures name the offending point.  A row equals the
+    ``evaluate_point`` row of its point, bit for bit."""
     grid = spec.grid()
     rows = []
     for start in range(0, len(grid), SWEEP_CHUNK):
-        rows += _rows(*_states(spec, grid[start:start + SWEEP_CHUNK]))
+        rates, solved = _solve(spec, grid[start:start + SWEEP_CHUNK], closed_form_figures)
+        if spec.method == "closed_form":
+            rows += _closed_form_rows(rates, *solved)
+        else:
+            eig = density_eig(solved)
+            rows += _eigen_rows(rates, solved, eig.eigenvalues, eig.eigenvectors)
     return rows
 
 
