@@ -148,8 +148,10 @@ def density_eig(mats) -> HermitianEig:
     return eig
 
 
-def _check_psd(smallest: np.ndarray) -> None:
-    """The ``DensityMatrix`` positivity check on the smallest eigenvalue of each state."""
+def _check_psd(smallest) -> None:
+    """The ``DensityMatrix`` positivity check on the smallest eigenvalue of
+    each state, given as an array of any shape, rank 0 included."""
+    smallest = np.ravel(smallest)
     bad = smallest < DensityMatrix.PSD_TOL
     if bad.any():
         raise ValueError(f"density matrix has negative eigenvalue {smallest[bad.argmax()]:.3e}")
@@ -263,8 +265,9 @@ def closed_form_matrices(r, gamma, g) -> np.ndarray:
 
 
 def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
-    """Moment matrices C, shape (N, 3, 3), and negativities, shape (N,), of
-    the closed-form steady states at valid rates given as arrays of shape (N,).
+    """Moment matrices C, shape (..., 3, 3), and negativities, shape (...),
+    of the closed-form steady states at valid rates of one shape (...):
+    arrays of shape (N,) for a stack of points, or scalars for one point.
 
     Equal, up to rounding, to ``moment_matrices`` and ``negativities`` of
     ``closed_form_matrices``, without building or eigensolving the states.
@@ -310,16 +313,16 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
         anti = r * ratio * (r + 0.5 * gamma) / (2.0 * k)
         edge = r * np.hypot(r + 0.5 * gamma, g) / (2.0 * k)
     pure = p == 0.0
-    c_yy[pure] = 2.0
-    c_yz[pure] = 0.0
+    c_yy = np.where(pure, 2.0, c_yy)
+    c_yz = np.where(pure, 0.0, c_yz)
     no_reset = r == 0.0
-    for value in (c_xx, c_yy, c_yz, negativity, anti, edge):
-        value[no_reset] = 0.0
+    c_xx, c_yy, c_yz, negativity, anti, edge = (
+        np.where(no_reset, 0.0, value) for value in (c_xx, c_yy, c_yz, negativity, anti, edge))
     _check_psd(np.minimum(0.25 - anti, 0.25 + anti - 2.0 * edge))
-    c = np.zeros((len(r), 3, 3))
-    c[:, 0, 0] = c_xx
-    c[:, 1, 1] = c[:, 2, 2] = c_yy
-    c[:, 1, 2] = c[:, 2, 1] = c_yz
+    c = np.zeros(np.shape(r) + (3, 3))
+    c[..., 0, 0] = c_xx
+    c[..., 1, 1] = c[..., 2, 2] = c_yy
+    c[..., 1, 2] = c[..., 2, 1] = c_yz
     return c, negativity
 
 

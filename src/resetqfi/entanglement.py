@@ -7,7 +7,7 @@ from .errors import BadDimensionError, OutOfRangeError
 from .qlinalg import kron, partial_transpose, sigma_y, trace_norm
 
 _YY = kron(sigma_y, sigma_y)
-# eigenvalues of rho rho~ this far below zero indicate a broken input state
+# eigenvalues of a state this far below zero indicate a broken input state
 NEGATIVE_EIG_TOL = -1e-12
 
 
@@ -17,14 +17,22 @@ def _two_qubit_state(rho: DensityMatrix) -> np.ndarray:
     return rho.mat
 
 
-def concurrences(mats: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of each two-qubit state in a stack of shape (N, 4, 4)."""
-    spun = mats @ _YY @ mats.conj() @ _YY
-    eigenvalues = np.linalg.eigvals(spun).real  # spectrum is real and non-negative
+def concurrences(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each two-qubit state in a stack, given by its
+    eigendecomposition: eigenvalues (N, 4) and eigenvectors (N, 4, 4).
+
+    mu_1 >= ... >= mu_4, the square roots of the eigenvalues of
+    rho (Y x Y) rho* (Y x Y), are the singular values of
+    sqrt(rho) (Y x Y) sqrt(rho)*.  Near pure states the small eigenvalues
+    are as small as their rounding error, and their square roots would be
+    off by its square root; the singular values are not.
+    """
     low = eigenvalues.min(initial=0.0)
     if low < NEGATIVE_EIG_TOL:
-        raise OutOfRangeError(f"spin-flipped product has eigenvalue {low:.3e} below zero")
-    mu = np.sort(np.sqrt(np.maximum(eigenvalues, 0.0)), axis=-1)[:, ::-1]
+        raise OutOfRangeError(f"state has eigenvalue {low:.3e} below zero")
+    root = (eigenvectors * np.sqrt(np.maximum(eigenvalues, 0.0))[:, None, :]
+            @ eigenvectors.conj().swapaxes(-1, -2))
+    mu = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)  # descending
     value = mu[:, 0] - mu[:, 1] - mu[:, 2] - mu[:, 3]
     return np.where(value > 0.0, value, 0.0)
 
@@ -41,7 +49,8 @@ def concurrence(rho: DensityMatrix) -> float:
     Computed from the square roots mu_1 >= ... >= mu_4 of the eigenvalues
     of rho (Y x Y) rho* (Y x Y) as max(0, mu_1 - mu_2 - mu_3 - mu_4).
     """
-    return float(concurrences(_two_qubit_state(rho)[None])[0])
+    _two_qubit_state(rho)
+    return float(concurrences(rho.eig.eigenvalues[None], rho.eig.eigenvectors[None])[0])
 
 
 def negativity(rho: DensityMatrix) -> float:

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (STEADY_STATE_METHODS, ModelParams, closed_form_figures,
-                       closed_form_matrices, density_eig, require_plus_reset, route_matrix,
-                       steady_state)
+from .dynamics import (STEADY_STATE_METHODS, ModelParams, closed_form_figures, density_eig,
+                       require_plus_reset, route_matrix, steady_state)
 from .entanglement import concurrences, negativities
 from .errors import SOLVER_ERRORS, NoSignChangeError
 from .metrology import collective_spin_ops, moment_matrices, top_axes
@@ -28,10 +27,6 @@ CSV_HEADER = ("r,gamma,g,mean_qfi,lambda_x,lambda_yz_hi,lambda_yz_lo,"
               "concurrence,negativity,opt_nx,opt_ny,opt_nz")
 CSV_FIELDS = tuple(CSV_HEADER.split(","))
 CRITICAL_BRACKET_WIDTH = 1e-4
-# Halvings of find_critical_point covered by one stacked pass of the
-# closed form, which evaluates 2**4 - 1 midpoints (16 halvings take 5
-# passes, not 16 single-point steps).
-CRITICAL_TREE_DEPTH = 4
 # Grid points evaluated per stacked pass of run_sweep; bounds its memory
 # at a few KB per point whatever the grid size.
 SWEEP_CHUNK = 512
@@ -140,10 +135,11 @@ class SweepSpec:
 
 
 def _branches(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lambda_x, lambda_yz_hi and lambda_yz_lo of a stack of moment matrices."""
-    block_mean = 0.5 * (c[:, 1, 1] + c[:, 2, 2])
-    half_gap = np.hypot(0.5 * (c[:, 1, 1] - c[:, 2, 2]), c[:, 1, 2])
-    return c[:, 0, 0], block_mean + half_gap, block_mean - half_gap
+    """lambda_x, lambda_yz_hi and lambda_yz_lo of a moment matrix, or of each
+    in a stack."""
+    block_mean = 0.5 * (c[..., 1, 1] + c[..., 2, 2])
+    half_gap = np.hypot(0.5 * (c[..., 1, 1] - c[..., 2, 2]), c[..., 1, 2])
+    return c[..., 0, 0], block_mean + half_gap, block_mean - half_gap
 
 
 def _rows(rates, c, concurrence, negativity) -> list[SweepRow]:
@@ -163,7 +159,7 @@ def _closed_form_rows(rates, c, negativity) -> list[SweepRow]:
 def _eigen_rows(rates, mats, eigenvalues, eigenvectors) -> list[SweepRow]:
     """Sweep rows of N validated states given with their eigendecompositions."""
     c = moment_matrices(eigenvalues, eigenvectors, _SPIN2)
-    return _rows(rates, c, concurrences(mats), negativities(mats))
+    return _rows(rates, c, concurrences(eigenvalues, eigenvectors), negativities(mats))
 
 
 def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow:
@@ -185,10 +181,10 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
                        rho.eig.eigenvectors[None])[0]
 
 
-def _solve(spec: SweepSpec, values, closed_form) -> tuple:
+def _solve(spec: SweepSpec, values) -> tuple:
     """Rates at increasing values of the varied rate, as arrays of shape
-    (N,), and ``closed_form(r, gamma, g)`` of them for the closed form or
-    the stacked, unvalidated steady-state matrices of the other routes.  A
+    (N,), and ``closed_form_figures`` of them for the closed form or the
+    stacked, unvalidated steady-state matrices of the other routes.  A
     solver error names the value it occurred at."""
     values = np.asarray(values, dtype=float)
     rates = np.broadcast_arrays(*spec.rates(values))
@@ -199,7 +195,7 @@ def _solve(spec: SweepSpec, values, closed_form) -> tuple:
         if spec.method == "closed_form":
             spec.params_at(values[0])
             spec.params_at(values[-1])
-            return rates, closed_form(*rates)
+            return rates, closed_form_figures(*rates)
         mats = []
         for value in values:
             mats.append(route_matrix(spec.params_at(value), spec.method))
@@ -208,14 +204,21 @@ def _solve(spec: SweepSpec, values, closed_form) -> tuple:
     return rates, np.array(mats)
 
 
-def _gaps(spec: SweepSpec, values) -> list[float]:
-    """lambda_x - lambda_yz_hi at increasing values of the varied rate, in one
-    stacked pass through the validated, eigendecomposed states."""
-    _, mats = _solve(spec, values, closed_form_matrices)
-    eig = density_eig(mats)
-    lambda_x, lambda_yz_hi, _ = _branches(
-        moment_matrices(eig.eigenvalues, eig.eigenvectors, _SPIN2))
-    return (lambda_x - lambda_yz_hi).tolist()
+def _moments(spec: SweepSpec, values) -> np.ndarray:
+    """Moment matrices at increasing values of the varied rate, in one
+    stacked pass: analytic for the closed form, from the validated,
+    eigendecomposed states for the other routes."""
+    _, solved = _solve(spec, values)
+    if spec.method == "closed_form":
+        return solved[0]
+    eig = density_eig(solved)
+    return moment_matrices(eig.eigenvalues, eig.eigenvectors, _SPIN2)
+
+
+def _gap(c: np.ndarray):
+    """lambda_x - lambda_yz_hi of a moment matrix, or of each in a stack."""
+    lambda_x, lambda_yz_hi, _ = _branches(c)
+    return lambda_x - lambda_yz_hi
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -225,7 +228,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     grid = spec.grid()
     rows = []
     for start in range(0, len(grid), SWEEP_CHUNK):
-        rates, solved = _solve(spec, grid[start:start + SWEEP_CHUNK], closed_form_figures)
+        rates, solved = _solve(spec, grid[start:start + SWEEP_CHUNK])
         if spec.method == "closed_form":
             rows += _closed_form_rows(rates, *solved)
         else:
@@ -234,46 +237,28 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def _midpoint_tree(lo: float, hi: float, depth: int) -> list[float]:
-    """Every midpoint the next ``depth`` halvings of [lo, hi] can visit,
-    2**depth - 1 values in increasing order, each computed as the bisection
-    computes it."""
-    if depth == 0:
-        return []
-    mid = 0.5 * (lo + hi)
-    return [*_midpoint_tree(lo, mid, depth - 1), mid, *_midpoint_tree(mid, hi, depth - 1)]
-
-
 def find_critical_point(spec: SweepSpec) -> CriticalPoint:
     """Bisect lambda_x - lambda_yz_hi to the axis-flip crossing.
 
     The sweep interval [start, stop] must bracket a sign change; the
-    bisection stops once the bracket is narrower than 1e-4.
-
-    The gap is evaluated in stacked passes over midpoint trees.  The first
-    pass takes the end points and the midpoints of the first depth - 1
-    halvings; each later pass takes every midpoint the next depth halvings
-    can visit.  The bisection replays on those values with its usual
-    rules, so the result is the one a point-by-point bisection gives, bit
-    for bit.  The closed form uses depth CRITICAL_TREE_DEPTH; the
-    nullspace and integrate routes use depth 1, so they evaluate exactly
-    the points a point-by-point bisection evaluates, in the same order.
+    bisection stops once the bracket is narrower than 1e-4.  Both end
+    points are evaluated in one stacked pass, then one midpoint per
+    halving: the closed form takes it from ``closed_form_figures`` at
+    scalar rates, the other routes from the one-point steady state.
     """
-    depth = CRITICAL_TREE_DEPTH if spec.method == "closed_form" else 1
     lo, hi = spec.start, spec.stop
-    inner = _midpoint_tree(lo, hi, depth - 1) if hi - lo > CRITICAL_BRACKET_WIDTH else []
-    gap_lo, *inner_gaps, gap_hi = _gaps(spec, [lo, *inner, hi])
+    gap_lo, gap_hi = _gap(_moments(spec, [lo, hi])).tolist()
     if gap_lo * gap_hi > 0.0:
         raise NoSignChangeError(
             f"lambda_x - lambda_yz_hi keeps its sign on {spec.vary} in [{lo}, {hi}] "
             f"({gap_lo:.3e} and {gap_hi:.3e})")
-    known = dict(zip(inner, inner_gaps))
     while hi - lo > CRITICAL_BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
-        if mid not in known:
-            inner = _midpoint_tree(lo, hi, depth)
-            known = dict(zip(inner, _gaps(spec, inner)))
-        gap_mid = known[mid]
+        if spec.method == "closed_form":
+            c = closed_form_figures(*spec.rates(np.float64(mid)))[0]
+        else:
+            c = _moments(spec, [mid])[0]
+        gap_mid = _gap(c)
         if gap_lo * gap_mid <= 0.0:
             hi = mid
         else:

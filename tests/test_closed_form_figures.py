@@ -41,6 +41,11 @@ def _eigen_figures(r, gamma, g):
     return moment_matrices(eig.eigenvalues, eig.eigenvectors, SPIN2), negativities(mats)
 
 
+# r = 0, gamma = g = 0, g too small to square against r, and huge rates
+EDGE_RATES = ((0.0, 0.5, 2.5), (0.0, 0.0, 2.5), (3.0, 0.0, 0.0), (1.0, 0.0, 1e-170),
+              (1e200, 3e199, 2e200))
+
+
 def _bits(row):
     return tuple(float.hex(getattr(row, name)) for name in FIGURES)
 
@@ -75,6 +80,17 @@ class TestAgainstEigenPipeline:
         _, want = _eigen_figures(*log_uniform_rates)
         assert np.abs(negativity - want).max() <= 1e-15
         assert (negativity > 0.0).any() and (negativity == 0.0).any()
+
+
+class TestScalarRates:
+    def test_bit_equal_to_the_stacked_rows(self, log_uniform_rates):
+        rates = np.concatenate((log_uniform_rates, np.array(EDGE_RATES).T), axis=1)
+        c, negativity = closed_form_figures(*rates)
+        for k, point in enumerate(rates.T):
+            c_k, negativity_k = closed_form_figures(*point)  # numpy scalars
+            assert c_k.shape == (3, 3) and np.shape(negativity_k) == ()
+            assert c_k.tobytes() == c[k].tobytes(), point
+            assert np.asarray(negativity_k).tobytes() == negativity[k].tobytes(), point
 
 
 def _mp_state(mp, r, gamma, g):
@@ -243,5 +259,7 @@ class TestEdgeCases:
             density_eig(closed_form_matrices(*rates))
         with pytest.raises(ValueError) as got:
             closed_form_figures(*rates)
-        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as got_scalar:
+            closed_form_figures(*(rate[0] for rate in rates))
+        assert str(got.value) == str(got_scalar.value) == str(want.value)
         assert str(got.value) == "density matrix has negative eigenvalue 7.589e-03"

@@ -5,12 +5,16 @@ from resetqfi import (
     BadDimensionError,
     DensityMatrix,
     ModelParams,
+    OutOfRangeError,
     closed_form_steady_state,
     concurrence,
+    evaluate_point,
     kron,
     negativity,
     partial_transpose,
+    steady_state,
 )
+from resetqfi.dynamics import closed_form_figures
 
 POINT_A = ModelParams(r=14.0, gamma=0.5, g=2.5)
 POINT_B = ModelParams(r=1.0, gamma=0.01, g=0.05)
@@ -64,6 +68,22 @@ class TestConcurrence:
         for _ in range(50):
             value = concurrence(random_density(rng))
             assert 0.0 <= value <= 1.0 + 1e-12
+
+    def test_accurate_near_pure_states(self):
+        # the small mu are about 1e-6, so the small eigenvalues of rho rho~
+        # are about 1e-12, not far above their rounding error.  The exact
+        # concurrence is twice the analytic negativity, accurate to 1e-16 here.
+        params = ModelParams(r=1.0, gamma=1e-6, g=5e-6)
+        exact = 2.0 * closed_form_figures(*(np.float64(x) for x in (1.0, 1e-6, 5e-6)))[1]
+        assert abs(concurrence(closed_form_steady_state(params)) - exact) <= 1e-16
+        assert abs(concurrence(steady_state(params, "nullspace")) - exact) <= 2e-15
+        assert abs(evaluate_point(params, "nullspace").concurrence - exact) <= 2e-15
+
+    def test_rejects_negative_spectrum(self):
+        # a valid DensityMatrix (eigenvalues above -1e-10) that is not a state
+        rho = DensityMatrix(np.diag([1.0 + 1e-11, 0.0, 0.0, -1e-11]))
+        with pytest.raises(OutOfRangeError, match="^state has eigenvalue -1.000e-11 below zero$"):
+            concurrence(rho)
 
 
 class TestNegativity:

@@ -14,6 +14,7 @@ from resetqfi import (
     NoConvergenceError,
     NoSignChangeError,
     SweepSpec,
+    dynamics,
     emit,
     evaluate_point,
     find_critical_point,
@@ -22,7 +23,7 @@ from resetqfi import (
     sweep,
 )
 from resetqfi.cli import EXIT_OK, main
-from resetqfi.dynamics import closed_form_matrices, density_eig, route_matrix
+from resetqfi.dynamics import closed_form_figures, density_eig, route_matrix
 from resetqfi.sweep import CRITICAL_BRACKET_WIDTH, SWEEP_CHUNK
 
 DATA = Path(__file__).parent / "data"
@@ -313,9 +314,8 @@ class TestCriticalPoint:
 
 
 def _serial_bisection(spec):
-    """Reference: the bisection evaluating one point per step, as
-    find_critical_point did before it evaluated midpoint trees.  Returns
-    the critical point and the number of halvings."""
+    """Reference: the bisection evaluating one evaluate_point row per step.
+    Returns the critical point and the number of halvings."""
 
     def gap(value):
         row = evaluate_point(spec.params_at(value), spec.method)
@@ -401,8 +401,9 @@ def seeded_brackets():
 
 
 class TestCriticalTreePasses:
-    """find_critical_point evaluates midpoint trees in stacked passes and
-    replays the serial bisection on them, with the same result bit for bit."""
+    """find_critical_point evaluates both end points in one stacked pass and
+    then one midpoint per halving, with the result of a point-by-point
+    bisection on evaluate_point rows, bit for bit."""
 
     def test_matches_serial_bisection_bit_for_bit(self, seeded_brackets):
         halvings = set()
@@ -435,20 +436,25 @@ class TestCriticalTreePasses:
         assert _reference_outcome(spec) == ("NoSignChangeError", message)
         assert _outcome(find_critical_point, spec) == ("NoSignChangeError", message)
 
-    def test_four_stacked_passes_for_fifteen_halvings(self, monkeypatch):
+    def test_closed_form_evaluates_one_point_per_halving(self, monkeypatch):
         spec = SweepSpec(vary="r", start=1.5, stop=3.5, steps=2, fixed_gamma=0.5, g_ratio=5.0)
         assert _serial_bisection(spec)[1] == 15
-        passes = []
+        points = []
 
         def counting(r, gamma, g):
-            passes.append(len(r))
-            return closed_form_matrices(r, gamma, g)
+            points.append(np.size(r))
+            return closed_form_figures(r, gamma, g)
 
-        monkeypatch.setattr(sweep, "closed_form_matrices", counting)
+        def unreachable(*args):
+            raise AssertionError("the closed-form search builds no states")
+
+        monkeypatch.setattr(sweep, "closed_form_figures", counting)
+        monkeypatch.setattr(sweep, "density_eig", unreachable)
+        monkeypatch.setattr(sweep, "closed_form_matrices", unreachable, raising=False)
+        monkeypatch.setattr(dynamics, "closed_form_matrices", unreachable)
         find_critical_point(spec)
-        # the end points with the 7 midpoints of 3 halvings, then 15 midpoints
-        # for each further 4 halvings
-        assert passes == [9, 15, 15, 15]
+        # both end points in one call, then one midpoint per halving: 17 points
+        assert points == [2] + [1] * 15
 
     def test_superoperator_routes_evaluate_the_serial_points_only(self, route_calls):
         spec = SweepSpec(vary="r", start=2.0, stop=2.5, steps=2, fixed_gamma=0.5,
