@@ -233,9 +233,13 @@ def liouvillian_superoperator(p: ModelParams) -> np.ndarray:
     return sup
 
 
-def _reject_all_zero(r, gamma, g) -> None:
+def _scaled(r, gamma, g) -> tuple:
+    """Valid rates divided by the largest of them, which keeps every power
+    in the closed-form entries finite; r = gamma = g = 0 raises."""
     if np.any((r == 0.0) & (gamma == 0.0) & (g == 0.0)):
         raise DegenerateLimitError("r = gamma = g = 0 singles out no steady state")
+    scale = np.maximum(np.maximum(r, gamma), g)
+    return r / scale, gamma / scale, g / scale
 
 
 def require_plus_reset(p: ModelParams) -> None:
@@ -248,7 +252,7 @@ def require_plus_reset(p: ModelParams) -> None:
 def closed_form_matrices(r, gamma, g) -> np.ndarray:
     """Closed-form steady states, shape (N, 4, 4), at valid rates given as
     arrays of shape (N,); see ``closed_form_steady_state``."""
-    _reject_all_zero(r, gamma, g)
+    r, gamma, g = _scaled(r, gamma, g)
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows are replaced below
         shifted = r + 0.5 * gamma
         denom = 2.0 * g**2 + shifted * (r + gamma)
@@ -266,8 +270,8 @@ def closed_form_matrices(r, gamma, g) -> np.ndarray:
 
 def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
     """Moment matrices C, shape (..., 3, 3), and negativities, shape (...),
-    of the closed-form steady states at valid rates of one shape (...):
-    arrays of shape (N,) for a stack of points, or scalars for one point.
+    of the closed-form steady states at valid rates that broadcast to one
+    shape (...): arrays of shape (N,) for a stack of points, or scalars for one.
 
     Equal, up to rounding, to ``moment_matrices`` and ``negativities`` of
     ``closed_form_matrices``, without building or eigensolving the states.
@@ -287,9 +291,7 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
     anti-diagonal entry, e the (0, 1) entry); unit trace and Hermiticity
     hold by construction.
     """
-    _reject_all_zero(r, gamma, g)
-    scale = np.maximum(np.maximum(r, gamma), g)
-    r, gamma, g = r / scale, gamma / scale, g / scale
+    r, gamma, g = _scaled(r, gamma, g)
     # With K = 2 D = 4 g^2 + (r + gamma)(2 r + gamma) and P, Q, W below:
     #   C_xx = 32 g^2 r^2 (r + gamma) / (K (4 g^2 (r + gamma) + (2 r + gamma)((r + gamma)^2 + r^2)))
     #   C_yy = 2 r^2 Q / ((r + gamma)^2 K P),   C_yz = 4 g r^3 W / ((r + gamma)^2 K P)

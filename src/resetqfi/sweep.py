@@ -118,6 +118,9 @@ class SweepSpec:
             raise ValueError(f"vary={self.vary!r} needs {fixed_name}")
         if getattr(self, unused_name) is not None:
             raise ValueError(f"vary={self.vary!r} must not set {unused_name}")
+        # the rates are monotone in the varied one: valid at both ends, valid throughout
+        self.params_at(self.start)
+        self.params_at(self.stop)
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -143,23 +146,26 @@ def _branches(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _rows(rates, c, concurrence, negativity) -> list[SweepRow]:
-    """Sweep rows of N points from their rates (r, gamma and g), moment
-    matrices and entanglement measures, arrays with a leading axis of N."""
+    """Sweep rows of N points from their rates (r, gamma and g, each an array
+    of N or one fixed value), moment matrices and entanglement measures."""
     lambda_max, axes = top_axes(c)
-    columns = (*rates, lambda_max / _SPIN2.n_particles, *_branches(c),
+    columns = (*np.broadcast_arrays(*rates), lambda_max / _SPIN2.n_particles, *_branches(c),
                concurrence, negativity, *axes.T)
     return [SweepRow(*values) for values in zip(*(column.tolist() for column in columns))]
 
 
-def _closed_form_rows(rates, c, negativity) -> list[SweepRow]:
-    # the concurrence of the closed-form states is twice their negativity
-    return _rows(rates, c, 2.0 * negativity, negativity)
+def _closed_form(rates) -> tuple:
+    """C of the closed-form states at rates (r, gamma, g), and a callable
+    giving their concurrences (twice the negativity) and negativities."""
+    c, negativity = closed_form_figures(*rates)
+    return c, lambda: (2.0 * negativity, negativity)
 
 
-def _eigen_rows(rates, mats, eigenvalues, eigenvectors) -> list[SweepRow]:
-    """Sweep rows of N validated states given with their eigendecompositions."""
-    c = moment_matrices(eigenvalues, eigenvectors, _SPIN2)
-    return _rows(rates, c, concurrences(eigenvalues, eigenvectors), negativities(mats))
+def _of_states(mats, eigenvalues, eigenvectors) -> tuple:
+    """C of N validated states given with their eigendecompositions, and a
+    callable giving their concurrences and negativities."""
+    return (moment_matrices(eigenvalues, eigenvectors, _SPIN2),
+            lambda: (concurrences(eigenvalues, eigenvectors), negativities(mats)))
 
 
 def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow:
@@ -170,49 +176,41 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
     m.  Their crossing with lambda_x is what ``find_critical_point``
     bisects on.  The closed form takes C and the entanglement measures
     from ``closed_form_figures``; the other routes from the eigendecomposed
-    state.
+    state.  Any reset state is accepted, so this stays on ``steady_state``.
     """
     rates = np.array([[params.r], [params.gamma], [params.g]])
     if method == "closed_form":
         require_plus_reset(params)
-        return _closed_form_rows(rates, *closed_form_figures(*rates))[0]
-    rho = steady_state(params, method=method)
-    return _eigen_rows(rates, rho.mat[None], rho.eig.eigenvalues[None],
-                       rho.eig.eigenvectors[None])[0]
+        c, entanglement = _closed_form(rates)
+    else:
+        rho = steady_state(params, method=method)
+        c, entanglement = _of_states(rho.mat[None], rho.eig.eigenvalues[None],
+                                     rho.eig.eigenvectors[None])
+    return _rows(rates, c, *entanglement())[0]
 
 
 def _solve(spec: SweepSpec, values) -> tuple:
-    """Rates at increasing values of the varied rate, as arrays of shape
-    (N,), and ``closed_form_figures`` of them for the closed form or the
-    stacked, unvalidated steady-state matrices of the other routes.  A
-    solver error names the value it occurred at."""
-    values = np.asarray(values, dtype=float)
-    rates = np.broadcast_arrays(*spec.rates(values))
-    # The rates are monotone in the varied one, so valid at both ends means valid
-    # throughout, and r = gamma = g = 0, the closed form's one failure, comes first.
-    value = values[0]
+    """Rates (r, gamma, g), moment matrices C and a callable giving the
+    concurrences and negativities, at ``values`` of the varied rate: an
+    increasing array of shape (N,), or one scalar for a bisection midpoint.
+    The closed form takes all from ``closed_form_figures``; the other routes
+    solve point by point and validate the stack with one ``density_eig``.
+    A solver error names its value; r = gamma = g = 0, the closed form's one
+    failure, can only come first, as ``SweepSpec`` checked the end rates."""
+    rates = spec.rates(values)
+    points = np.atleast_1d(values)
+    value = points[0]
     try:
         if spec.method == "closed_form":
-            spec.params_at(values[0])
-            spec.params_at(values[-1])
-            return rates, closed_form_figures(*rates)
+            return rates, *_closed_form(rates)
         mats = []
-        for value in values:
+        for value in points:
             mats.append(route_matrix(spec.params_at(value), spec.method))
     except SOLVER_ERRORS as err:
         raise type(err)(f"{err} [at {spec.vary} = {value:.9g}]") from err
-    return rates, np.array(mats)
-
-
-def _moments(spec: SweepSpec, values) -> np.ndarray:
-    """Moment matrices at increasing values of the varied rate, in one
-    stacked pass: analytic for the closed form, from the validated,
-    eigendecomposed states for the other routes."""
-    _, solved = _solve(spec, values)
-    if spec.method == "closed_form":
-        return solved[0]
-    eig = density_eig(solved)
-    return moment_matrices(eig.eigenvalues, eig.eigenvectors, _SPIN2)
+    mats = np.array(mats)
+    eig = density_eig(mats)
+    return rates, *_of_states(mats, eig.eigenvalues, eig.eigenvectors)
 
 
 def _gap(c: np.ndarray):
@@ -222,18 +220,14 @@ def _gap(c: np.ndarray):
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate every grid point, SWEEP_CHUNK points per stacked pass;
-    solver failures name the offending point.  A row equals the
-    ``evaluate_point`` row of its point, bit for bit."""
+    """Evaluate every grid point through ``_solve``, SWEEP_CHUNK points per
+    stacked pass; solver failures name the offending point.  A row equals
+    the ``evaluate_point`` row of its point, bit for bit."""
     grid = spec.grid()
     rows = []
     for start in range(0, len(grid), SWEEP_CHUNK):
-        rates, solved = _solve(spec, grid[start:start + SWEEP_CHUNK])
-        if spec.method == "closed_form":
-            rows += _closed_form_rows(rates, *solved)
-        else:
-            eig = density_eig(solved)
-            rows += _eigen_rows(rates, solved, eig.eigenvalues, eig.eigenvectors)
+        rates, c, entanglement = _solve(spec, grid[start:start + SWEEP_CHUNK])
+        rows += _rows(rates, c, *entanglement())
     return rows
 
 
@@ -242,23 +236,19 @@ def find_critical_point(spec: SweepSpec) -> CriticalPoint:
 
     The sweep interval [start, stop] must bracket a sign change; the
     bisection stops once the bracket is narrower than 1e-4.  Both end
-    points are evaluated in one stacked pass, then one midpoint per
-    halving: the closed form takes it from ``closed_form_figures`` at
-    scalar rates, the other routes from the one-point steady state.
+    points go through ``_solve`` as one stack, then one scalar midpoint
+    per halving; the gap comes from C alone, so no entanglement measure
+    is computed.
     """
     lo, hi = spec.start, spec.stop
-    gap_lo, gap_hi = _gap(_moments(spec, [lo, hi])).tolist()
+    gap_lo, gap_hi = _gap(_solve(spec, np.array([lo, hi], dtype=float))[1]).tolist()
     if gap_lo * gap_hi > 0.0:
         raise NoSignChangeError(
             f"lambda_x - lambda_yz_hi keeps its sign on {spec.vary} in [{lo}, {hi}] "
             f"({gap_lo:.3e} and {gap_hi:.3e})")
     while hi - lo > CRITICAL_BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
-        if spec.method == "closed_form":
-            c = closed_form_figures(*spec.rates(np.float64(mid)))[0]
-        else:
-            c = _moments(spec, [mid])[0]
-        gap_mid = _gap(c)
+        gap_mid = _gap(_solve(spec, mid)[1])
         if gap_lo * gap_mid <= 0.0:
             hi = mid
         else:

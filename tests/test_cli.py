@@ -88,6 +88,12 @@ class TestSweep:
         assert "g_ratio" in err
         assert "-15" not in err
 
+    def test_overflowing_end_rate_is_usage_error(self, capsys):
+        code = main(["sweep", "--vary", "gamma", "--from", "0", "--to", "1e308", "--steps", "2",
+                     "--r", "1", "--g-ratio", "10"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "resetqfi: g must be finite and non-negative, got inf\n"
+
     def test_missing_fixed_rate_is_usage_error(self, capsys):
         code = main(["sweep", "--vary", "r", "--from", "0", "--to", "1", "--steps", "3",
                      "--g", "2.5"])

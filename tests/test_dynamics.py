@@ -300,6 +300,11 @@ class TestClosedForm:
             rho = closed_form_steady_state(p)
             assert np.abs(liouvillian_apply(p, rho.mat)).max() <= 1e-10
 
+    def test_huge_rates_equal_the_scaled_state(self):
+        # 2 g^2 and r^2 overflow unless the rates are divided by their largest
+        huge = steady_state(ModelParams(r=1e160, gamma=3e159, g=2e160)).mat
+        assert np.array_equal(huge, steady_state(ModelParams(r=1.0, gamma=0.3, g=2.0)).mat)
+
 
 class TestSteadyState:
     def test_nullspace_matches_closed_form(self):

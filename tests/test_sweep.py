@@ -119,6 +119,11 @@ class TestSweepSpec:
         spec = SweepSpec(vary="r", start=0.0, stop=1.0, steps=np.int64(5), fixed_gamma=0.5, g=1.0)
         assert len(run_sweep(spec)) == 5
 
+    def test_rejects_overflowing_end_rate_when_built(self):
+        # g = 10 * 1e308 at the stop is no valid rate, so no point of the grid is solved
+        with pytest.raises(ValueError, match="^g must be finite and non-negative, got inf$"):
+            SweepSpec(vary="gamma", start=0.0, stop=1e308, steps=2, fixed_r=1.0, g_ratio=10.0)
+
     def test_accepts_zero_rates(self):
         spec = SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=2, fixed_r=0.0, g_ratio=0.0)
         p = spec.params_at(3.0)
@@ -400,7 +405,7 @@ def seeded_brackets():
     return specs
 
 
-class TestCriticalTreePasses:
+class TestCriticalBisection:
     """find_critical_point evaluates both end points in one stacked pass and
     then one midpoint per halving, with the result of a point-by-point
     bisection on evaluate_point rows, bit for bit."""
@@ -462,6 +467,19 @@ class TestCriticalTreePasses:
         halvings = _serial_bisection(spec)[1]
         find_critical_point(spec)
         assert len(route_calls) == 2 + halvings == 15
+
+    @pytest.mark.parametrize("method", ["closed_form", "nullspace"])
+    def test_computes_no_entanglement(self, monkeypatch, method):
+        spec = SweepSpec(vary="r", start=2.0, stop=2.5, steps=2, fixed_gamma=0.5,
+                         g_ratio=5.0, method=method)
+        want = _reference_outcome(spec)
+
+        def unreachable(*args):
+            raise AssertionError("a bisection needs C only")
+
+        monkeypatch.setattr(sweep, "concurrences", unreachable)
+        monkeypatch.setattr(sweep, "negativities", unreachable)
+        assert _outcome(find_critical_point, spec) == want
 
 
 class TestEmit:
