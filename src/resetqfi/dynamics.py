@@ -50,10 +50,6 @@ RESET_CACHE_SIZE = 8
 
 STEADY_STATE_METHODS = ("closed_form", "nullspace", "integrate")
 
-# Which closed-form value each steady-state entry takes: 0 the diagonal 1/4,
-# 1 the anti-diagonal value, 2 r (s - i g) / (4 D), 3 its conjugate.
-_CLOSED_FORM_LAYOUT = np.array([[0, 2, 2, 1], [3, 0, 1, 3], [3, 1, 0, 3], [1, 2, 2, 0]])
-
 # kernel-uniqueness threshold on the second-smallest eigenvalue of L^dag L
 KERNEL_GAP_TOL = 1e-10
 RK4_STEP_CAP = 10_000_000
@@ -102,8 +98,10 @@ class ModelParams:
 class DensityMatrix:
     """Validated quantum state with its eigendecomposition.
 
-    Hermitian within 1e-10, unit trace within 1e-10, smallest eigenvalue
-    above -1e-10 (see ``density_eig``).  The stored matrix is read-only.
+    The state is eigendecomposed once, then checked in the order Hermitian
+    within 1e-10 (by ``hermitian_eig``), unit trace within 1e-10, smallest
+    eigenvalue above -1e-10; the first failure raises.  The stored matrix
+    is read-only.
     """
 
     TRACE_TOL = 1e-10
@@ -113,11 +111,15 @@ class DensityMatrix:
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise BadDimensionError(f"density matrix must be square, got shape {mat.shape}")
-        eig = density_eig(mat[None])
+        eig = hermitian_eig(mat)
+        trace = np.trace(mat)
+        if abs(trace - 1.0) > self.TRACE_TOL:
+            raise ValueError(f"density matrix trace {trace:.12g} differs from 1")
+        _check_psd(eig.eigenvalues[0])
         mat = mat.copy()
         mat.flags.writeable = False
         self._mat = mat
-        self._eig = HermitianEig(eig.eigenvalues[0], eig.eigenvectors[0])
+        self._eig = eig
 
     @property
     def mat(self) -> np.ndarray:
@@ -130,22 +132,6 @@ class DensityMatrix:
     @property
     def eig(self) -> HermitianEig:
         return self._eig
-
-
-def density_eig(mats) -> HermitianEig:
-    """Check a stack of density matrices, shape (N, d, d), and eigendecompose each once.
-
-    Every matrix must pass the ``DensityMatrix`` checks.  They run in the
-    order Hermitian, unit trace, positive semidefinite, each over the whole
-    stack, and the first failure raises.
-    """
-    eig = hermitian_eig(mats)
-    trace = np.trace(mats, axis1=-2, axis2=-1)
-    bad = np.abs(trace - 1.0) > DensityMatrix.TRACE_TOL
-    if bad.any():
-        raise ValueError(f"density matrix trace {trace[bad.argmax()]:.12g} differs from 1")
-    _check_psd(eig.eigenvalues[:, 0])
-    return eig
 
 
 def _check_psd(smallest) -> None:
@@ -249,32 +235,13 @@ def require_plus_reset(p: ModelParams) -> None:
         raise UnsupportedResetStateError("closed form is derived for the |+> reset state only")
 
 
-def closed_form_matrices(r, gamma, g) -> np.ndarray:
-    """Closed-form steady states, shape (N, 4, 4), at valid rates given as
-    arrays of shape (N,); see ``closed_form_steady_state``."""
-    r, gamma, g = _scaled(r, gamma, g)
-    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows are replaced below
-        shifted = r + 0.5 * gamma
-        denom = 2.0 * g**2 + shifted * (r + gamma)
-        anti = r**2 * shifted / (4.0 * (r + gamma) * denom)
-        # r (s - i g) / (4 D) in real arithmetic, with the rounding and the
-        # signed zeros of the complex expression
-        edge_re = r * shifted / (4.0 * denom)
-        edge_im = r * (0.0 - g) / (4.0 * denom)
-    zero = np.zeros_like(anti)
-    # (real, imaginary) parts of the four values indexed by _CLOSED_FORM_LAYOUT
-    parts = np.stack((zero + 0.25, zero, anti, zero, edge_re, edge_im, edge_re, -edge_im), axis=-1)
-    parts[r == 0.0, 2:] = 0.0  # the continuity limit I/4
-    return parts.reshape(-1, 4, 2)[:, _CLOSED_FORM_LAYOUT].view(complex)[..., 0]
-
-
 def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
-    """Moment matrices C, shape (..., 3, 3), and negativities, shape (...),
-    of the closed-form steady states at valid rates that broadcast to one
+    """Moment matrices C, shape (..., 3, 3), and the negativity, shape (...),
+    of each closed-form steady state at valid rates that broadcast to one
     shape (...): arrays of shape (N,) for a stack of points, or scalars for one.
 
-    Equal, up to rounding, to ``moment_matrices`` and ``negativities`` of
-    ``closed_form_matrices``, without building or eigensolving the states.
+    Equal, up to rounding, to ``c_matrix`` and ``negativity`` of
+    ``closed_form_steady_state``, without building or eigensolving the states.
     C (Hyllus, Guehne and Smerzi, arXiv:0912.4349) is block-diagonal:
     C_xy = C_xz = 0 and C_yy = C_zz.  The entries and the negativity are
     ratios of polynomials in the rates, derived symbolically from the
@@ -339,8 +306,20 @@ def closed_form_steady_state(p: ModelParams) -> DensityMatrix:
     ``steady_state``.
     """
     require_plus_reset(p)
-    mats = closed_form_matrices(np.array([p.r]), np.array([p.gamma]), np.array([p.g]))
-    return DensityMatrix(mats[0])
+    r, gamma, g = (float(rate) for rate in _scaled(p.r, p.gamma, p.g))
+    if r == 0.0:
+        return DensityMatrix(_EYE4 / 4.0)
+    shifted = r + 0.5 * gamma
+    denom = 2.0 * g * g + shifted * (r + gamma)
+    anti = r * r * shifted / (4.0 * (r + gamma) * denom)
+    # r (s - i g) / (4 D) in real arithmetic, with the rounding and the
+    # signed zeros of the complex expression
+    edge = complex(r * shifted / (4.0 * denom), r * (0.0 - g) / (4.0 * denom))
+    conj = edge.conjugate()
+    return DensityMatrix(np.array([[0.25, edge, edge, anti],
+                                   [conj, 0.25, anti, conj],
+                                   [conj, anti, 0.25, conj],
+                                   [anti, edge, edge, 0.25]]))
 
 
 def _nullspace_steady_state(p: ModelParams) -> np.ndarray:
@@ -382,15 +361,6 @@ def _integrate_steady_state(p: ModelParams) -> np.ndarray:
         f"residual still above {RK4_RESIDUAL_TOL:.0e} after {RK4_STEP_CAP} RK4 steps")
 
 
-def route_matrix(p: ModelParams, method: str) -> np.ndarray:
-    """Unvalidated steady-state matrix by the nullspace or integrate route."""
-    if method == "nullspace":
-        return _nullspace_steady_state(p)
-    if method == "integrate":
-        return _integrate_steady_state(p)
-    raise ValueError(f"unknown method {method!r}; choose from {STEADY_STATE_METHODS}")
-
-
 def steady_state(p: ModelParams, method: str = "closed_form") -> DensityMatrix:
     """Steady state of the master equation by the requested route.
 
@@ -405,4 +375,8 @@ def steady_state(p: ModelParams, method: str = "closed_form") -> DensityMatrix:
     """
     if method == "closed_form":
         return closed_form_steady_state(p)
-    return DensityMatrix(route_matrix(p, method))
+    if method == "nullspace":
+        return DensityMatrix(_nullspace_steady_state(p))
+    if method == "integrate":
+        return DensityMatrix(_integrate_steady_state(p))
+    raise ValueError(f"unknown method {method!r}; choose from {STEADY_STATE_METHODS}")

@@ -44,16 +44,18 @@ class Direction:
         for name in ("nx", "ny", "nz"):
             object.__setattr__(self, name, float(getattr(self, name)))
         norm = math.sqrt(self.nx**2 + self.ny**2 + self.nz**2)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise NotNormalizedError(f"direction norm {norm!r} differs from 1")
 
     @classmethod
     def from_vector(cls, v) -> "Direction":
-        """Normalize an arbitrary nonzero 3-vector into a Direction."""
+        """Normalize an arbitrary nonzero finite 3-vector into a Direction."""
         v = np.asarray(v, dtype=float).reshape(3)
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             raise ValueError("the zero vector has no direction")
+        if not math.isfinite(norm):
+            raise ValueError(f"a vector of norm {norm} has no direction")
         return cls(*(v / norm))
 
     def as_array(self) -> np.ndarray:
@@ -169,22 +171,6 @@ def qfi_pure(psi, direction: Direction, spin: CollectiveSpin) -> float:
     return float(4.0 * (mean_sq - mean**2))
 
 
-def moment_matrices(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
-                    spin: CollectiveSpin) -> np.ndarray:
-    """Moment matrices C, shape (N, 3, 3), of a stack of N states given by
-    their eigendecompositions, shapes (N, d) and (N, d, d); see ``c_matrix``."""
-    basis = eigenvectors[:, None]
-    generators = np.stack((spin.jx, spin.jy, spin.jz))
-    elements = basis.conj().swapaxes(-1, -2) @ generators @ basis  # (N, 3, d, d)
-    half = np.einsum("nab,nkab,nlba->nkl",
-                     _spectral_weights(eigenvalues), elements, elements)
-    c = half + half.swapaxes(-1, -2)
-    residue = np.abs(c.imag).max(initial=0.0)
-    if residue > IMAG_RESIDUE_TOL:
-        raise OutOfRangeError(f"moment matrix has imaginary residue {residue:.3e}")
-    return np.ascontiguousarray(c.real)
-
-
 def c_matrix(rho: DensityMatrix, spin: CollectiveSpin) -> np.ndarray:
     """Real symmetric 3x3 matrix C with n . C n = qfi_direction(rho, n, spin).
 
@@ -194,8 +180,15 @@ def c_matrix(rho: DensityMatrix, spin: CollectiveSpin) -> np.ndarray:
     and discarded.
     """
     _check_dims(rho, spin)
-    eig = rho.eig
-    return moment_matrices(eig.eigenvalues[None], eig.eigenvectors[None], spin)[0]
+    basis = rho.eig.eigenvectors
+    generators = np.stack((spin.jx, spin.jy, spin.jz))
+    elements = basis.conj().T @ generators @ basis  # (3, d, d)
+    half = np.einsum("ab,kab,lba->kl", _spectral_weights(rho.eig.eigenvalues), elements, elements)
+    c = half + half.T
+    residue = np.abs(c.imag).max()
+    if residue > IMAG_RESIDUE_TOL:
+        raise OutOfRangeError(f"moment matrix has imaginary residue {residue:.3e}")
+    return np.ascontiguousarray(c.real)
 
 
 def top_axes(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +248,7 @@ def classify(mean_f: float, n_particles: int) -> SensitivityClass:
     Values above 1 beat any uncorrelated ensemble of the same size;
     values up to n_particles are physical (Heisenberg scaling).
     """
-    if mean_f < -1e-9 or mean_f > n_particles + 1e-9:
+    if not -1e-9 <= mean_f <= n_particles + 1e-9:  # NaN fails too
         raise OutOfRangeError(
             f"mean QFI per particle {mean_f} lies outside [0, {n_particles}]")
     if mean_f > 1.0 + 1e-12:
@@ -274,10 +267,12 @@ def rotate(rho: DensityMatrix, direction: Direction, phi: float, spin: Collectiv
 
 def qcrb(fisher: float, n_measurements: int) -> PhaseEstimate:
     """Quantum Cramer-Rao bound on the phase uncertainty."""
-    if fisher <= 0.0:
-        raise NonPositiveFisherError(f"Fisher information must be positive, got {fisher}")
-    if n_measurements < 1:
-        raise ValueError(f"need at least one measurement, got {n_measurements}")
+    if not 0.0 < fisher < math.inf:
+        raise NonPositiveFisherError(
+            f"Fisher information must be positive and finite, got {fisher}")
+    if not 1 <= n_measurements < math.inf:
+        raise ValueError(f"need a finite number of measurements, at least one, "
+                         f"got {n_measurements}")
     return PhaseEstimate(
         n_measurements=n_measurements,
         delta_phi=1.0 / math.sqrt(n_measurements * fisher),

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (STEADY_STATE_METHODS, ModelParams, closed_form_figures, density_eig,
-                       require_plus_reset, route_matrix, steady_state)
-from .entanglement import concurrences, negativities
+from .dynamics import (STEADY_STATE_METHODS, ModelParams, closed_form_figures,
+                       require_plus_reset, steady_state)
+from .entanglement import concurrence, negativity
 from .errors import SOLVER_ERRORS, NoSignChangeError
-from .metrology import collective_spin_ops, moment_matrices, top_axes
+from .metrology import c_matrix, collective_spin_ops, top_axes
 
 CSV_HEADER = ("r,gamma,g,mean_qfi,lambda_x,lambda_yz_hi,lambda_yz_lo,"
               "concurrence,negativity,opt_nx,opt_ny,opt_nz")
@@ -90,6 +90,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.vary not in ("r", "gamma"):
             raise ValueError(f"vary must be 'r' or 'gamma', got {self.vary!r}")
+        # rates are stored as floats, as in ModelParams, so rows carry floats
+        for name in ("start", "stop", "fixed_r", "fixed_gamma", "g", "g_ratio"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(value))
         for name in ("start", "stop"):
             value = getattr(self, name)
             if not np.isfinite(value):
@@ -156,16 +161,17 @@ def _rows(rates, c, concurrence, negativity) -> list[SweepRow]:
 
 def _closed_form(rates) -> tuple:
     """C of the closed-form states at rates (r, gamma, g), and a callable
-    giving their concurrences (twice the negativity) and negativities."""
+    giving the concurrence (twice the negativity) and the negativity of each."""
     c, negativity = closed_form_figures(*rates)
     return c, lambda: (2.0 * negativity, negativity)
 
 
-def _of_states(mats, eigenvalues, eigenvectors) -> tuple:
-    """C of N validated states given with their eigendecompositions, and a
-    callable giving their concurrences and negativities."""
-    return (moment_matrices(eigenvalues, eigenvectors, _SPIN2),
-            lambda: (concurrences(eigenvalues, eigenvectors), negativities(mats)))
+def _of_states(states) -> tuple:
+    """C of a list of N states, shape (N, 3, 3), and a callable giving the
+    concurrence and the negativity of each."""
+    return (np.array([c_matrix(rho, _SPIN2) for rho in states]),
+            lambda: (np.array([concurrence(rho) for rho in states]),
+                     np.array([negativity(rho) for rho in states])))
 
 
 def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow:
@@ -183,19 +189,17 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
         require_plus_reset(params)
         c, entanglement = _closed_form(rates)
     else:
-        rho = steady_state(params, method=method)
-        c, entanglement = _of_states(rho.mat[None], rho.eig.eigenvalues[None],
-                                     rho.eig.eigenvectors[None])
+        c, entanglement = _of_states([steady_state(params, method=method)])
     return _rows(rates, c, *entanglement())[0]
 
 
 def _solve(spec: SweepSpec, values) -> tuple:
     """Rates (r, gamma, g), moment matrices C and a callable giving the
-    concurrences and negativities, at ``values`` of the varied rate: an
-    increasing array of shape (N,), or one scalar for a bisection midpoint.
-    The closed form takes all from ``closed_form_figures``; the other routes
-    solve point by point and validate the stack with one ``density_eig``.
-    A solver error names its value; r = gamma = g = 0, the closed form's one
+    concurrence and negativity of each point, at ``values`` of the varied
+    rate: an increasing array of shape (N,), or one scalar for a bisection
+    midpoint.  The closed form takes all from ``closed_form_figures``; the
+    other routes build and validate one ``steady_state`` per point.  A
+    solver error names its value; r = gamma = g = 0, the closed form's one
     failure, can only come first, as ``SweepSpec`` checked the end rates."""
     rates = spec.rates(values)
     points = np.atleast_1d(values)
@@ -203,14 +207,12 @@ def _solve(spec: SweepSpec, values) -> tuple:
     try:
         if spec.method == "closed_form":
             return rates, *_closed_form(rates)
-        mats = []
+        states = []
         for value in points:
-            mats.append(route_matrix(spec.params_at(value), spec.method))
+            states.append(steady_state(spec.params_at(value), spec.method))
     except SOLVER_ERRORS as err:
         raise type(err)(f"{err} [at {spec.vary} = {value:.9g}]") from err
-    mats = np.array(mats)
-    eig = density_eig(mats)
-    return rates, *_of_states(mats, eig.eigenvalues, eig.eigenvectors)
+    return rates, *_of_states(states)
 
 
 def _gap(c: np.ndarray):

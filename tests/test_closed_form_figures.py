@@ -2,9 +2,9 @@
 
 ``closed_form_figures`` replaces the eigen stages on the closed-form sweep
 path.  These tests hold it to two independent oracles: the eigen pipeline
-(state, ``density_eig``, ``moment_matrices``, ``negativities``) on a
-log-uniform grid, and a 40-digit mpmath spectral sum at a few points,
-near-pure ones included.
+(``closed_form_steady_state``, ``c_matrix``, ``negativity``, state by
+state) on a log-uniform grid, and a 40-digit mpmath spectral sum at a few
+points, near-pure ones included.
 """
 
 import numpy as np
@@ -17,13 +17,15 @@ from resetqfi import (
     ModelParams,
     SweepSpec,
     UnsupportedResetStateError,
+    c_matrix,
+    closed_form_steady_state,
+    entanglement,
     evaluate_point,
     run_sweep,
     sweep,
 )
-from resetqfi.dynamics import closed_form_figures, closed_form_matrices, density_eig
-from resetqfi.entanglement import negativities
-from resetqfi.metrology import DIRECTION_TIE_TOL, collective_spin_ops, moment_matrices
+from resetqfi.dynamics import closed_form_figures
+from resetqfi.metrology import DIRECTION_TIE_TOL, collective_spin_ops
 
 SPIN2 = collective_spin_ops(2)
 FIGURES = CSV_FIELDS[3:]
@@ -33,12 +35,6 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 def _figures(r, gamma, g):
     return closed_form_figures(np.array([float(r)]), np.array([float(gamma)]),
                                np.array([float(g)]))
-
-
-def _eigen_figures(r, gamma, g):
-    mats = closed_form_matrices(r, gamma, g)
-    eig = density_eig(mats)
-    return moment_matrices(eig.eigenvalues, eig.eigenvectors, SPIN2), negativities(mats)
 
 
 # r = 0, gamma = g = 0, g too small to square against r, and huge rates
@@ -56,10 +52,18 @@ def log_uniform_rates():
     return 10.0 ** rng.uniform(-6.0, 4.0, size=(3, 2500))
 
 
+@pytest.fixture(scope="module")
+def eigen_figures(log_uniform_rates):
+    """C and negativity of each eigendecomposed closed-form state."""
+    states = [closed_form_steady_state(ModelParams(*point)) for point in log_uniform_rates.T]
+    return (np.array([c_matrix(rho, SPIN2) for rho in states]),
+            np.array([entanglement.negativity(rho) for rho in states]))
+
+
 class TestAgainstEigenPipeline:
-    def test_moment_matrix(self, log_uniform_rates):
+    def test_moment_matrix(self, log_uniform_rates, eigen_figures):
         c, _ = closed_form_figures(*log_uniform_rates)
-        want, _ = _eigen_figures(*log_uniform_rates)
+        want, _ = eigen_figures
         assert np.abs(c - want).max() <= 2e-14
 
     def test_structure(self, log_uniform_rates):
@@ -69,17 +73,17 @@ class TestAgainstEigenPipeline:
         assert (c == c.swapaxes(1, 2)).all()
         assert (c[:, 1, 2] >= 0.0).all()
 
-    def test_branches(self, log_uniform_rates):
+    def test_branches(self, log_uniform_rates, eigen_figures):
         c, _ = closed_form_figures(*log_uniform_rates)
-        want, _ = _eigen_figures(*log_uniform_rates)
+        want, _ = eigen_figures
         for got, expected in zip(sweep._branches(c), sweep._branches(want)):
             assert np.abs(got - expected).max() <= 2e-14
 
-    def test_negativity(self, log_uniform_rates):
-        _, negativity = closed_form_figures(*log_uniform_rates)
-        _, want = _eigen_figures(*log_uniform_rates)
-        assert np.abs(negativity - want).max() <= 1e-15
-        assert (negativity > 0.0).any() and (negativity == 0.0).any()
+    def test_negativity(self, log_uniform_rates, eigen_figures):
+        _, got = closed_form_figures(*log_uniform_rates)
+        _, want = eigen_figures
+        assert np.abs(got - want).max() <= 1e-15
+        assert (got > 0.0).any() and (got == 0.0).any()
 
 
 class TestScalarRates:
@@ -256,7 +260,7 @@ class TestEdgeCases:
         rates = [np.array([14.0]), np.array([0.5]), np.array([2.5])]
         monkeypatch.setattr(DensityMatrix, "PSD_TOL", 0.2)
         with pytest.raises(ValueError) as want:
-            density_eig(closed_form_matrices(*rates))
+            closed_form_steady_state(ModelParams(14.0, 0.5, 2.5))
         with pytest.raises(ValueError) as got:
             closed_form_figures(*rates)
         with pytest.raises(ValueError) as got_scalar:

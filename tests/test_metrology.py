@@ -65,6 +65,16 @@ class TestDirection:
         with pytest.raises(ValueError):
             Direction.from_vector([0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_components(self, value):
+        with pytest.raises(NotNormalizedError):
+            Direction(value, 0.0, 0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_from_vector_rejects_non_finite_norm(self, value):
+        with pytest.raises(ValueError, match="has no direction$"):
+            Direction.from_vector([value, 0.0, 0.0])
+
     def test_axes(self):
         assert X_AXIS.as_array().tolist() == [1.0, 0.0, 0.0]
         assert Y_AXIS.ny == 1.0
@@ -286,6 +296,11 @@ class TestClassify:
         with pytest.raises(OutOfRangeError):
             classify(-0.5, 2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, value):
+        with pytest.raises(OutOfRangeError):
+            classify(value, 2)
+
 
 class TestRotate:
     def test_zero_angle_is_identity(self, spin2):
@@ -335,6 +350,16 @@ class TestQcrb:
         with pytest.raises(NonPositiveFisherError):
             qcrb(0.0, 10)
 
+    @pytest.mark.parametrize("fisher", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_fisher(self, fisher):
+        with pytest.raises(NonPositiveFisherError):
+            qcrb(fisher, 3)
+
     def test_rejects_bad_measurement_count(self):
         with pytest.raises(ValueError):
             qcrb(2.0, 0)
+
+    @pytest.mark.parametrize("count", [np.nan, np.inf])
+    def test_rejects_non_finite_measurement_count(self, count):
+        with pytest.raises(ValueError, match="^need a finite number of measurements"):
+            qcrb(2.0, count)

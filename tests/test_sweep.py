@@ -10,6 +10,7 @@ from resetqfi import (
     CriticalPoint,
     DegenerateLimitError,
     DegenerateSteadyStateError,
+    DensityMatrix,
     ModelParams,
     NoConvergenceError,
     NoSignChangeError,
@@ -23,7 +24,7 @@ from resetqfi import (
     sweep,
 )
 from resetqfi.cli import EXIT_OK, main
-from resetqfi.dynamics import closed_form_figures, density_eig, route_matrix
+from resetqfi.dynamics import closed_form_figures, steady_state
 from resetqfi.sweep import CRITICAL_BRACKET_WIDTH, SWEEP_CHUNK
 
 DATA = Path(__file__).parent / "data"
@@ -124,6 +125,16 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="^g must be finite and non-negative, got inf$"):
             SweepSpec(vary="gamma", start=0.0, stop=1e308, steps=2, fixed_r=1.0, g_ratio=10.0)
 
+    @pytest.mark.parametrize("fields", [
+        dict(vary="gamma", start=0.01, stop=3, steps=3, fixed_r=1, g_ratio=5),
+        dict(vary="r", start=1, stop=8, steps=3, fixed_gamma=1, g=2),
+    ], ids=["fixed_r", "fixed_gamma_and_g"])
+    def test_integer_rates_reach_rows_as_floats(self, fields):
+        rows = run_sweep(SweepSpec(**fields))
+        for row in rows:
+            for name in CSV_FIELDS:
+                float.hex(getattr(row, name))  # TypeError for an int
+
     def test_accepts_zero_rates(self):
         spec = SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=2, fixed_r=0.0, g_ratio=0.0)
         p = spec.params_at(3.0)
@@ -132,14 +143,15 @@ class TestSweepSpec:
 
 @pytest.fixture
 def route_calls(monkeypatch):
-    """(r, gamma, g) of every call of a superoperator route made by sweep."""
+    """(r, gamma, g) of every steady state sweep solves; only the
+    superoperator routes build one."""
     calls = []
 
     def counting(params, method):
         calls.append((params.r, params.gamma, params.g))
-        return route_matrix(params, method)
+        return steady_state(params, method)
 
-    monkeypatch.setattr(sweep, "route_matrix", counting)
+    monkeypatch.setattr(sweep, "steady_state", counting)
     return calls
 
 
@@ -204,18 +216,21 @@ class TestRunSweep:
         with pytest.raises(DegenerateLimitError, match=r"at r = 0"):
             run_sweep(spec)
 
-    def test_states_validated_once_per_chunk(self, monkeypatch):
+    def test_route_states_built_and_validated_once(self, monkeypatch, route_calls):
         spec = SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=SWEEP_CHUNK + 3,
                          fixed_r=1.0, g_ratio=5.0, method="nullspace")
-        stacks = []
+        validated = []
+        validate = DensityMatrix.__init__
 
-        def counting(mats):
-            stacks.append(len(mats))
-            return density_eig(mats)
+        def counting(rho, mat):
+            validated.append(len(route_calls))
+            validate(rho, mat)
 
-        monkeypatch.setattr(sweep, "density_eig", counting)
+        monkeypatch.setattr(DensityMatrix, "__init__", counting)
         run_sweep(spec)
-        assert stacks == [SWEEP_CHUNK, 3]
+        # one solve per grid point, each validated once before the next solve
+        assert route_calls == [spec.rates(value) for value in spec.grid()]
+        assert validated == list(range(1, spec.steps + 1))
 
 
 def _bits(row):
@@ -454,9 +469,9 @@ class TestCriticalBisection:
             raise AssertionError("the closed-form search builds no states")
 
         monkeypatch.setattr(sweep, "closed_form_figures", counting)
-        monkeypatch.setattr(sweep, "density_eig", unreachable)
-        monkeypatch.setattr(sweep, "closed_form_matrices", unreachable, raising=False)
-        monkeypatch.setattr(dynamics, "closed_form_matrices", unreachable)
+        monkeypatch.setattr(sweep, "steady_state", unreachable)
+        monkeypatch.setattr(dynamics, "closed_form_steady_state", unreachable)
+        monkeypatch.setattr(DensityMatrix, "__init__", unreachable)
         find_critical_point(spec)
         # both end points in one call, then one midpoint per halving: 17 points
         assert points == [2] + [1] * 15
@@ -465,6 +480,7 @@ class TestCriticalBisection:
         spec = SweepSpec(vary="r", start=2.0, stop=2.5, steps=2, fixed_gamma=0.5,
                          g_ratio=5.0, method="nullspace")
         halvings = _serial_bisection(spec)[1]
+        route_calls.clear()  # the reference solves through the same steady_state
         find_critical_point(spec)
         assert len(route_calls) == 2 + halvings == 15
 
@@ -477,8 +493,8 @@ class TestCriticalBisection:
         def unreachable(*args):
             raise AssertionError("a bisection needs C only")
 
-        monkeypatch.setattr(sweep, "concurrences", unreachable)
-        monkeypatch.setattr(sweep, "negativities", unreachable)
+        monkeypatch.setattr(sweep, "concurrence", unreachable)
+        monkeypatch.setattr(sweep, "negativity", unreachable)
         assert _outcome(find_critical_point, spec) == want
 
 
