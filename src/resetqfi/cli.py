@@ -40,6 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--g", type=float, required=True, help="coupling strength")
     _add_method(ev)
     ev.add_argument("--format", choices=("csv", "json"), default="csv")
+    ev.set_defaults(out=None)
 
     sw = sub.add_parser("sweep", help="sweep r or gamma over a grid")
     sw.add_argument("--vary", choices=("r", "gamma"), required=True)
@@ -55,43 +56,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     cr = sub.add_parser("critical", help="bisect to the axis-flip crossing")
     cr.add_argument("--vary", choices=("r", "gamma"), required=True)
-    cr.add_argument("--lo", type=float, required=True)
-    cr.add_argument("--hi", type=float, required=True)
+    cr.add_argument("--lo", dest="start", type=float, required=True, metavar="LO")
+    cr.add_argument("--hi", dest="stop", type=float, required=True, metavar="HI")
     cr.add_argument("--r", type=float, help="fixed reset rate (with --vary gamma)")
     cr.add_argument("--gamma", type=float, help="fixed dephasing rate (with --vary r)")
     _add_coupling(cr)
+    # find_critical_point takes a SweepSpec, which needs steps >= 2; the
+    # bisection never reads them (ROADMAP aim 2)
+    cr.set_defaults(steps=2, method="closed-form", format="csv", out=None)
 
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace, start: float, stop: float,
-                    steps: int, method: str) -> SweepSpec:
-    return SweepSpec(
-        vary=args.vary,
-        start=start,
-        stop=stop,
-        steps=steps,
-        fixed_r=args.r,
-        fixed_gamma=args.gamma,
-        g=args.g,
-        g_ratio=args.g_ratio,
-        method=method,
-    )
-
-
 def _dispatch(args: argparse.Namespace) -> int:
+    method = args.method.replace("-", "_")
     if args.command == "eval":
-        params = ModelParams(r=args.r, gamma=args.gamma, g=args.g)
-        row = evaluate_point(params, method=args.method.replace("-", "_"))
-        emit([row], fmt=args.format)
-        return EXIT_OK
-    if args.command == "sweep":
-        spec = _spec_from_args(args, args.start, args.stop, args.steps,
-                               args.method.replace("-", "_"))
-        emit(run_sweep(spec), fmt=args.format, path=args.out)
-        return EXIT_OK
-    spec = _spec_from_args(args, args.lo, args.hi, steps=2, method="closed_form")
-    emit(find_critical_point(spec))
+        payload = [evaluate_point(ModelParams(r=args.r, gamma=args.gamma, g=args.g),
+                                  method=method)]
+    else:
+        spec = SweepSpec(vary=args.vary, start=args.start, stop=args.stop, steps=args.steps,
+                         fixed_r=args.r, fixed_gamma=args.gamma, g=args.g,
+                         g_ratio=args.g_ratio, method=method)
+        payload = run_sweep(spec) if args.command == "sweep" else find_critical_point(spec)
+    emit(payload, fmt=args.format, path=args.out)
     return EXIT_OK
 
 

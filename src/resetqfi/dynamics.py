@@ -98,10 +98,10 @@ class ModelParams:
 class DensityMatrix:
     """Validated quantum state with its eigendecomposition.
 
-    The state is eigendecomposed once, then checked in the order Hermitian
-    within 1e-10 (by ``hermitian_eig``), unit trace within 1e-10, smallest
-    eigenvalue above -1e-10; the first failure raises.  The stored matrix
-    is read-only.
+    The state is eigendecomposed once, then checked in the order square
+    and Hermitian within 1e-10 (by ``hermitian_eig``), unit trace within
+    1e-10, smallest eigenvalue above -1e-10; the first failure raises.
+    The stored matrix is read-only.
     """
 
     TRACE_TOL = 1e-10
@@ -109,8 +109,6 @@ class DensityMatrix:
 
     def __init__(self, mat):
         mat = np.asarray(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise BadDimensionError(f"density matrix must be square, got shape {mat.shape}")
         eig = hermitian_eig(mat)
         trace = np.trace(mat)
         if abs(trace - 1.0) > self.TRACE_TOL:

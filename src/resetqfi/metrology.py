@@ -51,12 +51,15 @@ class Direction:
     def from_vector(cls, v) -> "Direction":
         """Normalize an arbitrary nonzero finite 3-vector into a Direction."""
         v = np.asarray(v, dtype=float).reshape(3)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
+        # dividing by the largest |component| keeps the squares in the norm
+        # from overflowing or underflowing; it is inf or NaN where the norm is
+        scale = float(np.abs(v).max())
+        if scale == 0.0:
             raise ValueError("the zero vector has no direction")
-        if not math.isfinite(norm):
-            raise ValueError(f"a vector of norm {norm} has no direction")
-        return cls(*(v / norm))
+        if not math.isfinite(scale):
+            raise ValueError(f"a vector of norm {scale} has no direction")
+        v = v / scale
+        return cls(*(v / np.linalg.norm(v)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.nx, self.ny, self.nz])
@@ -139,11 +142,11 @@ def _check_dims(rho: DensityMatrix, spin: CollectiveSpin) -> None:
 
 
 def _spectral_weights(p: np.ndarray) -> np.ndarray:
-    """(p_i - p_j)^2 / (p_i + p_j) with vanishing pairs excluded, for
-    eigenvalues p of shape (..., d)."""
-    sums = p[..., :, None] + p[..., None, :]
-    diffs = p[..., :, None] - p[..., None, :]
-    keep = (sums > EIGENVALUE_CUTOFF) & ~np.eye(p.shape[-1], dtype=bool)
+    """(p_i - p_j)^2 / (p_i + p_j) with vanishing pairs excluded, for one
+    spectrum p."""
+    sums = p[:, None] + p
+    diffs = p[:, None] - p
+    keep = (sums > EIGENVALUE_CUTOFF) & ~np.eye(len(p), dtype=bool)
     return np.divide(diffs**2, sums, out=np.zeros_like(sums), where=keep)
 
 

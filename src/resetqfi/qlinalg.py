@@ -2,9 +2,8 @@
 
 Plain complex ndarrays are the carrier throughout: Hermitian
 eigendecomposition with a fixed phase convention, tensor products,
-two-qubit partial trace / partial transpose, and the trace norm.  Every
-function except ``kron`` acts on the last two axes, so it takes one
-matrix or a stack of them, shape (..., n, n).
+two-qubit partial trace / partial transpose, and the trace norm.  Each
+function takes one matrix; a stack of them is rejected.
 """
 
 from dataclasses import dataclass
@@ -27,26 +26,23 @@ del _pauli
 
 def _as_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-def hermiticity_defect(m):
-    """Largest entrywise deviation of m from its conjugate transpose.
-
-    A float for one matrix, an array of one value per matrix for a stack.
-    """
-    m = np.asarray(m)
-    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+def hermiticity_defect(m) -> float:
+    """Largest entrywise deviation of m from its conjugate transpose."""
+    m = _as_square(m)
+    return float(np.abs(m - m.conj().T).max())
 
 
 @dataclass(frozen=True)
 class HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, or of each in a stack.
+    """Eigendecomposition of a Hermitian matrix.
 
-    ``eigenvalues`` are sorted ascending and ``eigenvectors[..., :, k]`` is
-    the orthonormal eigenvector paired with ``eigenvalues[..., k]``, phased
+    ``eigenvalues`` are sorted ascending and ``eigenvectors[:, k]`` is the
+    orthonormal eigenvector paired with ``eigenvalues[k]``, phased
     so that its first component of modulus above 1e-12 is real and positive.
     """
 
@@ -56,8 +52,8 @@ class HermitianEig:
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     # a unit vector always has a component above PHASE_TOL
-    first = (np.abs(vectors) > PHASE_TOL).argmax(axis=-2)
-    lead = np.take_along_axis(vectors, first[..., None, :], axis=-2)
+    first = (np.abs(vectors) > PHASE_TOL).argmax(axis=0)
+    lead = vectors[first, np.arange(vectors.shape[1])]
     return vectors * (lead.conj() / np.abs(lead))
 
 
@@ -67,7 +63,7 @@ def hermitian_eig(m) -> HermitianEig:
     Parameters
     ----------
     m : array_like
-        Square matrix, or stack of them, Hermitian within ``HERMITIAN_TOL``
+        Square matrix, Hermitian within ``HERMITIAN_TOL``
         (largest tolerated entry of ``m - m.conj().T``).
 
     Raises
@@ -78,7 +74,7 @@ def hermitian_eig(m) -> HermitianEig:
         If the underlying eigensolver fails to converge.
     """
     m = _as_square(m)
-    defect = np.max(hermiticity_defect(m), initial=0.0)
+    defect = hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {defect:.3e} (tol {HERMITIAN_TOL:.1e})")
@@ -96,9 +92,9 @@ def kron(a, b) -> np.ndarray:
 
 def _two_qubit_blocks(m) -> np.ndarray:
     m = _as_square(m)
-    if m.shape[-2:] != (4, 4):
+    if m.shape != (4, 4):
         raise BadDimensionError(f"expected a 4x4 two-qubit operator, got shape {m.shape}")
-    return m.reshape(m.shape[:-2] + (2, 2, 2, 2))  # [..., i, j, k, l] = <ij|M|kl>
+    return m.reshape(2, 2, 2, 2)  # [i, j, k, l] = <ij|M|kl>
 
 
 def partial_trace(m, qubit: int) -> np.ndarray:
@@ -109,9 +105,9 @@ def partial_trace(m, qubit: int) -> np.ndarray:
     """
     blocks = _two_qubit_blocks(m)
     if qubit == 1:
-        return np.trace(blocks, axis1=-4, axis2=-2)
+        return np.trace(blocks, axis1=0, axis2=2)
     if qubit == 2:
-        return np.trace(blocks, axis1=-3, axis2=-1)
+        return np.trace(blocks, axis1=1, axis2=3)
     raise ValueError(f"qubit must be 1 or 2, got {qubit}")
 
 
@@ -119,22 +115,22 @@ def partial_transpose(m, qubit: int) -> np.ndarray:
     """Transpose the indices of one qubit; applying it twice is the identity."""
     blocks = _two_qubit_blocks(m)
     if qubit == 1:
-        swapped = blocks.swapaxes(-4, -2)
+        swapped = blocks.swapaxes(0, 2)
     elif qubit == 2:
-        swapped = blocks.swapaxes(-3, -1)
+        swapped = blocks.swapaxes(1, 3)
     else:
         raise ValueError(f"qubit must be 1 or 2, got {qubit}")
-    return swapped.reshape(blocks.shape[:-4] + (4, 4))
+    return swapped.reshape(4, 4)
 
 
-def trace_norm(m):
-    """Sum of absolute eigenvalues of a Hermitian matrix, or of each in a stack."""
+def trace_norm(m) -> float:
+    """Sum of absolute eigenvalues of a Hermitian matrix."""
     m = _as_square(m)
-    defect = np.max(hermiticity_defect(m), initial=0.0)
+    defect = hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
         raise NotHermitianError(f"trace_norm needs a Hermitian input; defect {defect:.3e}")
     try:
         eigenvalues = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as err:
         raise NoConvergenceError(f"Hermitian eigensolver failed: {err}") from err
-    return np.abs(eigenvalues).sum(axis=-1)
+    return float(np.abs(eigenvalues).sum())

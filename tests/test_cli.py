@@ -138,6 +138,17 @@ class TestCritical:
                                            "singles out no steady state [at r = 0]\n")
 
 
+@pytest.mark.parametrize("command, usage", [
+    ("critical", "--lo LO --hi HI"),
+    ("sweep", "--from FROM --to TO"),
+])
+def test_help_names_the_interval_flags(capsys, command, usage):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == EXIT_OK
+    assert usage in " ".join(capsys.readouterr().out.split())
+
+
 def test_module_entry_point(tmp_path):
     target = tmp_path / "rows.csv"
     # the child imports the same package as this process, installed or not

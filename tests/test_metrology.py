@@ -61,6 +61,11 @@ class TestDirection:
         assert abs(d.ny - 0.6) <= 1e-15
         assert abs(d.nz - 0.8) <= 1e-15
 
+    @pytest.mark.parametrize("size", [1e200, 1e-200])
+    def test_from_vector_keeps_the_direction_of_extreme_vectors(self, size):
+        d = Direction.from_vector([size, size, 0.0])
+        assert np.abs(d.as_array() - np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)).max() <= 1e-15
+
     def test_from_vector_rejects_zero(self):
         with pytest.raises(ValueError):
             Direction.from_vector([0.0, 0.0, 0.0])

@@ -3,6 +3,7 @@ import pytest
 
 from resetqfi import (
     BadDimensionError,
+    DensityMatrix,
     NotHermitianError,
     hermitian_eig,
     hermiticity_defect,
@@ -66,7 +67,7 @@ class TestHermitianEig:
             assert np.abs(gram - np.eye(5)).max() <= 1e-10
             assert np.all(np.diff(eig.eigenvalues) >= -1e-14)
 
-    def test_stack_matches_per_matrix_reference(self):
+    def test_phases_match_reference_loop(self):
         def reference(m):
             # per-column phase fix: first component above 1e-12 made real positive
             eigenvalues, vectors = np.linalg.eigh(m)
@@ -78,15 +79,15 @@ class TestHermitianEig:
             return eigenvalues, vectors
 
         rng = np.random.default_rng(13)
-        stack = [random_hermitian(rng, 4) for _ in range(20)]
+        matrices = [random_hermitian(rng, 4) for _ in range(20)]
         # eigenvectors whose leading components vanish
-        stack += [np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), BELL,
-                  np.kron(np.eye(2), random_hermitian(rng, 2))]
-        eig = hermitian_eig(np.array(stack))
-        for m, values, vectors in zip(stack, eig.eigenvalues, eig.eigenvectors):
+        matrices += [np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), BELL,
+                     np.kron(np.eye(2), random_hermitian(rng, 2))]
+        for m in matrices:
+            eig = hermitian_eig(m)
             ref_values, ref_vectors = reference(m)
-            assert np.array_equal(values, ref_values)
-            assert np.array_equal(vectors, ref_vectors)
+            assert np.array_equal(eig.eigenvalues, ref_values)
+            assert np.array_equal(eig.eigenvectors, ref_vectors)
 
     def test_phase_convention(self):
         rng = np.random.default_rng(9)
@@ -196,3 +197,19 @@ class TestTraceNorm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("call", [
+    hermitian_eig,
+    hermiticity_defect,
+    lambda m: partial_trace(m, 1),
+    lambda m: partial_transpose(m, 2),
+    trace_norm,
+    DensityMatrix,
+], ids=["hermitian_eig", "hermiticity_defect", "partial_trace", "partial_transpose",
+        "trace_norm", "DensityMatrix"])
+def test_rejects_stacks(call):
+    # each per-state function takes one matrix; a stack of two states is rejected
+    stack = np.stack([BELL, np.eye(4, dtype=complex) / 4])
+    with pytest.raises(BadDimensionError):
+        call(stack)
