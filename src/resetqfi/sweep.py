@@ -2,10 +2,10 @@
 
 One-dimensional sweeps over the reset or dephasing rate collect, per
 grid point, the mean QFI, the two eigenvalue branches of the moment
-matrix, the optimal axis and both entanglement measures.  A bisection on
-the branch gap locates the critical point where the optimal axis flips.
-Rows serialize deterministically to CSV or JSON with 9 significant
-digits.
+matrix, the optimal axis and both entanglement measures, as one row of
+a float table.  A bisection on the branch gap locates the critical point
+where the optimal axis flips.  Rows serialize deterministically to CSV
+or JSON with 9 significant digits.
 """
 
 import csv
@@ -13,6 +13,7 @@ import io
 import json
 import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,11 @@ CSV_HEADER = ("r,gamma,g,mean_qfi,lambda_x,lambda_yz_hi,lambda_yz_lo,"
               "concurrence,negativity,opt_nx,opt_ny,opt_nz")
 CSV_FIELDS = tuple(CSV_HEADER.split(","))
 CRITICAL_BRACKET_WIDTH = 1e-4
-# Grid points evaluated per stacked pass of run_sweep.  A 10^5-point
-# closed-form sweep peaks 57 MB above import in chunks of 512 (mostly the
-# rows it returns) and 88 MB in one pass, in 0.65-0.95 s against
-# 0.78-0.83 s (3 runs each, 2-core Xeon, numpy 2.4.6, BLAS on 1 thread).
+# Grid points per stacked pass of run_sweep, and rows per formatted piece
+# of emit.  A 10^5-point closed-form sweep peaks 10.6 MB above import in
+# chunks of 512 (9.6 MB of it the table it returns) and 42 MB in one
+# pass, in 0.22-0.25 s against 0.17-0.33 s (3 runs each, 2-core Xeon,
+# numpy 2.4.6, BLAS on 1 thread).
 SWEEP_CHUNK = 512
 
 _SPIN2 = collective_spin_ops(2)
@@ -57,6 +59,41 @@ class SweepRow:
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_FIELDS}
+
+
+class SweepTable(Sequence):
+    """Rows of a sweep as one read-only float array of shape (N, 12),
+    columns in CSV_FIELDS order.
+
+    A sequence of ``SweepRow``: a row is built only when it is read, a
+    slice is a table and two tables concatenate with ``+``.  ``array`` is
+    read through a read-only view, not copied.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array):
+        array = np.asarray(array, dtype=float)
+        if array.ndim != 2 or array.shape[1] != len(CSV_FIELDS):
+            raise ValueError(f"expected an (N, {len(CSV_FIELDS)}) array, got shape {array.shape}")
+        self.array = array.view()
+        self.array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepTable(self.array[index])
+        return SweepRow(*self.array[operator.index(index)].tolist())
+
+    def __iter__(self):
+        return (SweepRow(*values.tolist()) for values in self.array)
+
+    def __add__(self, other):
+        if not isinstance(other, SweepTable):
+            return NotImplemented
+        return SweepTable(np.concatenate((self.array, other.array)))
 
 
 @dataclass(frozen=True)
@@ -152,13 +189,13 @@ def _branches(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c[..., 0, 0], block_mean + half_gap, block_mean - half_gap
 
 
-def _rows(rates, c, concurrence, negativity) -> list[SweepRow]:
-    """Sweep rows of N points from their rates (r, gamma and g, each an array
-    of N or one fixed value), moment matrices and entanglement measures."""
+def _table(rates, c, concurrence, negativity) -> np.ndarray:
+    """(N, 12) array of N points in CSV_FIELDS order from their rates (r,
+    gamma and g, each an array of N or one fixed value), moment matrices
+    and entanglement measures."""
     lambda_max, axes = top_axes(c)
-    columns = (*np.broadcast_arrays(*rates), lambda_max / _SPIN2.n_particles, *_branches(c),
-               concurrence, negativity, *axes.T)
-    return [SweepRow(*values) for values in zip(*(column.tolist() for column in columns))]
+    return np.column_stack((*np.broadcast_arrays(*rates), lambda_max / _SPIN2.n_particles,
+                            *_branches(c), concurrence, negativity, axes))
 
 
 def _closed_form(rates) -> tuple:
@@ -192,7 +229,7 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
         c, entanglement = _closed_form(rates)
     else:
         c, entanglement = _of_states([steady_state(params, method=method)])
-    return _rows(rates, c, *entanglement())[0]
+    return SweepRow(*_table(rates, c, *entanglement())[0].tolist())
 
 
 def _solve(spec: SweepSpec, values) -> tuple:
@@ -223,16 +260,16 @@ def _gap(c: np.ndarray):
     return lambda_x - lambda_yz_hi
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every grid point through ``_solve``, SWEEP_CHUNK points per
     stacked pass; solver failures name the offending point.  A row equals
     the ``evaluate_point`` row of its point, bit for bit."""
     grid = spec.grid()
-    rows = []
+    table = np.empty((len(grid), len(CSV_FIELDS)))
     for start in range(0, len(grid), SWEEP_CHUNK):
         rates, c, entanglement = _solve(spec, grid[start:start + SWEEP_CHUNK])
-        rows += _rows(rates, c, *entanglement())
-    return rows
+        table[start:start + SWEEP_CHUNK] = _table(rates, c, *entanglement())
+    return SweepTable(table)
 
 
 def find_critical_point(spec: SweepSpec) -> CriticalPoint:
@@ -264,44 +301,77 @@ def _nine_digits(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _to_csv(payload) -> str:
-    if isinstance(payload, CriticalPoint):
+def _critical_text(point: CriticalPoint, fmt: str) -> str:
+    if fmt == "csv":
         return ("vary,value,bracket_width\n"
-                f"{payload.vary},{_nine_digits(payload.value)},"
-                f"{_nine_digits(payload.bracket_width)}\n")
-    lines = [CSV_HEADER]
-    lines += [_ROW_FORMAT % _ROW_VALUES(row) for row in payload]
-    return "\n".join(lines) + "\n"
-
-
-def _to_json(payload) -> str:
-    if isinstance(payload, CriticalPoint):
-        obj = {"vary": payload.vary,
-               "value": float(_nine_digits(payload.value)),
-               "bracket_width": float(_nine_digits(payload.bracket_width))}
-    else:
-        obj = [{name: float(_nine_digits(getattr(row, name))) for name in CSV_FIELDS}
-               for row in payload]
+                f"{point.vary},{_nine_digits(point.value)},{_nine_digits(point.bracket_width)}\n")
+    obj = {"vary": point.vary,
+           "value": float(_nine_digits(point.value)),
+           "bracket_width": float(_nine_digits(point.bracket_width))}
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _row_array(rows) -> np.ndarray:
+    """The (N, 12) array of a SweepTable, or of any iterable of SweepRow."""
+    if isinstance(rows, SweepTable):
+        return rows.array
+    return np.array([_ROW_VALUES(row) for row in rows], dtype=float).reshape(-1, len(CSV_FIELDS))
+
+
+def _csv_pieces(array: np.ndarray):
+    yield CSV_HEADER + "\n"
+    for start in range(0, len(array), SWEEP_CHUNK):
+        chunk = array[start:start + SWEEP_CHUNK]
+        yield (_ROW_FORMAT + "\n") * len(chunk) % tuple(chunk.ravel().tolist())
+
+
+def _json_pieces(array: np.ndarray):
+    opening = "["
+    for start in range(0, len(array), SWEEP_CHUNK):
+        objs = [{name: float(_nine_digits(x)) for name, x in zip(CSV_FIELDS, values)}
+                for values in array[start:start + SWEEP_CHUNK].tolist()]
+        # the chunk's list is "[\n  {...},\n  {...}\n]"; what lies between
+        # "[" and "\n]" joins with "," into the text of one list
+        yield opening + json.dumps(objs, indent=2)[1:-2]
+        opening = ","
+    yield "[]\n" if opening == "[" else "\n]\n"
+
+
+_ROW_PIECES = {"csv": _csv_pieces, "json": _json_pieces}
+
+
+def _text(payload, fmt: str):
+    """The CSV or JSON text of rows or a critical point, in pieces; rows are
+    read into their array first, then formatted SWEEP_CHUNK at a time, so
+    no text of the whole output is built."""
+    if isinstance(payload, CriticalPoint):
+        return [_critical_text(payload, fmt)]
+    return _ROW_PIECES[fmt](_row_array(payload))
+
+
+def _to_csv(payload) -> str:
+    """The whole CSV text of rows or a critical point."""
+    return "".join(_text(payload, "csv"))
 
 
 def emit(payload, fmt: str = "csv", path: str | None = None) -> None:
     """Serialize rows or a critical point to CSV or JSON.
 
-    Values carry 9 significant digits; lines end with a bare newline.
-    ``path`` of None writes to stdout.
+    Rows are a ``SweepTable`` or any iterable of ``SweepRow``; they are
+    formatted and written SWEEP_CHUNK at a time.  Values carry 9
+    significant digits; lines end with a bare newline.  ``path`` of None
+    writes to stdout.
     """
-    if fmt == "csv":
-        text = _to_csv(payload)
-    elif fmt == "json":
-        text = _to_json(payload)
-    else:
+    if fmt not in _ROW_PIECES:
         raise ValueError(f"unknown format {fmt!r}; choose csv or json")
+    pieces = _text(payload, fmt)
     if path is None:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
     else:
         with open(path, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
+            for piece in pieces:
+                handle.write(piece)
 
 
 def parse_csv(text: str) -> list[SweepRow]:

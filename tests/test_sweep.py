@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,9 @@ from resetqfi import (
     ModelParams,
     NoConvergenceError,
     NoSignChangeError,
+    SweepRow,
     SweepSpec,
+    SweepTable,
     dynamics,
     emit,
     evaluate_point,
@@ -23,7 +27,7 @@ from resetqfi import (
     run_sweep,
     sweep,
 )
-from resetqfi.cli import EXIT_OK, main
+from resetqfi.cli import EXIT_OK, EXIT_SOLVER, main
 from resetqfi.dynamics import closed_form_figures, steady_state
 from resetqfi.sweep import CRITICAL_BRACKET_WIDTH, SWEEP_CHUNK
 
@@ -299,6 +303,106 @@ class TestGoldenOutput:
                 assert abs(x - y) <= 1e-10, where
 
 
+CHUNK_SWEEP = SweepSpec(vary="gamma", start=0.01, stop=3.0, steps=SWEEP_CHUNK + 3,
+                        fixed_r=1.0, g_ratio=5.0)
+
+
+@pytest.fixture(scope="module")
+def chunk_sweep_table():
+    """A closed-form sweep one chunk and three points long."""
+    return run_sweep(CHUNK_SWEEP)
+
+
+class TestSweepTable:
+    """run_sweep returns a read-only table that reads as a sequence of
+    SweepRow."""
+
+    def test_length_and_indexing(self, chunk_sweep_table):
+        table = chunk_sweep_table
+        assert isinstance(table, SweepTable)
+        assert len(table) == len(table.array) == CHUNK_SWEEP.steps
+        assert table.array.shape == (CHUNK_SWEEP.steps, len(CSV_FIELDS))
+        grid = CHUNK_SWEEP.grid()
+        for index in (0, SWEEP_CHUNK, -1, -3):
+            row = table[index]
+            assert isinstance(row, SweepRow)
+            assert row.gamma == grid[index]
+            assert _bits(row) == tuple(float.hex(x) for x in table.array[index].tolist())
+        assert table[np.int64(2)] == table[2]
+        with pytest.raises(IndexError):
+            table[CHUNK_SWEEP.steps]
+        with pytest.raises(TypeError):
+            table[1.0]
+
+    def test_slice_is_a_table(self, chunk_sweep_table):
+        tail = chunk_sweep_table[SWEEP_CHUNK - 1:]
+        assert isinstance(tail, SweepTable)
+        assert len(tail) == 4
+        assert list(tail) == list(chunk_sweep_table)[SWEEP_CHUNK - 1:]
+        assert list(chunk_sweep_table[::-100]) == list(chunk_sweep_table)[::-100]
+        assert len(chunk_sweep_table[5:5]) == 0
+
+    def test_iteration_matches_indexing(self, chunk_sweep_table):
+        rows = list(chunk_sweep_table)
+        assert len(rows) == CHUNK_SWEEP.steps
+        assert all(isinstance(row, SweepRow) for row in rows)
+        assert rows[0] == chunk_sweep_table[0] and rows[-1] == chunk_sweep_table[-1]
+        assert chunk_sweep_table[7] in chunk_sweep_table
+
+    def test_tables_concatenate(self, chunk_sweep_table):
+        head, tail = chunk_sweep_table[:10], chunk_sweep_table[10:]
+        joined = head + tail
+        assert isinstance(joined, SweepTable)
+        assert list(joined) == list(chunk_sweep_table)
+        rows = head
+        rows += tail
+        assert isinstance(rows, SweepTable)
+        assert list(rows) == list(chunk_sweep_table)
+        assert len(head) == 10  # += built a new table
+        with pytest.raises(TypeError):
+            head + list(tail)
+
+    def test_array_is_read_only(self, chunk_sweep_table):
+        with pytest.raises(ValueError):
+            chunk_sweep_table.array[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            chunk_sweep_table[:3].array[0] = 0.0
+        source = np.zeros((2, len(CSV_FIELDS)))
+        table = SweepTable(source)
+        with pytest.raises(ValueError):
+            table.array[1, 1] = 1.0
+        source[1, 1] = 2.0  # the caller's array stays writable
+        assert table[1].gamma == 2.0
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 11), (1, 2, 12)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="expected an \\(N, 12\\) array"):
+            SweepTable(np.zeros(shape))
+
+    def test_rows_equal_evaluate_point_bit_for_bit(self, chunk_sweep_table):
+        grid = CHUNK_SWEEP.grid()
+        for index in (0, 1, SWEEP_CHUNK - 1, SWEEP_CHUNK, -1):
+            want = evaluate_point(CHUNK_SWEEP.params_at(grid[index]))
+            assert _bits(chunk_sweep_table[index]) == _bits(want)
+
+    def test_result_holds_at_most_128_bytes_per_point(self):
+        # the table is 12 float64 per point, 96 B; a SweepRow of 12 Python
+        # floats per point held about 470 B
+        spec = SweepSpec(vary="r", start=0.0, stop=20.0, steps=20_000,
+                         fixed_gamma=0.5, g_ratio=5.0)
+        run_sweep(spec)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = run_sweep(spec)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table) == spec.steps
+        assert held <= 128 * spec.steps
+
+
 class TestCriticalPoint:
     def test_reset_rate_crossing(self):
         spec = SweepSpec(vary="r", start=0.5, stop=8.0, steps=2,
@@ -555,6 +659,52 @@ class TestEmit:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):
             emit([], fmt="xml")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_and_row_list_emit_the_same_bytes(self, capsys, chunk_sweep_table, fmt):
+        # SWEEP_CHUNK + 3 rows: formatted as one full chunk and one of 3 rows
+        emit(chunk_sweep_table, fmt=fmt)
+        from_table = capsys.readouterr().out
+        emit(list(chunk_sweep_table), fmt=fmt)
+        from_rows = capsys.readouterr().out
+        assert from_table == from_rows
+        if fmt == "csv":
+            assert from_table.count("\n") == CHUNK_SWEEP.steps + 1
+            assert len(parse_csv(from_table)) == CHUNK_SWEEP.steps
+        else:
+            payload = json.loads(from_table)
+            assert len(payload) == CHUNK_SWEEP.steps
+            assert from_table == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cli_out_file_matches_stdout(self, capsys, tmp_path, fmt):
+        argv = ["sweep", "--vary", "gamma", "--from", "0.01", "--to", "3",
+                "--steps", str(SWEEP_CHUNK + 3), "--r", "1", "--g-ratio", "5", "--format", fmt]
+        target = tmp_path / f"sweep.{fmt}"
+        assert main(argv) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert main([*argv, "--out", str(target)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == stdout.encode("ascii")
+
+    def test_failed_cli_sweep_writes_nothing(self, capsys, tmp_path):
+        # r = gamma = g = 0 at the first point: the whole table is built before
+        # any output
+        argv = ["sweep", "--vary", "r", "--from", "0", "--to", "1",
+                "--steps", str(SWEEP_CHUNK + 3), "--gamma", "0", "--g", "0"]
+        target = tmp_path / "sweep.csv"
+        assert main(argv) == EXIT_SOLVER
+        assert main([*argv, "--out", str(target)]) == EXIT_SOLVER
+        assert capsys.readouterr().out == ""
+        assert not target.exists()
+
+    def test_empty_table_emits_like_no_rows(self, capsys):
+        empty = SweepTable(np.empty((0, len(CSV_FIELDS))))
+        for fmt, want in (("csv", CSV_HEADER + "\n"), ("json", "[]\n")):
+            emit(empty, fmt=fmt)
+            assert capsys.readouterr().out == want
+            emit([], fmt=fmt)
+            assert capsys.readouterr().out == want
 
     def test_parse_rejects_foreign_header(self):
         with pytest.raises(ValueError):
