@@ -134,11 +134,11 @@ class DensityMatrix:
 
 def _check_psd(smallest) -> None:
     """The ``DensityMatrix`` positivity check on the smallest eigenvalue of
-    each state, given as an array of any shape, rank 0 included."""
-    smallest = np.ravel(smallest)
+    each state, given as a numpy scalar or an array of any shape."""
     bad = smallest < DensityMatrix.PSD_TOL
-    if bad.any():
-        raise ValueError(f"density matrix has negative eigenvalue {smallest[bad.argmax()]:.3e}")
+    if np.count_nonzero(bad):  # half the cost of bad.any() on a numpy scalar
+        first = np.ravel(smallest)[np.ravel(bad).argmax()]
+        raise ValueError(f"density matrix has negative eigenvalue {first:.3e}")
 
 
 def hamiltonian(p: ModelParams) -> np.ndarray:
@@ -219,11 +219,17 @@ def liouvillian_superoperator(p: ModelParams) -> np.ndarray:
 
 def _scaled(r, gamma, g) -> tuple:
     """Valid rates divided by the largest of them, which keeps every power
-    in the closed-form entries finite; r = gamma = g = 0 raises."""
-    if np.any((r == 0.0) & (gamma == 0.0) & (g == 0.0)):
-        raise DegenerateLimitError("r = gamma = g = 0 singles out no steady state")
+    in the closed-form entries finite; r = gamma = g = 0 raises.  Scalar
+    rates come back as numpy scalars, arrays as arrays."""
     scale = np.maximum(np.maximum(r, gamma), g)
+    if np.count_nonzero(scale == 0.0):  # non-negative rates, so all three are 0
+        raise DegenerateLimitError("r = gamma = g = 0 singles out no steady state")
     return r / scale, gamma / scale, g / scale
+
+
+def _select(condition, x, y):
+    """np.where, with a numpy scalar, not a 0-d array, for scalar operands."""
+    return np.where(condition, x, y)[()]
 
 
 def require_plus_reset(p: ModelParams) -> None:
@@ -237,6 +243,10 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
     """Moment matrices C, shape (..., 3, 3), and the negativity, shape (...),
     of each closed-form steady state at valid rates that broadcast to one
     shape (...): arrays of shape (N,) for a stack of points, or scalars for one.
+    Scalar rates, Python floats or numpy scalars, give a (3, 3) C and a
+    numpy-scalar negativity, and every intermediate stays a numpy scalar,
+    so one bisection midpoint costs scalar arithmetic, not 0-d array
+    dispatch.
 
     Equal, up to rounding, to ``c_matrix`` and ``negativity`` of
     ``closed_form_steady_state``, without building or eigensolving the states.
@@ -276,15 +286,16 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
         c_xx = 32.0 * g2 * r * r * rg / (k * (4.0 * g2 * rg + r2g * (rg * rg + r * r)))
         c_yy = 2.0 * ratio * ratio * q / (k * p)
         c_yz = 4.0 * g * r * ratio * ratio * w / (k * p)
-        negativity = np.where(excess > 0.0, excess, 0.0) / (4.0 * rg * k)
+        negativity = _select(excess > 0.0, excess, 0.0) / (4.0 * rg * k)
         anti = r * ratio * (r + 0.5 * gamma) / (2.0 * k)
         edge = r * np.hypot(r + 0.5 * gamma, g) / (2.0 * k)
     pure = p == 0.0
-    c_yy = np.where(pure, 2.0, c_yy)
-    c_yz = np.where(pure, 0.0, c_yz)
-    no_reset = r == 0.0
-    c_xx, c_yy, c_yz, negativity, anti, edge = (
-        np.where(no_reset, 0.0, value) for value in (c_xx, c_yy, c_yz, negativity, anti, edge))
+    c_yy = _select(pure, 2.0, c_yy)
+    c_yz = _select(pure, 0.0, c_yz)
+    # one select over the six figures, shape (6, ...), which unpacks into
+    # numpy scalars for scalar rates and into rows for stacks
+    c_xx, c_yy, c_yz, negativity, anti, edge = np.where(
+        r == 0.0, 0.0, (c_xx, c_yy, c_yz, negativity, anti, edge))
     _check_psd(np.minimum(0.25 - anti, 0.25 + anti - 2.0 * edge))
     c = np.zeros(np.shape(r) + (3, 3))
     c[..., 0, 0] = c_xx

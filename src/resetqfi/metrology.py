@@ -8,6 +8,7 @@ eigenvector of C.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -269,11 +270,17 @@ def rotate(rho: DensityMatrix, direction: Direction, phi: float, spin: Collectiv
 
 
 def qcrb(fisher: float, n_measurements: int) -> PhaseEstimate:
-    """Quantum Cramer-Rao bound on the phase uncertainty."""
+    """Quantum Cramer-Rao bound on the phase uncertainty after an integer
+    number of measurements, at least one."""
     if not 0.0 < fisher < math.inf:
         raise NonPositiveFisherError(
             f"Fisher information must be positive and finite, got {fisher}")
-    if not 1 <= n_measurements < math.inf:
+    try:
+        n_measurements = operator.index(n_measurements)
+    except TypeError:
+        raise ValueError(f"need a finite number of measurements, an integer, "
+                         f"got {n_measurements!r}") from None
+    if n_measurements < 1:
         raise ValueError(f"need a finite number of measurements, at least one, "
                          f"got {n_measurements}")
     return PhaseEstimate(

@@ -124,6 +124,18 @@ class TestCritical:
         assert abs(float(value) - 2.3) <= 0.1
         assert float(width) <= 5e-5
 
+    # exact stdout of the README example and of the acceptance bracket in
+    # gamma, where g = g_ratio * gamma moves with every midpoint
+    @pytest.mark.parametrize("argv, row", [
+        (["--vary", "r", "--lo", "0.5", "--hi", "8", "--gamma", "0.5", "--g-ratio", "5"],
+         "r,2.3257618,2.86102295e-05"),
+        (["--vary", "gamma", "--lo", "0.01", "--hi", "3", "--r", "1", "--g-ratio", "5"],
+         "gamma,0.21498764,4.56237793e-05"),
+    ])
+    def test_crossing_bytes(self, capsys, argv, row):
+        assert main(["critical", *argv]) == EXIT_OK
+        assert capsys.readouterr().out == f"vary,value,bracket_width\n{row}\n"
+
     def test_no_crossing_is_solver_error(self, capsys):
         code = main(["critical", "--vary", "r", "--lo", "3", "--hi", "8",
                      "--gamma", "0.5", "--g-ratio", "5"])

@@ -87,14 +87,25 @@ class TestAgainstEigenPipeline:
 
 
 class TestScalarRates:
+    """One point at a time, as a bisection midpoint: numpy scalars, or the
+    Python floats that ``find_critical_point`` passes."""
+
     def test_bit_equal_to_the_stacked_rows(self, log_uniform_rates):
         rates = np.concatenate((log_uniform_rates, np.array(EDGE_RATES).T), axis=1)
         c, negativity = closed_form_figures(*rates)
         for k, point in enumerate(rates.T):
-            c_k, negativity_k = closed_form_figures(*point)  # numpy scalars
-            assert c_k.shape == (3, 3) and np.shape(negativity_k) == ()
-            assert c_k.tobytes() == c[k].tobytes(), point
-            assert np.asarray(negativity_k).tobytes() == negativity[k].tobytes(), point
+            for scalars in (tuple(point), tuple(point.tolist())):
+                c_k, negativity_k = closed_form_figures(*scalars)
+                assert type(c_k) is np.ndarray and c_k.shape == (3, 3)
+                assert type(negativity_k) is np.float64  # not a 0-d array
+                assert c_k.tobytes() == c[k].tobytes(), point
+                assert negativity_k.tobytes() == negativity[k].tobytes(), point
+
+    def test_all_rates_zero(self):
+        for zero in (0.0, np.float64(0.0)):
+            with pytest.raises(DegenerateLimitError,
+                               match="^r = gamma = g = 0 singles out no steady state$"):
+                closed_form_figures(zero, zero, zero)
 
 
 def _mp_state(mp, r, gamma, g):

@@ -364,7 +364,14 @@ class TestQcrb:
         with pytest.raises(ValueError):
             qcrb(2.0, 0)
 
-    @pytest.mark.parametrize("count", [np.nan, np.inf])
+    # a count is an integer, by the operator.index rule of SweepSpec.steps
+    @pytest.mark.parametrize("count", [np.nan, np.inf, 2.5, 2.0, np.float64(3.0), "3"])
     def test_rejects_non_finite_measurement_count(self, count):
         with pytest.raises(ValueError, match="^need a finite number of measurements"):
             qcrb(2.0, count)
+
+    def test_integer_types_are_counts(self):
+        for count in (3, np.int64(3), np.uint8(3)):
+            estimate = qcrb(2.0, count)
+            assert estimate.n_measurements == 3 and type(estimate.n_measurements) is int
+            assert estimate.delta_phi == qcrb(2.0, 3).delta_phi
