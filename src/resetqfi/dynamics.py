@@ -245,8 +245,7 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
     shape (...): arrays of shape (N,) for a stack of points, or scalars for one.
     Scalar rates, Python floats or numpy scalars, give a (3, 3) C and a
     numpy-scalar negativity, and every intermediate stays a numpy scalar,
-    so one bisection midpoint costs scalar arithmetic, not 0-d array
-    dispatch.
+    so one point costs scalar arithmetic, not 0-d array dispatch.
 
     Equal, up to rounding, to ``c_matrix`` and ``negativity`` of
     ``closed_form_steady_state``, without building or eigensolving the states.

@@ -232,22 +232,22 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
     return SweepRow(*_table(rates, c, *entanglement())[0].tolist())
 
 
-def _solve(spec: SweepSpec, values) -> tuple:
+def _solve(spec: SweepSpec, values: np.ndarray) -> tuple:
     """Rates (r, gamma, g), moment matrices C and a callable giving the
     concurrence and negativity of each point, at ``values`` of the varied
-    rate: an increasing array of shape (N,), or one scalar for a bisection
-    midpoint.  The closed form takes all from ``closed_form_figures``; the
-    other routes build and validate one ``steady_state`` per point.  A
-    solver error names its value; r = gamma = g = 0, the closed form's one
-    failure, can only come first, as ``SweepSpec`` checked the end rates."""
+    rate, an array of shape (N,) that holds ``spec.start`` first if it
+    holds it at all.  The closed form takes all from
+    ``closed_form_figures``; the other routes build and validate one
+    ``steady_state`` per point.  A solver error names its value; r = gamma
+    = g = 0, the closed form's one failure, can only occur at
+    ``spec.start``, as ``SweepSpec`` checked the end rates."""
     rates = spec.rates(values)
-    points = np.atleast_1d(values)
-    value = points[0]
+    value = values[0]
     try:
         if spec.method == "closed_form":
             return rates, *_closed_form(rates)
         states = []
-        for value in points:
+        for value in values:
             states.append(steady_state(spec.params_at(value), spec.method))
     except SOLVER_ERRORS as err:
         raise type(err)(f"{err} [at {spec.vary} = {value:.9g}]") from err
@@ -272,28 +272,70 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     return SweepTable(table)
 
 
+def _midpoint_tree(lo: float, hi: float, depth: int) -> list[np.ndarray]:
+    """The midpoints the next ``depth`` halvings of [lo, hi] can visit, one
+    array per level.  Concatenated they are in heap order: the halves of
+    the interval that entry i halves are halved by entries 2i + 1 and
+    2i + 2.  Each is computed as the bisection computes it, and the levels
+    stop where the bisection stops, once no interval is wider than
+    CRITICAL_BRACKET_WIDTH."""
+    # the intervals of a level run between the entries ``step`` apart in
+    # ``edges``; their midpoints go halfway between
+    step = 1 << depth
+    edges = np.empty(step + 1)
+    edges[0], edges[-1] = lo, hi
+    levels = []
+    while step > 1:
+        left, right = edges[:-step:step], edges[step::step]
+        if (right - left).max() <= CRITICAL_BRACKET_WIDTH:
+            break
+        step //= 2
+        mids = edges[step::2 * step]
+        np.add(left, right, out=mids)
+        mids *= 0.5
+        levels.append(mids)
+    return levels
+
+
 def find_critical_point(spec: SweepSpec) -> CriticalPoint:
     """Bisect lambda_x - lambda_yz_hi to the axis-flip crossing.
 
     The sweep interval [start, stop] must bracket a sign change; the
-    bisection stops once the bracket is narrower than 1e-4.  Both end
-    points go through ``_solve`` as one stack, then one scalar midpoint
-    per halving; the gap comes from C alone, so no entanglement measure
-    is computed.
+    bisection stops once the bracket is narrower than 1e-4, or once its
+    ends are adjacent floats.  The gap is evaluated through ``_solve`` in
+    stacked passes: the end points with the midpoint tree of the first
+    halvings, then the tree of each bracket the walk reaches.  The serial
+    rules walk the gaps that come back, so the search ends on the bracket
+    a point-by-point bisection ends on, bit for bit.  The closed form's
+    trees are as deep as a pass of SWEEP_CHUNK points allows (8 levels at
+    512); a route point is a full solve, so a route evaluates only the
+    points a point-by-point bisection evaluates, in its order.  The gap
+    comes from C alone, so no entanglement measure is computed.
     """
+    if spec.method == "closed_form":
+        depth = first_depth = (SWEEP_CHUNK - 1).bit_length() - 1
+    else:
+        depth, first_depth = 1, 0
     lo, hi = spec.start, spec.stop
-    gap_lo, gap_hi = _gap(_solve(spec, np.array([lo, hi], dtype=float))[1]).tolist()
+    values = np.concatenate(([lo, hi], *_midpoint_tree(lo, hi, first_depth)))
+    gaps = _gap(_solve(spec, values)[1]).tolist()
+    gap_lo, gap_hi = gaps[:2]
     if gap_lo * gap_hi > 0.0:
         raise NoSignChangeError(
             f"lambda_x - lambda_yz_hi keeps its sign on {spec.vary} in [{lo}, {hi}] "
             f"({gap_lo:.3e} and {gap_hi:.3e})")
+    mids, gaps, node = values[2:].tolist(), gaps[2:], 0
     while hi - lo > CRITICAL_BRACKET_WIDTH:
-        mid = 0.5 * (lo + hi)
-        gap_mid = _gap(_solve(spec, mid)[1])
+        if node >= len(mids):
+            values = np.concatenate(_midpoint_tree(lo, hi, depth))
+            mids, gaps, node = values.tolist(), _gap(_solve(spec, values)[1]).tolist(), 0
+        mid, gap_mid = mids[node], gaps[node]
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         if gap_lo * gap_mid <= 0.0:
-            hi = mid
+            hi, node = mid, 2 * node + 1
         else:
-            lo, gap_lo = mid, gap_mid
+            lo, gap_lo, node = mid, gap_mid, 2 * node + 2
     return CriticalPoint(vary=spec.vary, value=0.5 * (lo + hi), bracket_width=0.5 * (hi - lo))
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from resetqfi import ModelParams, collective_spin_ops
+from resetqfi import ModelParams, collective_spin_ops, sweep
+from resetqfi.dynamics import closed_form_figures
 
 
 def model_grid():
@@ -22,3 +23,21 @@ def grid():
 @pytest.fixture(scope="session")
 def spin2():
     return collective_spin_ops(2)
+
+
+@pytest.fixture
+def closed_form_passes(monkeypatch):
+    """The number of points of each ``closed_form_figures`` call that
+    ``sweep`` makes.  The 65th call fails, far more than a search or a
+    point-by-point reference of it makes here, so a search that would not
+    end fails instead of hanging."""
+    sizes = []
+
+    def counting(r, gamma, g):
+        sizes.append(np.broadcast(r, gamma, g).size)
+        if len(sizes) > 64:
+            raise AssertionError(f"more than 64 closed-form calls: {sizes}")
+        return closed_form_figures(r, gamma, g)
+
+    monkeypatch.setattr(sweep, "closed_form_figures", counting)
+    return sizes

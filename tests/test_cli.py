@@ -124,15 +124,18 @@ class TestCritical:
         assert abs(float(value) - 2.3) <= 0.1
         assert float(width) <= 5e-5
 
-    # exact stdout of the README example and of the acceptance bracket in
-    # gamma, where g = g_ratio * gamma moves with every midpoint
+    # exact stdout of the README example, of the acceptance bracket in
+    # gamma, where g = g_ratio * gamma moves with every midpoint, and of a
+    # bracket above 2**39, whose search ends on adjacent floats 2**-12 apart
     @pytest.mark.parametrize("argv, row", [
         (["--vary", "r", "--lo", "0.5", "--hi", "8", "--gamma", "0.5", "--g-ratio", "5"],
          "r,2.3257618,2.86102295e-05"),
         (["--vary", "gamma", "--lo", "0.01", "--hi", "3", "--r", "1", "--g-ratio", "5"],
          "gamma,0.21498764,4.56237793e-05"),
+        (["--vary", "r", "--lo", "1e12", "--hi", "3e12", "--gamma", "4e11", "--g-ratio", "5"],
+         "r,1.86062584e+12,0.000122070312"),
     ])
-    def test_crossing_bytes(self, capsys, argv, row):
+    def test_crossing_bytes(self, capsys, closed_form_passes, argv, row):
         assert main(["critical", *argv]) == EXIT_OK
         assert capsys.readouterr().out == f"vary,value,bracket_width\n{row}\n"
 

@@ -87,8 +87,7 @@ class TestAgainstEigenPipeline:
 
 
 class TestScalarRates:
-    """One point at a time, as a bisection midpoint: numpy scalars, or the
-    Python floats that ``find_critical_point`` passes."""
+    """One point at a time, given as numpy scalars or as Python floats."""
 
     def test_bit_equal_to_the_stacked_rows(self, log_uniform_rates):
         rates = np.concatenate((log_uniform_rates, np.array(EDGE_RATES).T), axis=1)

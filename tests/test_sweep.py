@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from resetqfi import (
     sweep,
 )
 from resetqfi.cli import EXIT_OK, EXIT_SOLVER, main
-from resetqfi.dynamics import closed_form_figures, steady_state
+from resetqfi.dynamics import steady_state
 from resetqfi.sweep import CRITICAL_BRACKET_WIDTH, SWEEP_CHUNK
 
 DATA = Path(__file__).parent / "data"
@@ -476,13 +477,17 @@ def _reference_outcome(spec):
     return _outcome(lambda spec: _serial_bisection(spec)[0], spec)
 
 
-# halving counts the seeded brackets must include
-HALVINGS = (0, 1, 3, 4, 13, 15, 16)
+# halving counts the seeded brackets must include: a closed-form pass
+# covers 8 halvings, so 7, 8 and 9 end around the first pass boundary, 15
+# ends inside the second pass and 17 needs a third
+HALVINGS = (0, 1, 3, 4, 7, 8, 9, 13, 15, 16, 17)
 
 
 def _brackets_around(spec, rng, halvings):
     """Brackets of the varied rate around the crossing inside ``spec``, one
-    per halving count, plus one of random width."""
+    per halving count.  A bracket has 30 to 70 % of its width below the
+    crossing, or half the crossing where that is less, so it stays above
+    zero."""
     crossing = _serial_bisection(spec)[0]
     fixed = {name: getattr(spec, name)
              for name in ("fixed_r", "fixed_gamma", "g", "g_ratio", "method")}
@@ -493,7 +498,7 @@ def _brackets_around(spec, rng, halvings):
             hi = crossing.value + crossing.bracket_width
         else:
             width = CRITICAL_BRACKET_WIDTH * 2**n * rng.uniform(0.55, 0.95)
-            lo = crossing.value - rng.uniform(0.3, 0.7) * width
+            lo = max(crossing.value - rng.uniform(0.3, 0.7) * width, 0.5 * crossing.value)
             hi = lo + width
         specs.append(SweepSpec(vary=spec.vary, start=lo, stop=hi, steps=2, **fixed))
     return specs
@@ -501,7 +506,7 @@ def _brackets_around(spec, rng, halvings):
 
 @pytest.fixture(scope="module")
 def seeded_brackets():
-    """64 closed-form brackets, half in r and half in gamma, with crossings
+    """96 closed-form brackets, half in r and half in gamma, with crossings
     in [6, 20], and 6 nullspace brackets."""
     rng = np.random.default_rng(2016)
     specs = []
@@ -525,9 +530,10 @@ def seeded_brackets():
 
 
 class TestCriticalBisection:
-    """find_critical_point evaluates both end points in one stacked pass and
-    then one midpoint per halving, with the result of a point-by-point
-    bisection on evaluate_point rows, bit for bit."""
+    """find_critical_point evaluates midpoint trees in stacked passes (the
+    closed form) or one midpoint per pass (the other routes), with the
+    result of a point-by-point bisection on evaluate_point rows, bit for
+    bit."""
 
     def test_matches_serial_bisection_bit_for_bit(self, seeded_brackets):
         halvings = set()
@@ -538,10 +544,10 @@ class TestCriticalBisection:
             if want[0] != "NoSignChangeError":
                 sign_changes += 1
                 halvings.add(_serial_bisection(spec)[1])
-        assert len(seeded_brackets) == 70
+        assert len(seeded_brackets) == 102
         assert {spec.method for spec in seeded_brackets} == {"closed_form", "nullspace"}
         assert set(HALVINGS) <= halvings
-        assert sign_changes >= 64
+        assert sign_changes >= 96
 
     @pytest.mark.parametrize("spec", [
         SweepSpec(vary="r", start=0.5, stop=8.0, steps=2, fixed_gamma=0.5, g_ratio=5.0),
@@ -560,33 +566,47 @@ class TestCriticalBisection:
         assert _reference_outcome(spec) == ("NoSignChangeError", message)
         assert _outcome(find_critical_point, spec) == ("NoSignChangeError", message)
 
-    def test_closed_form_evaluates_one_point_per_halving(self, monkeypatch):
+    def test_closed_form_evaluates_two_stacked_passes(self, monkeypatch, closed_form_passes):
         spec = SweepSpec(vary="r", start=1.5, stop=3.5, steps=2, fixed_gamma=0.5, g_ratio=5.0)
+        want = _reference_outcome(spec)
         assert _serial_bisection(spec)[1] == 15
-        points = []
-
-        def counting(r, gamma, g):
-            points.append(np.size(r))
-            return closed_form_figures(r, gamma, g)
+        closed_form_passes.clear()  # the reference evaluates through evaluate_point
 
         def unreachable(*args):
-            raise AssertionError("the closed-form search builds no states")
+            raise AssertionError("the closed-form search builds no states and "
+                                 "computes no entanglement measure")
 
-        monkeypatch.setattr(sweep, "closed_form_figures", counting)
-        monkeypatch.setattr(sweep, "steady_state", unreachable)
-        monkeypatch.setattr(dynamics, "closed_form_steady_state", unreachable)
-        monkeypatch.setattr(DensityMatrix, "__init__", unreachable)
-        find_critical_point(spec)
-        # both end points in one call, then one midpoint per halving: 17 points
-        assert points == [2] + [1] * 15
+        for owner, name in ((sweep, "steady_state"), (dynamics, "closed_form_steady_state"),
+                            (DensityMatrix, "__init__"), (sweep, "concurrence"),
+                            (sweep, "negativity")):
+            monkeypatch.setattr(owner, name, unreachable)
+        assert _outcome(find_critical_point, spec) == want
+        # the end points with the 8-level tree of 255 midpoints, then the
+        # 7 levels that the last 7 halvings can visit
+        assert closed_form_passes == [257, 127]
 
     def test_superoperator_routes_evaluate_the_serial_points_only(self, route_calls):
         spec = SweepSpec(vary="r", start=2.0, stop=2.5, steps=2, fixed_gamma=0.5,
                          g_ratio=5.0, method="nullspace")
         halvings = _serial_bisection(spec)[1]
-        route_calls.clear()  # the reference solves through the same steady_state
+        want = list(route_calls)  # the reference solves through the same steady_state
+        route_calls.clear()
         find_critical_point(spec)
+        assert route_calls == want
         assert len(route_calls) == 2 + halvings == 15
+
+    def test_bracket_of_adjacent_floats_ends(self, closed_form_passes):
+        # the model is homogeneous in its rates, so the crossing scales with
+        # them; above 2**39 adjacent floats lie more than 1e-4 apart, and the
+        # search ends once the bracket's ends are adjacent
+        spec = SweepSpec(vary="r", start=1e12, stop=3e12, steps=2, fixed_gamma=4e11,
+                         g_ratio=5.0)
+        small = SweepSpec(vary="r", start=1e10, stop=3e10, steps=2, fixed_gamma=4e9,
+                          g_ratio=5.0)
+        point = find_critical_point(spec)
+        assert point.bracket_width == 0.5 * math.ulp(point.value) == 2.0**-13
+        assert point.value == pytest.approx(100.0 * find_critical_point(small).value, rel=1e-12)
+        assert f"{point.value:.9g}" == "1.86062584e+12"
 
     @pytest.mark.parametrize("method", ["closed_form", "nullspace"])
     def test_computes_no_entanglement(self, monkeypatch, method):
