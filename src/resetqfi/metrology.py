@@ -195,37 +195,76 @@ def c_matrix(rho: DensityMatrix, spin: CollectiveSpin) -> np.ndarray:
     return np.ascontiguousarray(c.real)
 
 
+# the axes a block-diagonal C can have, rows indexed as in top_axes, with the
+# bits of the eigh path: 1 / sqrt(2) is what LAPACK returns for it, and the
+# sign flip that makes ny positive leaves nx = -0.0 where nz < 0
+_BLOCK_AXES = np.array([[1.0, 0.0, 0.0],
+                        [0.0, 1.0, 0.0],
+                        [-0.0, 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)],
+                        [0.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)]])
+
+
 def top_axes(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalue, clipped at 0, and optimal axis of each moment matrix
-    in a stack of shape (N, 3, 3); see ``optimal_direction``."""
-    eigenvalues, eigenvectors = np.linalg.eigh(c)
-    top = eigenvalues[:, -1]
-    tie = DIRECTION_TIE_TOL * np.maximum(1.0, np.abs(top))
-    candidate = eigenvalues >= (top - tie)[:, None]
-    # among tied eigenvectors keep the largest |nx|, then the largest |ny|,
-    # then the first
-    for component in (0, 1):
-        size = np.abs(eigenvectors[:, component, :])
-        largest = np.where(candidate, size, -1.0).max(axis=1)
-        candidate &= size == largest[:, None]
-    rows = np.arange(len(c))
-    axes = eigenvectors[rows, :, candidate.argmax(axis=1)]
-    lead = axes[rows, (np.abs(axes) > 1e-12).argmax(axis=1)]
-    axes = np.where(lead[:, None] < 0.0, -axes, axes)
+    in a stack of shape (N, 3, 3).
+
+    The eigenvalues within tie = 1e-10 max(1, |top|) of the top one tie.
+    Among their eigenvectors the axis is the one of largest |nx|, then of
+    largest |ny|, then the first in ascending eigenvalue order, with its
+    first component of modulus above 1e-12 made positive.
+
+    A stack of block-diagonal matrices, C_yx = C_zx = 0 and C_yy = C_zz
+    with finite entries, as ``closed_form_figures`` builds them, takes
+    this rule in closed form, with no eigensolve.  The eigenvalues are
+    C_xx with axis x, hi = C_yy + |C_yz| with (0, 1, sign C_yz)/sqrt(2)
+    and lo = C_yy - |C_yz| with (0, 1, -sign C_yz)/sqrt(2); top =
+    max(C_xx, hi), and the axis is
+      x                             if C_xx >= top - tie, else
+      (0, 1, 0)                     if C_yz = 0 (e_y and e_z tie), else
+      (0, 1, -sign C_yz)/sqrt(2)    if lo >= top - tie (lo comes first), else
+      (0, 1, sign C_yz)/sqrt(2).
+    The entries are read from the lower triangle, as ``eigh`` reads them.
+    Any other stack goes to ``np.linalg.eigh``.
+    """
+    if ((c[:, 1, 0] == 0.0).all() and (c[:, 2, 0] == 0.0).all()
+            and (c[:, 1, 1] == c[:, 2, 2]).all()
+            and np.isfinite(c[:, (0, 1, 2), (0, 1, 1)]).all()):
+        c_xx, c_yy, c_yz = c[:, 0, 0], c[:, 1, 1], c[:, 2, 1]
+        size = np.abs(c_yz)
+        top = np.maximum(c_xx, c_yy + size)
+        floor = top - DIRECTION_TIE_TOL * np.maximum(1.0, np.abs(top))
+        # row 3 of _BLOCK_AXES has nz > 0: the hi axis for C_yz > 0, the lo one for C_yz < 0
+        row = 2 + ((c_yy - size >= floor) != (c_yz > 0.0))
+        row[c_yz == 0.0] = 1
+        row[c_xx >= floor] = 0
+        axes = _BLOCK_AXES[row]
+    else:
+        eigenvalues, eigenvectors = np.linalg.eigh(c)
+        top = eigenvalues[:, -1]
+        tie = DIRECTION_TIE_TOL * np.maximum(1.0, np.abs(top))
+        candidate = eigenvalues >= (top - tie)[:, None]
+        # among tied eigenvectors keep the largest |nx|, then the largest |ny|,
+        # then the first
+        for component in (0, 1):
+            size = np.abs(eigenvectors[:, component, :])
+            largest = np.where(candidate, size, -1.0).max(axis=1)
+            candidate &= size == largest[:, None]
+        rows = np.arange(len(c))
+        axes = eigenvectors[rows, :, candidate.argmax(axis=1)]
+        lead = axes[rows, (np.abs(axes) > 1e-12).argmax(axis=1)]
+        axes = np.where(lead[:, None] < 0.0, -axes, axes)
     # C is positive semidefinite up to eigensolver noise
     return np.where(top > 0.0, top, 0.0), axes
 
 
 def optimal_direction(c) -> Direction:
-    """Top eigenvector of the moment matrix as a Direction.
-
-    Ties within a relative 1e-10 are broken toward the axis with the
-    largest |nx|, then largest |ny|.  The sign is fixed by making the
-    first component of modulus above 1e-12 positive.
-    """
+    """Top eigenvector of the moment matrix as a Direction, with the
+    tie-break and sign of ``top_axes``."""
     c = np.asarray(c, dtype=float)
     if c.shape != (3, 3):
         raise BadDimensionError(f"moment matrix must be 3x3, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise OutOfRangeError(f"moment matrix has non-finite entries: {c.tolist()}")
     defect = float(np.abs(c - c.T).max())
     if defect > 1e-10:
         raise NotSymmetricError(f"moment matrix deviates from symmetric by {defect:.3e}")

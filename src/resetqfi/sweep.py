@@ -290,9 +290,10 @@ def _midpoint_tree(lo: float, hi: float, depth: int) -> list[np.ndarray]:
         if (right - left).max() <= CRITICAL_BRACKET_WIDTH:
             break
         step //= 2
+        # halves are added, not the ends, so brackets near the largest float
+        # do not overflow; the bits are those of 0.5 * (left + right) elsewhere
         mids = edges[step::2 * step]
-        np.add(left, right, out=mids)
-        mids *= 0.5
+        np.add(0.5 * left, 0.5 * right, out=mids)
         levels.append(mids)
     return levels
 
@@ -336,7 +337,7 @@ def find_critical_point(spec: SweepSpec) -> CriticalPoint:
             hi, node = mid, 2 * node + 1
         else:
             lo, gap_lo, node = mid, gap_mid, 2 * node + 2
-    return CriticalPoint(vary=spec.vary, value=0.5 * (lo + hi), bracket_width=0.5 * (hi - lo))
+    return CriticalPoint(vary=spec.vary, value=0.5 * lo + 0.5 * hi, bracket_width=0.5 * (hi - lo))
 
 
 def _nine_digits(x: float) -> str:

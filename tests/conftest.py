@@ -41,3 +41,18 @@ def closed_form_passes(monkeypatch):
 
     monkeypatch.setattr(sweep, "closed_form_figures", counting)
     return sizes
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shape of the argument of each ``np.linalg.eigh`` call made while
+    the test runs."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return shapes

@@ -29,6 +29,8 @@ from resetqfi import (
     sigma_y,
     sigma_z,
 )
+from resetqfi.dynamics import closed_form_figures
+from resetqfi.metrology import top_axes
 
 BELL = np.zeros(4, dtype=complex)
 BELL[0] = BELL[3] = 1.0 / np.sqrt(2.0)
@@ -49,6 +51,22 @@ def random_pure(rng, dim=4):
 
 def random_direction(rng):
     return Direction.from_vector(rng.normal(size=3))
+
+
+def reference(c):
+    """Top eigenvalue and axis of one moment matrix by the per-matrix
+    tie-break: largest |nx|, then |ny|, then the first."""
+    eigenvalues, eigenvectors = np.linalg.eigh(c)
+    tie = 1e-10 * max(1.0, abs(eigenvalues[-1]))
+    candidates = [eigenvectors[:, k] for k in range(3)
+                  if eigenvalues[k] >= eigenvalues[-1] - tie]
+    best = max(candidates, key=lambda u: (abs(u[0]), abs(u[1])))
+    lead = best[np.abs(best) > 1e-12][0]
+    return max(0.0, float(eigenvalues[-1])), -best if lead < 0.0 else best
+
+
+def hexes(values):
+    return [float.hex(float(x)) for x in values]
 
 
 class TestDirection:
@@ -242,19 +260,15 @@ class TestOptimalDirection:
         with pytest.raises(NotSymmetricError):
             optimal_direction(bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+    def test_rejects_non_finite_entries(self, value, entry):
+        bad = np.diag([1.0, 2.0, 2.0])
+        bad[entry] = bad[entry[::-1]] = value
+        with pytest.raises(OutOfRangeError, match="non-finite"):
+            optimal_direction(bad)
+
     def test_stack_matches_per_matrix_reference(self, spin2):
-        from resetqfi.metrology import top_axes
-
-        def reference(c):
-            # the per-matrix tie-break: largest |nx|, then |ny|, then the first
-            eigenvalues, eigenvectors = np.linalg.eigh(c)
-            tie = 1e-10 * max(1.0, abs(eigenvalues[-1]))
-            candidates = [eigenvectors[:, k] for k in range(3)
-                          if eigenvalues[k] >= eigenvalues[-1] - tie]
-            best = max(candidates, key=lambda u: (abs(u[0]), abs(u[1])))
-            lead = best[np.abs(best) > 1e-12][0]
-            return max(0.0, float(eigenvalues[-1])), -best if lead < 0.0 else best
-
         rng = np.random.default_rng(35)
         stack = [np.zeros((3, 3)), np.eye(3), np.diag([2.0, 2.0, 1.0]), np.diag([1.0, 2.0, 2.0]),
                  np.diag([1.0, 5.0, 2.0]), np.diag([3.0, 3.0, 3.0 + 1e-11])]
@@ -267,7 +281,96 @@ class TestOptimalDirection:
         for c, lam, axis in zip(stack, lambda_max, axes):
             ref_lam, ref_axis = reference(c)
             assert lam == ref_lam
-            assert [float.hex(x) for x in axis] == [float.hex(x) for x in ref_axis]
+            assert hexes(axis) == hexes(ref_axis)
+
+
+def block(c_xx, c_yy, c_yz):
+    return np.array([[c_xx, 0.0, 0.0], [0.0, c_yy, c_yz], [0.0, c_yz, c_yy]])
+
+
+INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# C_xx = 1.5 - 0.75e-10 and 1.5 - 3e-10 lie half a tie and two ties below
+# top = hi = 1.5
+TIE = 1e-10 * 1.5
+
+
+class TestTopAxesBlockDiagonal:
+    """A stack of block-diagonal moment matrices takes the top axis in
+    closed form, with the bits of the eigh path."""
+
+    @pytest.mark.parametrize("c", [
+        np.zeros((3, 3)), np.diag([0.0, 2.0, 2.0]), np.diag([1.0, 2.0, 2.0]),
+        np.diag([2.0, 2.0, 2.0]),
+        block(1.5, 1.0, 0.5), block(1.5 - 0.5 * TIE, 1.0, 0.5), block(1.5 - 2.0 * TIE, 1.0, 0.5),
+        block(0.1, 1.0, 0.5), block(0.1, 1.0, -0.5), block(1.5, 1.0, -0.5),
+        block(1.5 - 2.0 * TIE, 1.0, -0.5), block(0.1, 1e-7, -3e-16), block(0.1, 1e-7, 3e-16),
+    ], ids=["zero", "yz_plane", "yz_over_x", "all_tie", "x_equals_hi", "x_half_a_tie_below",
+            "x_two_ties_below", "hi", "hi_negative_c_yz", "x_equals_hi_negative_c_yz",
+            "x_two_ties_below_negative_c_yz", "lo_ties_negative_c_yz", "lo_ties"])
+    def test_matches_reference_bit_for_bit(self, c, eigh_calls):
+        lambda_max, axes = top_axes(np.array([c, c]))
+        assert eigh_calls == []
+        ref_lam, ref_axis = reference(c)
+        for lam, axis in zip(lambda_max, axes):
+            assert lam.hex() == ref_lam.hex()
+            assert hexes(axis) == hexes(ref_axis)
+
+    @pytest.mark.parametrize("c_yz", [1e-11, -1e-11, 3e-17, -3e-17, 1e-300])
+    def test_yz_axes_tie_below_half_a_tie(self, c_yz, eigh_calls):
+        # both yz axes are candidates, and the rule takes lo, the first in
+        # ascending order; eigh agrees until C_yz falls below about 1e-16
+        # C_yy, where it drops C_yz and returns e_y, so the rule is the
+        # reference here
+        lambda_max, axes = top_axes(block(0.5, 1.0, c_yz)[None])
+        assert eigh_calls == []
+        assert lambda_max[0] == 1.0 + abs(c_yz)
+        lo_axis = (-0.0, INV_SQRT2, -INV_SQRT2) if c_yz > 0.0 else (0.0, INV_SQRT2, INV_SQRT2)
+        assert hexes(axes[0]) == hexes(lo_axis)
+
+    def test_lo_ties_at_exactly_one_tie_below_top(self):
+        # lo = 0.5 - C_yz against top - tie = 0.5 + C_yz - 1e-10
+        assert 0.5 - 5e-11 == (0.5 + 5e-11) - 1e-10
+        _, axes = top_axes(np.array([block(0.1, 0.5, 5e-11), block(0.1, 0.5, 5.001e-11)]))
+        assert hexes(axes[0]) == hexes((-0.0, INV_SQRT2, -INV_SQRT2))
+        assert hexes(axes[1]) == hexes((0.0, INV_SQRT2, INV_SQRT2))
+
+    def test_closed_form_figures_match_the_eigh_path(self, eigh_calls):
+        rng = np.random.default_rng(14)
+        r, gamma, g = 10.0 ** rng.uniform(-4.0, 4.0, size=(3, 200_000))
+        c, _ = closed_form_figures(r, gamma, g)
+        lambda_max, axes = top_axes(c)
+        assert eigh_calls == []
+        # one matrix off the block structure sends the whole stack to eigh
+        mixed = np.concatenate((c, np.eye(3)[None] + 1e-3))
+        eigh_lambda, eigh_axes = top_axes(mixed)
+        assert eigh_calls == [mixed.shape]
+        assert (lambda_max.view(np.int64) == eigh_lambda[:-1].view(np.int64)).all()
+        assert (axes.view(np.int64) == eigh_axes[:-1].view(np.int64)).all()
+        # x, hi and lo all occur; (0, 1, 0) needs C_yz = 0, so g = 0
+        assert {tuple(axis) for axis in axes[:, 1:].tolist()} == {
+            (0.0, 0.0), (INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2)}
+
+    @pytest.mark.parametrize("off", [
+        ((1, 0), 1e-17), ((2, 0), -1e-300), ((2, 2), 1.0 + 2.0**-52), ((0, 0), np.nan),
+    ], ids=["c_yx", "c_zx", "c_zz", "nan_c_xx"])
+    def test_a_mixed_stack_goes_to_eigh(self, off, eigh_calls):
+        stack = np.array([block(0.1, 1.0, 0.5), block(0.1, 1.0, 0.5)])
+        stack[1][off[0]] = off[1]
+        lambda_max, axes = top_axes(stack)
+        assert eigh_calls == [stack.shape]
+        for c, lam, axis in zip(stack, lambda_max, axes):
+            ref_lam, ref_axis = reference(c)
+            assert lam.hex() == ref_lam.hex()
+            assert hexes(axis) == hexes(ref_axis)
+
+    def test_reads_the_lower_triangle(self, eigh_calls):
+        c = block(0.1, 1.0, 0.5)
+        c[0, 1] = c[0, 2] = 7.0
+        c[1, 2] = -3.0
+        lambda_max, axes = top_axes(c[None])
+        assert eigh_calls == []
+        assert lambda_max[0] == 1.5
+        assert hexes(axes[0]) == hexes((0.0, INV_SQRT2, INV_SQRT2))
 
 
 class TestMeanQfiMax:

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,22 @@ class TestStackedSweep:
         assert abs(strong.opt_nx) <= 1e-9
         assert abs(strong.opt_ny - inv_sqrt2) <= 1e-9
         assert abs(strong.opt_nz - inv_sqrt2) <= 1e-9
+
+
+class TestTopAxesPath:
+    """Closed-form C is block-diagonal, so its top axis takes no eigensolve;
+    C of a route state is not exactly, so it keeps eigh."""
+
+    def test_closed_form_sweep_and_point_run_no_eigh(self, eigh_calls):
+        run_sweep(SweepSpec(vary="r", start=0.0, stop=20.0, steps=SWEEP_CHUNK + 3,
+                            fixed_gamma=0.5, g_ratio=5.0))
+        run_sweep(SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=5, fixed_r=1.0, g=0.0))
+        evaluate_point(ModelParams(r=14.0, gamma=0.5, g=2.5))
+        assert eigh_calls == []
+
+    def test_nullspace_point_keeps_eigh(self, eigh_calls):
+        evaluate_point(ModelParams(r=14.0, gamma=0.5, g=2.5), "nullspace")
+        assert (1, 3, 3) in eigh_calls
 
 
 class TestGoldenOutput:
@@ -607,6 +624,19 @@ class TestCriticalBisection:
         assert point.bracket_width == 0.5 * math.ulp(point.value) == 2.0**-13
         assert point.value == pytest.approx(100.0 * find_critical_point(small).value, rel=1e-12)
         assert f"{point.value:.9g}" == "1.86062584e+12"
+
+    def test_bracket_near_the_largest_float(self, closed_form_passes):
+        # lo + hi overflows here; the midpoints add halves instead
+        spec = SweepSpec(vary="r", start=5e307, stop=1.7e308, steps=2, fixed_gamma=6e307,
+                         g_ratio=2.0)
+        scaled = SweepSpec(vary="r", start=5.0, stop=17.0, steps=2, fixed_gamma=6.0,
+                           g_ratio=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = find_critical_point(spec)
+        assert spec.start < point.value < spec.stop
+        assert point.bracket_width <= math.ulp(point.value)
+        assert point.value == pytest.approx(1e307 * find_critical_point(scaled).value, rel=1e-4)
 
     @pytest.mark.parametrize("method", ["closed_form", "nullspace"])
     def test_computes_no_entanglement(self, monkeypatch, method):
