@@ -7,7 +7,7 @@ Exit codes: 0 success, 2 bad flags or validation, 3 solver failure
 import argparse
 import sys
 
-from .dynamics import ModelParams
+from .dynamics import STEADY_STATE_METHODS, ModelParams
 from .errors import SOLVER_ERRORS
 from .sweep import SweepSpec, emit, evaluate_point, find_critical_point, run_sweep
 
@@ -18,7 +18,7 @@ EXIT_IO = 4
 
 
 def _add_method(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=("closed-form", "nullspace", "integrate"),
+    parser.add_argument("--method", choices=[m.replace("_", "-") for m in STEADY_STATE_METHODS],
                         default="closed-form", help="steady-state route")
 
 

@@ -50,8 +50,6 @@ RESET_CACHE_SIZE = 8
 
 STEADY_STATE_METHODS = ("closed_form", "nullspace", "integrate")
 
-# kernel-uniqueness threshold on the second-smallest eigenvalue of L^dag L
-KERNEL_GAP_TOL = 1e-10
 RK4_STEP_CAP = 10_000_000
 RK4_BLOCK = 1_000  # re-hermitization and convergence-check cadence, in steps
 RK4_RESIDUAL_TOL = 1e-12
@@ -227,11 +225,6 @@ def _scaled(r, gamma, g) -> tuple:
     return r / scale, gamma / scale, g / scale
 
 
-def _select(condition, x, y):
-    """np.where, with a numpy scalar, not a 0-d array, for scalar operands."""
-    return np.where(condition, x, y)[()]
-
-
 def require_plus_reset(p: ModelParams) -> None:
     """Raise UnsupportedResetStateError unless p resets to |+>, the one
     reset state the closed form is derived for."""
@@ -240,12 +233,9 @@ def require_plus_reset(p: ModelParams) -> None:
 
 
 def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
-    """Moment matrices C, shape (..., 3, 3), and the negativity, shape (...),
-    of each closed-form steady state at valid rates that broadcast to one
-    shape (...): arrays of shape (N,) for a stack of points, or scalars for one.
-    Scalar rates, Python floats or numpy scalars, give a (3, 3) C and a
-    numpy-scalar negativity, and every intermediate stays a numpy scalar,
-    so one point costs scalar arithmetic, not 0-d array dispatch.
+    """Moment matrices C, shape (N, 3, 3), and the negativities, shape (N,),
+    of the closed-form steady states at valid rates that broadcast to shape
+    (N,): arrays of N points, with a fixed rate given as one number.
 
     Equal, up to rounding, to ``c_matrix`` and ``negativity`` of
     ``closed_form_steady_state``, without building or eigensolving the states.
@@ -285,14 +275,13 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
         c_xx = 32.0 * g2 * r * r * rg / (k * (4.0 * g2 * rg + r2g * (rg * rg + r * r)))
         c_yy = 2.0 * ratio * ratio * q / (k * p)
         c_yz = 4.0 * g * r * ratio * ratio * w / (k * p)
-        negativity = _select(excess > 0.0, excess, 0.0) / (4.0 * rg * k)
+        negativity = np.where(excess > 0.0, excess, 0.0) / (4.0 * rg * k)
         anti = r * ratio * (r + 0.5 * gamma) / (2.0 * k)
         edge = r * np.hypot(r + 0.5 * gamma, g) / (2.0 * k)
     pure = p == 0.0
-    c_yy = _select(pure, 2.0, c_yy)
-    c_yz = _select(pure, 0.0, c_yz)
-    # one select over the six figures, shape (6, ...), which unpacks into
-    # numpy scalars for scalar rates and into rows for stacks
+    c_yy = np.where(pure, 2.0, c_yy)
+    c_yz = np.where(pure, 0.0, c_yz)
+    # one select over the six figures, shape (6, N), which unpacks into rows
     c_xx, c_yy, c_yz, negativity, anti, edge = np.where(
         r == 0.0, 0.0, (c_xx, c_yy, c_yz, negativity, anti, edge))
     _check_psd(np.minimum(0.25 - anti, 0.25 + anti - 2.0 * edge))
@@ -331,16 +320,18 @@ def closed_form_steady_state(p: ModelParams) -> DensityMatrix:
 
 
 def _nullspace_steady_state(p: ModelParams) -> np.ndarray:
-    sup = liouvillian_superoperator(p)
-    gram = sup.conj().T @ sup
-    gram = 0.5 * (gram + gram.conj().T)
-    eig = hermitian_eig(gram)
-    if eig.eigenvalues[1] < KERNEL_GAP_TOL:
+    # tr L(rho) = 0, so the rows of the four diagonal entries sum to zero
+    # and row 0 is redundant: the trace functional takes its place, and
+    # L rho = 0, tr rho = 1 becomes one square solve (bordered as in
+    # QuTiP's steadystate, Johansson, Nation and Nori, arXiv:1110.0573)
+    bordered = liouvillian_superoperator(p)
+    bordered[0] = vectorize(_EYE4)
+    try:
+        rho = unvectorize(np.linalg.solve(bordered, _EYE16[0]))
+    except np.linalg.LinAlgError as err:
         raise DegenerateSteadyStateError(
-            "Liouvillian kernel is not one-dimensional (second eigenvalue of "
-            f"L^dag L is {eig.eigenvalues[1]:.3e}); the steady state is not unique")
-    rho = unvectorize(eig.eigenvectors[:, 0])
-    rho = rho / np.trace(rho)  # |trace| >= Frobenius norm for a state, so >= 1 here
+            "Liouvillian kernel is not one-dimensional (L with its first row replaced "
+            "by the trace is singular); the steady state is not unique") from err
     return 0.5 * (rho + rho.conj().T)
 
 
@@ -375,9 +366,10 @@ def steady_state(p: ModelParams, method: str = "closed_form") -> DensityMatrix:
     closed_form
         Closed-form matrix elements (|+> reset state only).
     nullspace
-        Kernel of the superoperator via the smallest eigenpair of
-        L^dag L; raises DegenerateSteadyStateError when the kernel is
-        not one-dimensional (e.g. r = 0).
+        Kernel of the superoperator from one linear solve, with the
+        first row of L replaced by the trace; trusted for every r > 0.
+        At r = 0 the kernel is not one-dimensional and the solve raises
+        DegenerateSteadyStateError.
     integrate
         Fixed-step RK4 from I/4 until ||drho/dt||_max < 1e-12.
     """

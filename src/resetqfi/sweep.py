@@ -104,9 +104,6 @@ class CriticalPoint:
     value: float
     bracket_width: float
 
-    def to_dict(self) -> dict:
-        return {"vary": self.vary, "value": self.value, "bracket_width": self.bracket_width}
-
 
 @dataclass(frozen=True)
 class SweepSpec:

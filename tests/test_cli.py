@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 
 import resetqfi
 from resetqfi import CSV_HEADER, parse_csv
-from resetqfi.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
+from resetqfi.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main
+from resetqfi.dynamics import STEADY_STATE_METHODS
 
 EVAL_A = ["eval", "--r", "14", "--gamma", "0.5", "--g", "2.5"]
 SWEEP_SMALL = ["sweep", "--vary", "r", "--from", "0", "--to", "20", "--steps", "21",
@@ -162,6 +164,15 @@ def test_help_names_the_interval_flags(capsys, command, usage):
         main([command, "--help"])
     assert info.value.code == EXIT_OK
     assert usage in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_method_choices_are_the_steady_state_routes(command):
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    method = next(action for action in subparsers.choices[command]._actions
+                  if action.dest == "method")
+    assert tuple(choice.replace("-", "_") for choice in method.choices) == STEADY_STATE_METHODS
 
 
 def test_module_entry_point(tmp_path):

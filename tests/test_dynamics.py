@@ -23,6 +23,10 @@ from resetqfi import (
 )
 
 PLUS_PLUS = np.full((4, 4), 0.25, dtype=complex)
+# reset states other than |+>: |0>, |1> and (|0> + i|1>)/sqrt(2)
+OTHER_RESETS = ([1.0, 0.0], [0.0, 1.0], np.array([1.0, 1.0j]) / np.sqrt(2.0))
+DEGENERATE_KERNEL = ("^Liouvillian kernel is not one-dimensional \\(L with its first row "
+                     "replaced by the trace is singular\\); the steady state is not unique$")
 
 
 def random_hermitian(rng, dim=4):
@@ -39,6 +43,11 @@ class TestModelParams:
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):
             ModelParams(r=-0.1, gamma=0.5, g=2.5)
+
+    @pytest.mark.parametrize("chi", [[1.0], [1.0, 0.0, 0.0], np.eye(2)])
+    def test_rejects_reset_state_of_wrong_shape(self, chi):
+        with pytest.raises(BadDimensionError, match="^reset_state must be a single-qubit"):
+            ModelParams(r=1.0, gamma=0.5, g=2.5, reset_state=chi)
 
     def test_rejects_unnormalized_reset(self):
         with pytest.raises(NotNormalizedError):
@@ -344,6 +353,44 @@ class TestSteadyState:
     def test_nullspace_degenerate_without_reset(self):
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(ModelParams(r=0.0, gamma=0.5, g=2.5), "nullspace")
+
+    @pytest.mark.parametrize("r", [1e-2, 1e-5, 1e-6, 1e-8, 1e-300])
+    def test_nullspace_accurate_at_small_reset_rates(self, r):
+        # the bordered L has a condition number growing as 1 / r, and the
+        # solve stays at rounding level down to the smallest rates
+        p = ModelParams(r=r, gamma=0.5, g=2.5)
+        diff = steady_state(p, "nullspace").mat - closed_form_steady_state(p).mat
+        assert np.abs(diff).max() <= 1e-14
+
+    @pytest.mark.parametrize("r, gamma, g, chi", [
+        *((0.0, 0.5, 2.5, chi) for chi in OTHER_RESETS),
+        (0.0, 0.0, 0.0, None),
+    ])
+    def test_nullspace_raises_without_reset(self, r, gamma, g, chi):
+        p = ModelParams(r=r, gamma=gamma, g=g, **({} if chi is None else {"reset_state": chi}))
+        with pytest.raises(DegenerateSteadyStateError, match=DEGENERATE_KERNEL):
+            steady_state(p, "nullspace")
+
+    @pytest.mark.parametrize("chi", OTHER_RESETS + ([np.cos(0.3), np.exp(0.4j) * np.sin(0.3)],))
+    @pytest.mark.parametrize("r, gamma, g", [(1.0, 0.5, 2.5), (0.1, 0.5, 2.5),
+                                             (0.01, 0.005, 0.02)])
+    def test_nullspace_agrees_with_integrate_for_other_resets(self, r, gamma, g, chi):
+        p = ModelParams(r=r, gamma=gamma, g=g, reset_state=chi)
+        diff = steady_state(p, "nullspace").mat - steady_state(p, "integrate").mat
+        assert np.abs(diff).max() <= 1e-9
+
+    @pytest.mark.parametrize("r", [1.0, 1e-6, 1e-300])
+    @pytest.mark.parametrize("chi, index", [([1.0, 0.0], 0), ([0.0, 1.0], 3)])
+    def test_nullspace_basis_reset_pins_both_qubits_at_every_rate(self, r, chi, index):
+        # with |0> (|1>) resets |00><00| (|11><11|) is the exact steady state
+        p = ModelParams(r=r, gamma=0.5, g=2.5, reset_state=chi)
+        want = np.zeros((4, 4), dtype=complex)
+        want[index, index] = 1.0
+        assert np.abs(steady_state(p, "nullspace").mat - want).max() <= 1e-14
+
+    def test_nullspace_eigensolves_only_the_state(self, eigh_calls):
+        steady_state(ModelParams(r=14.0, gamma=0.5, g=2.5), "nullspace")
+        assert eigh_calls == [(4, 4)]
 
     def test_integrate_degenerate_without_reset(self):
         with pytest.raises(DegenerateSteadyStateError):

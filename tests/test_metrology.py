@@ -5,6 +5,8 @@ from resetqfi import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
+    BadDimensionError,
+    CollectiveSpin,
     DensityMatrix,
     DimensionMismatchError,
     Direction,
@@ -174,6 +176,11 @@ class TestQfiPure:
         with pytest.raises(NotNormalizedError):
             qfi_pure(np.ones(4), Z_AXIS, spin2)
 
+    def test_dimension_mismatch(self, spin2):
+        with pytest.raises(DimensionMismatchError,
+                           match="^state dimension 2 does not match spin dimension 4$"):
+            qfi_pure(np.array([1.0, 0.0]), Z_AXIS, spin2)
+
     def test_agrees_with_mixed_state_formula(self, spin2):
         rng = np.random.default_rng(31)
         for _ in range(50):
@@ -210,6 +217,11 @@ class TestCMatrix:
             assert abs(c[0, 1]) <= 1e-9
             assert abs(c[0, 2]) <= 1e-9
             assert abs(c[1, 1] - c[2, 2]) <= 1e-9
+
+    def test_non_hermitian_generator_leaves_imaginary_residue(self, spin2):
+        skewed = CollectiveSpin(spin2.jx, spin2.jy + 1j * spin2.jx, spin2.jz, n_particles=2)
+        with pytest.raises(OutOfRangeError, match="^moment matrix has imaginary residue"):
+            c_matrix(closed_form_steady_state(POINT_A), skewed)
 
     def test_convex_mixing_never_gains_qfi(self, spin2):
         rng = np.random.default_rng(33)
@@ -253,6 +265,11 @@ class TestOptimalDirection:
         assert abs(d.nx) <= 1e-6
         assert abs(d.ny - inv_sqrt2) <= 1e-6
         assert abs(d.nz - inv_sqrt2) <= 1e-6
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3, 3), (9,)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(BadDimensionError, match=r"^moment matrix must be 3x3, got shape"):
+            optimal_direction(np.zeros(shape))
 
     def test_rejects_asymmetric(self):
         bad = np.diag([1.0, 2.0, 3.0])

@@ -4,6 +4,7 @@ import pytest
 from resetqfi import (
     BadDimensionError,
     DensityMatrix,
+    NoConvergenceError,
     NotHermitianError,
     hermitian_eig,
     hermiticity_defect,
@@ -18,6 +19,10 @@ from resetqfi import (
 
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
+
+
+def failing_solver(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
 
 
 def random_hermitian(rng, dim):
@@ -47,6 +52,12 @@ class TestHermitianEig:
     def test_rejects_non_square(self):
         with pytest.raises(BadDimensionError):
             hermitian_eig(np.zeros((2, 3)))
+
+    def test_solver_failure_is_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", failing_solver)
+        with pytest.raises(NoConvergenceError,
+                           match="^Hermitian eigensolver failed: did not converge$"):
+            hermitian_eig(BELL)
 
     def test_reconstruction_and_residual(self):
         rng = np.random.default_rng(7)
@@ -183,6 +194,11 @@ class TestPartialTranspose:
         with pytest.raises(BadDimensionError):
             partial_transpose(np.eye(2), 1)
 
+    @pytest.mark.parametrize("qubit", [0, 3])
+    def test_rejects_bad_qubit(self, qubit):
+        with pytest.raises(ValueError, match=f"^qubit must be 1 or 2, got {qubit}$"):
+            partial_transpose(BELL, qubit)
+
 
 class TestTraceNorm:
     def test_density_matrix_is_one(self):
@@ -197,6 +213,12 @@ class TestTraceNorm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_solver_failure_is_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_solver)
+        with pytest.raises(NoConvergenceError,
+                           match="^Hermitian eigensolver failed: did not converge$"):
+            trace_norm(BELL)
 
 
 @pytest.mark.parametrize("call", [

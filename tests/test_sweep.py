@@ -35,8 +35,8 @@ from resetqfi.sweep import CRITICAL_BRACKET_WIDTH, SWEEP_CHUNK
 
 DATA = Path(__file__).parent / "data"
 
-DEGENERATE_KERNEL = ("Liouvillian kernel is not one-dimensional (second eigenvalue of "
-                     "L^dag L is 0.000e+00); the steady state is not unique")
+DEGENERATE_KERNEL = ("Liouvillian kernel is not one-dimensional (L with its first row replaced "
+                     "by the trace is singular); the steady state is not unique")
 
 RESET_SWEEP = SweepSpec(vary="r", start=0.0, stop=20.0, steps=201,
                       fixed_gamma=0.5, g_ratio=5.0)
@@ -140,6 +140,10 @@ class TestSweepSpec:
         for row in rows:
             for name in CSV_FIELDS:
                 float.hex(getattr(row, name))  # TypeError for an int
+
+    def test_rejects_negative_start(self):
+        with pytest.raises(ValueError, match=r"^rates are non-negative, got start -1.0$"):
+            SweepSpec(vary="r", start=-1.0, stop=1.0, steps=5, fixed_gamma=0.5, g=1.0)
 
     def test_accepts_zero_rates(self):
         spec = SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=2, fixed_r=0.0, g_ratio=0.0)
@@ -396,6 +400,11 @@ class TestSweepTable:
     def test_rejects_other_shapes(self, shape):
         with pytest.raises(ValueError, match="expected an \\(N, 12\\) array"):
             SweepTable(np.zeros(shape))
+
+    def test_row_dict_is_the_row_in_csv_order(self, chunk_sweep_table):
+        got = chunk_sweep_table[1].to_dict()
+        assert tuple(got) == CSV_FIELDS
+        assert list(got.values()) == chunk_sweep_table.array[1].tolist()
 
     def test_rows_equal_evaluate_point_bit_for_bit(self, chunk_sweep_table):
         grid = CHUNK_SWEEP.grid()
