@@ -96,9 +96,10 @@ class ModelParams:
 class DensityMatrix:
     """Validated quantum state with its eigendecomposition.
 
-    The state is eigendecomposed once, then checked in the order square
-    and Hermitian within 1e-10 (by ``hermitian_eig``), unit trace within
-    1e-10, smallest eigenvalue above -1e-10; the first failure raises.
+    The state is eigendecomposed once, then checked in the order square,
+    finite and Hermitian within 1e-10 (by ``hermitian_eig``), unit trace
+    within 1e-10, smallest eigenvalue above -1e-10; the first failure
+    raises.
     The stored matrix is read-only.
     """
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensionError, NoConvergenceError, NotHermitianError
+from .errors import BadDimensionError, NoConvergenceError, NotHermitianError, OutOfRangeError
 
 HERMITIAN_TOL = 1e-10
 # components smaller than this are ignored when fixing eigenvector phases
@@ -28,6 +28,15 @@ def _as_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimensionError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _finite_square(m) -> np.ndarray:
+    """``_as_square``, rejecting NaN and infinite entries, which would slip
+    past the tolerance tests (or, for inf, warn in ``m - m.conj().T``)."""
+    m = _as_square(m)
+    if not np.isfinite(m).all():
+        raise OutOfRangeError(f"matrix has non-finite entries: {m.tolist()}")
     return m
 
 
@@ -68,12 +77,14 @@ def hermitian_eig(m) -> HermitianEig:
 
     Raises
     ------
+    OutOfRangeError
+        If an entry is NaN or infinite.
     NotHermitianError
         If the symmetry tolerance is violated.
     NoConvergenceError
         If the underlying eigensolver fails to converge.
     """
-    m = _as_square(m)
+    m = _finite_square(m)
     defect = hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
         raise NotHermitianError(
@@ -124,8 +135,8 @@ def partial_transpose(m, qubit: int) -> np.ndarray:
 
 
 def trace_norm(m) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    m = _as_square(m)
+    """Sum of absolute eigenvalues of a finite Hermitian matrix."""
+    m = _finite_square(m)
     defect = hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
         raise NotHermitianError(f"trace_norm needs a Hermitian input; defect {defect:.3e}")

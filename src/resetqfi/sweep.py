@@ -8,6 +8,7 @@ where the optimal axis flips.  Rows serialize deterministically to CSV
 or JSON with 9 significant digits.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -65,9 +66,9 @@ class SweepTable(Sequence):
     """Rows of a sweep as one read-only float array of shape (N, 12),
     columns in CSV_FIELDS order.
 
-    A sequence of ``SweepRow``: a row is built only when it is read, a
-    slice is a table and two tables concatenate with ``+``.  ``array`` is
-    read through a read-only view, not copied.
+    A sequence of ``SweepRow``: a row is built only when it is read and a
+    slice is a table.  ``array`` is read through a read-only view, not
+    copied.
     """
 
     __slots__ = ("array",)
@@ -89,11 +90,6 @@ class SweepTable(Sequence):
 
     def __iter__(self):
         return (SweepRow(*values.tolist()) for values in self.array)
-
-    def __add__(self, other):
-        if not isinstance(other, SweepTable):
-            return NotImplemented
-        return SweepTable(np.concatenate((self.array, other.array)))
 
 
 @dataclass(frozen=True)
@@ -269,19 +265,17 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     return SweepTable(table)
 
 
-def _midpoint_tree(lo: float, hi: float, depth: int) -> list[np.ndarray]:
-    """The midpoints the next ``depth`` halvings of [lo, hi] can visit, one
-    array per level.  Concatenated they are in heap order: the halves of
-    the interval that entry i halves are halved by entries 2i + 1 and
-    2i + 2.  Each is computed as the bisection computes it, and the levels
-    stop where the bisection stops, once no interval is wider than
-    CRITICAL_BRACKET_WIDTH."""
+def _dyadic_points(lo: float, hi: float, depth: int) -> np.ndarray:
+    """lo, every midpoint the next ``depth`` halvings of [lo, hi] can visit,
+    and hi, in ascending order: the interval between entries i and j of an
+    even distance is halved by entry (i + j) // 2.  Each midpoint is
+    computed as the bisection computes it, and the halvings stop where the
+    bisection stops, once no interval is wider than CRITICAL_BRACKET_WIDTH."""
     # the intervals of a level run between the entries ``step`` apart in
     # ``edges``; their midpoints go halfway between
     step = 1 << depth
     edges = np.empty(step + 1)
     edges[0], edges[-1] = lo, hi
-    levels = []
     while step > 1:
         left, right = edges[:-step:step], edges[step::step]
         if (right - left).max() <= CRITICAL_BRACKET_WIDTH:
@@ -289,10 +283,8 @@ def _midpoint_tree(lo: float, hi: float, depth: int) -> list[np.ndarray]:
         step //= 2
         # halves are added, not the ends, so brackets near the largest float
         # do not overflow; the bits are those of 0.5 * (left + right) elsewhere
-        mids = edges[step::2 * step]
-        np.add(0.5 * left, 0.5 * right, out=mids)
-        levels.append(mids)
-    return levels
+        np.add(0.5 * left, 0.5 * right, out=edges[step::2 * step])
+    return edges[::step]
 
 
 def find_critical_point(spec: SweepSpec) -> CriticalPoint:
@@ -301,39 +293,43 @@ def find_critical_point(spec: SweepSpec) -> CriticalPoint:
     The sweep interval [start, stop] must bracket a sign change; the
     bisection stops once the bracket is narrower than 1e-4, or once its
     ends are adjacent floats.  The gap is evaluated through ``_solve`` in
-    stacked passes: the end points with the midpoint tree of the first
-    halvings, then the tree of each bracket the walk reaches.  The serial
-    rules walk the gaps that come back, so the search ends on the bracket
-    a point-by-point bisection ends on, bit for bit.  The closed form's
-    trees are as deep as a pass of SWEEP_CHUNK points allows (8 levels at
-    512); a route point is a full solve, so a route evaluates only the
-    points a point-by-point bisection evaluates, in its order.  The gap
+    stacked passes, each an ascending array of ``_dyadic_points``: the end
+    points with every midpoint of the first halvings, then the midpoints
+    inside each bracket the walk reaches once the pass is used up.  The
+    serial rules walk the gaps that come back by a pair of indices into
+    the array, so the search ends on the bracket a point-by-point
+    bisection ends on, bit for bit.  A closed-form pass covers as many
+    halvings as SWEEP_CHUNK points allow (8 at 512); a route point is a
+    full solve, so a route evaluates the end points, then one midpoint per
+    pass, the points of a point-by-point bisection in its order.  The gap
     comes from C alone, so no entanglement measure is computed.
     """
     if spec.method == "closed_form":
-        depth = first_depth = (SWEEP_CHUNK - 1).bit_length() - 1
+        depth = (SWEEP_CHUNK - 1).bit_length() - 1
+        points = _dyadic_points(spec.start, spec.stop, depth)
     else:
-        depth, first_depth = 1, 0
-    lo, hi = spec.start, spec.stop
-    values = np.concatenate(([lo, hi], *_midpoint_tree(lo, hi, first_depth)))
-    gaps = _gap(_solve(spec, values)[1]).tolist()
-    gap_lo, gap_hi = gaps[:2]
-    if gap_lo * gap_hi > 0.0:
+        depth, points = 1, _dyadic_points(spec.start, spec.stop, 0)
+    gaps = _gap(_solve(spec, points)[1]).tolist()
+    points = points.tolist()
+    if gaps[0] * gaps[-1] > 0.0:
         raise NoSignChangeError(
-            f"lambda_x - lambda_yz_hi keeps its sign on {spec.vary} in [{lo}, {hi}] "
-            f"({gap_lo:.3e} and {gap_hi:.3e})")
-    mids, gaps, node = values[2:].tolist(), gaps[2:], 0
-    while hi - lo > CRITICAL_BRACKET_WIDTH:
-        if node >= len(mids):
-            values = np.concatenate(_midpoint_tree(lo, hi, depth))
-            mids, gaps, node = values.tolist(), _gap(_solve(spec, values)[1]).tolist(), 0
-        mid, gap_mid = mids[node], gaps[node]
-        if not lo < mid < hi:  # lo and hi are adjacent floats
+            f"lambda_x - lambda_yz_hi keeps its sign on {spec.vary} in "
+            f"[{spec.start}, {spec.stop}] ({gaps[0]:.3e} and {gaps[-1]:.3e})")
+    i_lo, i_hi = 0, len(points) - 1
+    while points[i_hi] - points[i_lo] > CRITICAL_BRACKET_WIDTH:
+        if i_hi - i_lo == 1:  # the pass is used up; the ends and their gaps carry over
+            lo, hi = points[i_lo], points[i_hi]
+            mids = _dyadic_points(lo, hi, depth)[1:-1]
+            gaps = [gaps[i_lo], *_gap(_solve(spec, mids)[1]).tolist(), gaps[i_hi]]
+            points, i_lo, i_hi = [lo, *mids.tolist(), hi], 0, len(mids) + 1
+        i_mid = (i_lo + i_hi) // 2
+        if not points[i_lo] < points[i_mid] < points[i_hi]:  # the ends are adjacent floats
             break
-        if gap_lo * gap_mid <= 0.0:
-            hi, node = mid, 2 * node + 1
+        if gaps[i_lo] * gaps[i_mid] <= 0.0:
+            i_hi = i_mid
         else:
-            lo, gap_lo, node = mid, gap_mid, 2 * node + 2
+            i_lo = i_mid
+    lo, hi = points[i_lo], points[i_hi]
     return CriticalPoint(vary=spec.vary, value=0.5 * lo + 0.5 * hi, bracket_width=0.5 * (hi - lo))
 
 
@@ -389,11 +385,6 @@ def _text(payload, fmt: str):
     return _ROW_PIECES[fmt](_row_array(payload))
 
 
-def _to_csv(payload) -> str:
-    """The whole CSV text of rows or a critical point."""
-    return "".join(_text(payload, "csv"))
-
-
 def emit(payload, fmt: str = "csv", path: str | None = None) -> None:
     """Serialize rows or a critical point to CSV or JSON.
 
@@ -405,13 +396,10 @@ def emit(payload, fmt: str = "csv", path: str | None = None) -> None:
     if fmt not in _ROW_PIECES:
         raise ValueError(f"unknown format {fmt!r}; choose csv or json")
     pieces = _text(payload, fmt)
-    if path is None:
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="ascii", newline="")) as handle:
         for piece in pieces:
-            sys.stdout.write(piece)
-    else:
-        with open(path, "w", encoding="ascii", newline="") as handle:
-            for piece in pieces:
-                handle.write(piece)
+            handle.write(piece)
 
 
 def parse_csv(text: str) -> list[SweepRow]:

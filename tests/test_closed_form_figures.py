@@ -19,6 +19,7 @@ from resetqfi import (
     UnsupportedResetStateError,
     c_matrix,
     closed_form_steady_state,
+    emit,
     entanglement,
     evaluate_point,
     run_sweep,
@@ -161,13 +162,14 @@ class TestAgainstMpmath:
 
 
 class TestEdgeCases:
-    def test_no_reset(self):
+    def test_no_reset(self, capsys):
         c, negativity = _figures(0.0, 0.5, 2.5)
         assert (c == 0.0).all() and negativity[0] == 0.0
         c, _ = _figures(0.0, 0.0, 2.5)
         assert (c == 0.0).all()
         row = evaluate_point(ModelParams(r=0.0, gamma=0.5, g=2.5))
-        assert sweep._to_csv([row]).split("\n")[1] == "0,0.5,2.5,0,0,0,0,0,0,1,0,0"
+        emit([row])
+        assert capsys.readouterr().out.split("\n")[1] == "0,0.5,2.5,0,0,0,0,0,0,1,0,0"
 
     def test_no_dephasing_no_coupling_is_plus_plus(self):
         c, negativity = _figures(3.0, 0.0, 0.0)
@@ -187,11 +189,11 @@ class TestEdgeCases:
         c, negativity = _figures(2.0, 0.5, 0.0)
         assert c[0, 1, 1] == c[0, 2, 2] > 0.0
         assert c[0, 0, 0] == c[0, 1, 2] == 0.0 and negativity[0] == 0.0
-        rows = run_sweep(SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=31,
-                                   fixed_r=1.0, g_ratio=0.0))
-        rows += run_sweep(SweepSpec(vary="r", start=0.1, stop=3.0, steps=30,
+        dephasing = run_sweep(SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=31,
+                                        fixed_r=1.0, g_ratio=0.0))
+        reset = run_sweep(SweepSpec(vary="r", start=0.1, stop=3.0, steps=30,
                                     fixed_gamma=0.5, g=0.0))
-        for row in rows:
+        for row in (*dephasing, *reset):
             assert (row.opt_nx, row.opt_ny, row.opt_nz) == (0.0, 1.0, 0.0), row
             assert row.lambda_yz_hi == row.lambda_yz_lo == 2.0 * row.mean_qfi
 

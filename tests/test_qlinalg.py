@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from resetqfi import (
     DensityMatrix,
     NoConvergenceError,
     NotHermitianError,
+    OutOfRangeError,
     hermitian_eig,
     hermiticity_defect,
     kron,
@@ -235,3 +238,30 @@ def test_rejects_stacks(call):
     stack = np.stack([BELL, np.eye(4, dtype=complex) / 4])
     with pytest.raises(BadDimensionError):
         call(stack)
+
+
+def _with_entries(entries):
+    m = np.eye(4, dtype=complex) / 4
+    for index, value in entries.items():
+        m[index] = value
+    return m
+
+
+@pytest.mark.parametrize("call", [hermitian_eig, DensityMatrix, trace_norm],
+                         ids=["hermitian_eig", "DensityMatrix", "trace_norm"])
+@pytest.mark.parametrize("m", [
+    np.diag([0.25, 0.25, 0.25, np.nan]),
+    np.full((4, 4), np.nan),
+    _with_entries({(0, 1): complex(0.0, np.nan), (1, 0): complex(0.0, np.nan)}),
+    np.diag([np.inf, 0.0, 0.0, 0.0]),
+    _with_entries({(0, 3): np.inf, (3, 0): np.inf}),
+    _with_entries({(2, 2): -np.inf}),
+], ids=["nan_eigenvalue", "all_nan", "nan_imaginary", "inf_diagonal", "inf_pair",
+        "minus_inf"])
+def test_rejects_non_finite_entries(call, m):
+    # NaN fails every tolerance test quietly, and inf - inf warns; both are
+    # rejected before the Hermiticity test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRangeError, match="^matrix has non-finite entries: "):
+            call(m)

@@ -371,19 +371,6 @@ class TestSweepTable:
         assert rows[0] == chunk_sweep_table[0] and rows[-1] == chunk_sweep_table[-1]
         assert chunk_sweep_table[7] in chunk_sweep_table
 
-    def test_tables_concatenate(self, chunk_sweep_table):
-        head, tail = chunk_sweep_table[:10], chunk_sweep_table[10:]
-        joined = head + tail
-        assert isinstance(joined, SweepTable)
-        assert list(joined) == list(chunk_sweep_table)
-        rows = head
-        rows += tail
-        assert isinstance(rows, SweepTable)
-        assert list(rows) == list(chunk_sweep_table)
-        assert len(head) == 10  # += built a new table
-        with pytest.raises(TypeError):
-            head + list(tail)
-
     def test_array_is_read_only(self, chunk_sweep_table):
         with pytest.raises(ValueError):
             chunk_sweep_table.array[0, 0] = 1.0
@@ -556,10 +543,10 @@ def seeded_brackets():
 
 
 class TestCriticalBisection:
-    """find_critical_point evaluates midpoint trees in stacked passes (the
-    closed form) or one midpoint per pass (the other routes), with the
-    result of a point-by-point bisection on evaluate_point rows, bit for
-    bit."""
+    """find_critical_point evaluates ascending arrays of the points the next
+    halvings can visit in stacked passes (the closed form) or one midpoint
+    per pass (the other routes), with the result of a point-by-point
+    bisection on evaluate_point rows, bit for bit."""
 
     def test_matches_serial_bisection_bit_for_bit(self, seeded_brackets):
         halvings = set()
@@ -607,8 +594,8 @@ class TestCriticalBisection:
                             (sweep, "negativity")):
             monkeypatch.setattr(owner, name, unreachable)
         assert _outcome(find_critical_point, spec) == want
-        # the end points with the 8-level tree of 255 midpoints, then the
-        # 7 levels that the last 7 halvings can visit
+        # the end points with the 255 midpoints the first 8 halvings can
+        # visit, then the 127 that the last 7 halvings can visit
         assert closed_form_passes == [257, 127]
 
     def test_superoperator_routes_evaluate_the_serial_points_only(self, route_calls):
@@ -620,6 +607,15 @@ class TestCriticalBisection:
         find_critical_point(spec)
         assert route_calls == want
         assert len(route_calls) == 2 + halvings == 15
+
+    def test_route_without_sign_change_solves_the_ends_only(self, route_calls):
+        spec = SweepSpec(vary="r", start=3.0, stop=8.0, steps=2, fixed_gamma=0.5,
+                         g_ratio=5.0, method="nullspace")
+        want = _reference_outcome(spec)
+        route_calls.clear()
+        assert _outcome(find_critical_point, spec) == want
+        assert want[0] == "NoSignChangeError"
+        assert route_calls == [(3.0, 0.5, 2.5), (8.0, 0.5, 2.5)]
 
     def test_bracket_of_adjacent_floats_ends(self, closed_form_passes):
         # the model is homogeneous in its rates, so the crossing scales with
