@@ -50,9 +50,19 @@ RESET_CACHE_SIZE = 8
 
 STEADY_STATE_METHODS = ("closed_form", "nullspace", "integrate")
 
-RK4_STEP_CAP = 10_000_000
-RK4_BLOCK = 1_000  # re-hermitization and convergence-check cadence, in steps
-RK4_RESIDUAL_TOL = 1e-12
+RK4_BLOCK = 1_000  # steps of the first round; each later round doubles them
+RK4_ROUND_CAP = 20  # 1000 (2^20 - 1), about 1.05e9, RK4 steps in all
+# The convergence test is ||L rho||_max < RK4_RESIDUAL_SCALE ||L||_1, with
+# ||L||_1 the largest column sum of |L|.  The step scales with the rates,
+# so the whole iteration does, and so does the residual's floor, which is
+# rounding: a state rounded to u = 2^-53 leaves about u ||L||_1, and the
+# rounding of the one-step polynomial and of the block products raises the
+# level a converged run settles at.  Run for 40 rounds on 1536 log-uniform
+# points of [1e-3, 1e2]^3, that level has a median of 9e-16 ||L||_1 and a
+# largest value of 4.1e-15 ||L||_1.  The scale sits about 70 times above
+# the largest; a smaller one buys accuracy with rounds (3e-14 needs up to
+# 19 of the 20 on 4027 points of that cube, 3e-13 up to 18).
+RK4_RESIDUAL_SCALE = 3e-13
 
 
 def _default_reset_state() -> np.ndarray:
@@ -341,24 +351,31 @@ def _integrate_steady_state(p: ModelParams) -> np.ndarray:
         raise DegenerateSteadyStateError(
             "integration needs r > 0; at r = 0 the steady state is not unique")
     sup = liouvillian_superoperator(p)
-    h = 0.01 / max(p.r, p.gamma, 4.0 * p.g, 1.0)  # step shrinks with the fastest rate
+    # the step shrinks with the fastest rate and grows as it falls, so that
+    # h L, and the rounding of the RK4 polynomial of it, do not depend on
+    # the scale of the rates
+    h = 0.01 / max(p.r, p.gamma, 4.0 * p.g)
     a = h * sup
     a2 = a @ a
     one_step = _EYE16 + a + a2 / 2.0 + (a @ a2) / 6.0 + (a2 @ a2) / 24.0
     # RK4 on a linear equation is exactly this degree-4 polynomial, so a
-    # block of RK4_BLOCK steps collapses into one matrix power; drift
+    # block of RK4_BLOCK steps collapses into one matrix power; squaring
+    # the block after each round doubles the steps of the next one.  Drift
     # control (re-hermitization, on the vectorized state) and the
-    # convergence check run at the block boundaries.
+    # convergence check run at the round boundaries.
     block = np.linalg.matrix_power(one_step, RK4_BLOCK)
+    tol = RK4_RESIDUAL_SCALE * np.abs(sup).sum(axis=0).max()
     state = vectorize(np.eye(4, dtype=complex) / 4.0)
-    for _ in range(RK4_STEP_CAP // RK4_BLOCK):
+    for _ in range(RK4_ROUND_CAP):
         state = block @ state
         state = 0.5 * (state + state.conj()[_VEC_TRANSPOSE])
-        if np.abs(sup @ state).max() < RK4_RESIDUAL_TOL:
+        if np.abs(sup @ state).max() < tol:
             rho = unvectorize(state)
             return rho / np.trace(rho).real
+        block = block @ block
     raise NoConvergenceError(
-        f"residual still above {RK4_RESIDUAL_TOL:.0e} after {RK4_STEP_CAP} RK4 steps")
+        f"residual still above {RK4_RESIDUAL_SCALE:.0e} ||L||_1 = {tol:.3e} after "
+        f"{RK4_ROUND_CAP} rounds ({RK4_BLOCK * (2**RK4_ROUND_CAP - 1)} RK4 steps)")
 
 
 def steady_state(p: ModelParams, method: str = "closed_form") -> DensityMatrix:
@@ -372,7 +389,13 @@ def steady_state(p: ModelParams, method: str = "closed_form") -> DensityMatrix:
         At r = 0 the kernel is not one-dimensional and the solve raises
         DegenerateSteadyStateError.
     integrate
-        Fixed-step RK4 from I/4 until ||drho/dt||_max < 1e-12.
+        Fixed-step RK4 from I/4, with the step 0.01 / max(r, gamma, 4 g),
+        in rounds of 1000, 2000, 4000, ... steps (one matrix power each),
+        until ||drho/dt||_max < 3e-13 ||L||_1,
+        with ||L||_1 the largest column sum of |L|; NoConvergenceError
+        after 20 rounds.  Trusted on [1e-3, 1e2]^3 in (r, gamma, g), where
+        the state error grows with the stiffness max(r, gamma, 4 g) / r:
+        about 1e-10 where it nears 1e5.
     """
     if method == "closed_form":
         return closed_form_steady_state(p)

@@ -41,8 +41,9 @@ def _finite_square(m) -> np.ndarray:
 
 
 def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation of m from its conjugate transpose."""
-    m = _as_square(m)
+    """Largest entrywise deviation of a finite square matrix from its
+    conjugate transpose; a NaN or infinite entry raises OutOfRangeError."""
+    m = _finite_square(m)
     return float(np.abs(m - m.conj().T).max())
 
 
@@ -84,8 +85,8 @@ def hermitian_eig(m) -> HermitianEig:
     NoConvergenceError
         If the underlying eigensolver fails to converge.
     """
-    m = _finite_square(m)
-    defect = hermiticity_defect(m)
+    m = np.asarray(m, dtype=complex)
+    defect = hermiticity_defect(m)  # square and finite first
     if defect > HERMITIAN_TOL:
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {defect:.3e} (tol {HERMITIAN_TOL:.1e})")
@@ -136,8 +137,8 @@ def partial_transpose(m, qubit: int) -> np.ndarray:
 
 def trace_norm(m) -> float:
     """Sum of absolute eigenvalues of a finite Hermitian matrix."""
-    m = _finite_square(m)
-    defect = hermiticity_defect(m)
+    m = np.asarray(m, dtype=complex)
+    defect = hermiticity_defect(m)  # square and finite first
     if defect > HERMITIAN_TOL:
         raise NotHermitianError(f"trace_norm needs a Hermitian input; defect {defect:.3e}")
     try:

@@ -263,23 +263,26 @@ def kron_superoperator(p):
 
 
 def matrix_block_rk4(p):
-    """RK4 integration that hermitizes the 4x4 matrix at every block
-    boundary; returns the normalized state and the number of blocks run."""
+    """RK4 integration that hermitizes the 4x4 matrix at every round
+    boundary, squaring the block after each round; returns the normalized
+    state and the number of rounds run."""
     sup = liouvillian_superoperator(p)
-    h = 0.01 / max(p.r, p.gamma, 4.0 * p.g, 1.0)
+    h = 0.01 / max(p.r, p.gamma, 4.0 * p.g)
     a = h * sup
     a2 = a @ a
     one_step = np.eye(16, dtype=complex) + a + a2 / 2.0 + (a @ a2) / 6.0 + (a2 @ a2) / 24.0
     block = np.linalg.matrix_power(one_step, dynamics.RK4_BLOCK)
+    tol = dynamics.RK4_RESIDUAL_SCALE * np.abs(sup).sum(axis=0).max()
     state = vectorize(np.eye(4, dtype=complex) / 4.0)
-    for blocks in range(1, dynamics.RK4_STEP_CAP // dynamics.RK4_BLOCK + 1):
+    for rounds in range(1, dynamics.RK4_ROUND_CAP + 1):
         state = block @ state
         rho = unvectorize(state)
         rho = 0.5 * (rho + rho.conj().T)
         state = vectorize(rho)
-        if np.abs(sup @ state).max() < dynamics.RK4_RESIDUAL_TOL:
-            return rho / np.trace(rho).real, blocks
-    return None, blocks
+        if np.abs(sup @ state).max() < tol:
+            return rho / np.trace(rho).real, rounds
+        block = block @ block
+    return None, rounds
 
 
 class TestClosedForm:
@@ -327,28 +330,57 @@ class TestSteadyState:
         diff = steady_state(p, "integrate").mat - steady_state(p, "closed_form").mat
         assert np.abs(diff).max() <= 1e-8
 
-    @pytest.mark.parametrize("r, gamma, g, chi, min_blocks", [
-        (14.0, 0.5, 2.5, None, 1),
-        (1.0, 0.01, 0.05, None, 1),
-        (0.3, 2.0, 0.7, None, 1),
-        (2.0, 0.4, 1.3, [1.0, 0.0], 1),
-        (0.9, 0.2, 1.1, [np.cos(0.3), np.exp(0.4j) * np.sin(0.3)], 1),
-        (0.01, 0.005, 0.02, None, 101),
+    @pytest.mark.parametrize("r, gamma, g, chi, min_rounds", [
+        (14.0, 0.5, 2.5, None, 2),
+        (1.0, 0.01, 0.05, None, 2),
+        (0.3, 2.0, 0.7, None, 2),
+        (2.0, 0.4, 1.3, [1.0, 0.0], 4),
+        (0.9, 0.2, 1.1, [np.cos(0.3), np.exp(0.4j) * np.sin(0.3)], 4),
+        (0.01, 0.005, 0.02, None, 4),
     ])
     def test_integrate_equals_matrix_hermitization_bit_for_bit(self, r, gamma, g, chi,
-                                                               min_blocks):
+                                                               min_rounds):
         """Hermitizing the vectorized state gives exactly the matrix round trip."""
         p = ModelParams(r=r, gamma=gamma, g=g,
                         **({} if chi is None else {"reset_state": chi}))
-        want, blocks = matrix_block_rk4(p)
-        assert blocks >= min_blocks
+        want, rounds = matrix_block_rk4(p)
+        assert rounds >= min_rounds
         assert steady_state(p, "integrate").mat.tobytes() == DensityMatrix(want).mat.tobytes()
 
     def test_integrate_no_convergence_message(self):
-        p = ModelParams(r=0.01, gamma=0.5, g=1e3)
+        # |++> relaxes at r = 1e-6 while the step follows 4 g = 4: it takes
+        # 22 rounds
+        p = ModelParams(r=1e-6, gamma=0.0, g=1.0)
         with pytest.raises(NoConvergenceError,
-                           match=r"^residual still above 1e-12 after 10000000 RK4 steps$"):
+                           match=r"^residual still above 3e-13 \|\|L\|\|_1 = 6\.000e-13 after "
+                                 r"20 rounds \(1048575000 RK4 steps\)$"):
             steady_state(p, "integrate")
+
+    def test_integrate_converges_at_a_stiff_point(self):
+        # 14 rounds, 1.6e7 steps; a fixed absolute residual of 1e-12 did not
+        # converge here within 1e7 steps
+        p = ModelParams(r=0.01, gamma=0.5, g=1e3)
+        assert matrix_block_rk4(p)[1] == 14
+        diff = steady_state(p, "integrate").mat - steady_state(p, "nullspace").mat
+        assert np.abs(diff).max() <= 2e-10
+
+    def test_integrate_basis_reset_reaches_the_exact_state(self):
+        # with |0> resets |00><00| is exact; a residual test that does not
+        # scale with L stopped 9.3e-11 short of it, and the route now lands
+        # 7.4e-18 from it, below the float spacing at 1
+        p = ModelParams(r=0.01, gamma=0.005, g=0.02, reset_state=[1.0, 0.0])
+        want = np.zeros((4, 4), dtype=complex)
+        want[0, 0] = 1.0
+        assert np.abs(steady_state(p, "integrate").mat - want).max() <= 1e-16
+
+    def test_integrate_scales_with_the_rates(self):
+        # the step scales with the rates, so rates scaled by a power of two
+        # give the same state, bit for bit (here down to gamma = 8.4e-8)
+        p = ModelParams(r=0.37, gamma=0.011, g=0.81)
+        for scale in (2.0**-17, 2.0**-8, 2.0**9):
+            scaled = ModelParams(r=scale * p.r, gamma=scale * p.gamma, g=scale * p.g)
+            assert (steady_state(scaled, "integrate").mat.tobytes()
+                    == steady_state(p, "integrate").mat.tobytes())
 
     def test_nullspace_degenerate_without_reset(self):
         with pytest.raises(DegenerateSteadyStateError):

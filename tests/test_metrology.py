@@ -30,6 +30,7 @@ from resetqfi import (
     sigma_x,
     sigma_y,
     sigma_z,
+    steady_state,
 )
 from resetqfi.dynamics import closed_form_figures
 from resetqfi.metrology import top_axes
@@ -299,6 +300,33 @@ class TestOptimalDirection:
             ref_lam, ref_axis = reference(c)
             assert lam == ref_lam
             assert hexes(axis) == hexes(ref_axis)
+
+    def test_each_row_equals_its_single_matrix_call(self, spin2, eigh_calls):
+        # a route sweep takes its axes from one stacked call and evaluate_point
+        # from an N = 1 call, and the two must give the same row
+        rng = np.random.default_rng(17)
+        stack = [c_matrix(steady_state(ModelParams(*rates), method), spin2)
+                 for rates in ((14.0, 0.5, 2.5), (1.8, 0.5, 2.5), (0.3, 2.0, 0.7),
+                               (1.0, 0.01, 0.05), (0.01, 0.005, 0.02))
+                 for method in ("nullspace", "integrate")]
+        for tied in ([2.0, 2.0, 1.0], [1.0, 2.0, 2.0], [3.0, 3.0, 3.0], [1.0, 2.0, 2.0 - 5e-11],
+                     [2.0 - 5e-11, 2.0, 1.0], [2.0, 2.0 - 5e-11, 2.0 + 5e-11]):
+            stack.append(np.diag(tied))
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            stack.append((q * tied) @ q.T)
+        for c in stack[:10]:
+            # the top eigenvalue of a route C tied exactly and within 5e-11
+            values, vectors = np.linalg.eigh(c)
+            for shift in (0.0, 5e-11):
+                values[-2] = values[-1] - shift
+                stack.append((vectors * values) @ vectors.T)
+        stack = np.array(stack)
+        lambda_max, axes = top_axes(stack)
+        assert eigh_calls[-1] == stack.shape
+        for k, c in enumerate(stack):
+            single_lambda, single_axes = top_axes(c[None])
+            assert single_lambda.tobytes() == lambda_max[k:k + 1].tobytes()
+            assert single_axes.tobytes() == axes[k:k + 1].tobytes()
 
 
 def block(c_xx, c_yy, c_yz):

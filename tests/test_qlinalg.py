@@ -247,8 +247,8 @@ def _with_entries(entries):
     return m
 
 
-@pytest.mark.parametrize("call", [hermitian_eig, DensityMatrix, trace_norm],
-                         ids=["hermitian_eig", "DensityMatrix", "trace_norm"])
+@pytest.mark.parametrize("call", [hermitian_eig, hermiticity_defect, DensityMatrix, trace_norm],
+                         ids=["hermitian_eig", "hermiticity_defect", "DensityMatrix", "trace_norm"])
 @pytest.mark.parametrize("m", [
     np.diag([0.25, 0.25, 0.25, np.nan]),
     np.full((4, 4), np.nan),

@@ -210,14 +210,16 @@ class TestRunSweep:
         assert str(raised.value) == f"{DEGENERATE_KERNEL} [at r = 0]"
         assert route_calls == [(0.0, 0.5, 2.5)]
 
-    def test_integrate_failure_names_the_point(self, route_calls):
-        # g = 2000 gamma: converges at gamma = 5e-4, not at gamma = 0.5
+    def test_integrate_failure_names_the_point(self, monkeypatch, route_calls):
+        # g = 2000 gamma: integrate takes 10 rounds at gamma = 5e-4 and 14
+        # at gamma = 0.5, so a cap of 13 fails on the second point only
+        monkeypatch.setattr(dynamics, "RK4_ROUND_CAP", 13)
         spec = SweepSpec(vary="gamma", start=5e-4, stop=0.5, steps=2, fixed_r=0.01,
                          g_ratio=2e3, method="integrate")
         with pytest.raises(NoConvergenceError) as raised:
             run_sweep(spec)
-        assert str(raised.value) == ("residual still above 1e-12 after 10000000 RK4 steps "
-                                     "[at gamma = 0.5]")
+        assert str(raised.value) == ("residual still above 3e-13 ||L||_1 = 6.000e-10 after "
+                                     "13 rounds (8191000 RK4 steps) [at gamma = 0.5]")
         # every point up to the failing one is solved once
         assert route_calls == [(0.01, 5e-4, 1.0), (0.01, 0.5, 1e3)]
 
