@@ -2,14 +2,13 @@
 
 The generator combines a sigma_z sigma_z coupling Hamiltonian, local
 dephasing at rate gamma, and replacement of either particle by a fresh
-one in the reset state at rate r.  The steady state is produced by three
+one in the state |+> at rate r.  The steady state is produced by three
 independent routes (closed-form matrix, superoperator kernel, RK4
 integration) so they can cross-check each other.
 """
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +17,6 @@ from .errors import (
     DegenerateLimitError,
     DegenerateSteadyStateError,
     NoConvergenceError,
-    NotNormalizedError,
-    UnsupportedResetStateError,
 )
 from .qlinalg import (
     HermitianEig,
@@ -31,6 +28,8 @@ from .qlinalg import (
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 PLUS.flags.writeable = False
+_PLUS_PROJECTOR = np.outer(PLUS, PLUS.conj())
+_PLUS_PROJECTOR.flags.writeable = False
 
 _I2 = np.eye(2, dtype=complex)
 _Z1 = kron(sigma_z, _I2)
@@ -42,11 +41,25 @@ _EYE16 = np.eye(16, dtype=complex)
 # dephasing terms Z_i . Z_i - 1, scaled by g and gamma / 2 per call.
 _COMMUTATOR_ZZ = np.kron(_EYE4, _ZZ) - np.kron(_ZZ.T, _EYE4)
 _DEPHASING = tuple(np.kron(z.T, z) - _EYE16 for z in (_Z1, _Z2))
+
+
+def _reset_piece(qubit: int) -> np.ndarray:
+    """gain_q - 1 for resets of qubit q, from the Kraus operators |+><b|
+    acting on it; read-only."""
+    gain = np.zeros((16, 16), dtype=complex)
+    for bra in _I2:
+        k_small = np.outer(PLUS, bra)  # |+><b|
+        k_full = kron(k_small, _I2) if qubit == 1 else kron(_I2, k_small)
+        gain = gain + np.kron(k_full.conj(), k_full)
+    piece = gain - _EYE16
+    piece.flags.writeable = False
+    return piece
+
+
+# The two reset pieces, scaled by r per call.
+_RESET = (_reset_piece(1), _reset_piece(2))
 # vectorize(rho.conj().T) == vectorize(rho).conj()[_VEC_TRANSPOSE] for 4x4 rho
 _VEC_TRANSPOSE = np.arange(16).reshape(4, 4).T.reshape(-1)
-# Reset states whose two reset pieces stay built; |+> is the default and
-# the only reset state of sweeps and the command line.
-RESET_CACHE_SIZE = 8
 
 STEADY_STATE_METHODS = ("closed_form", "nullspace", "integrate")
 
@@ -65,19 +78,14 @@ RK4_ROUND_CAP = 20  # 1000 (2^20 - 1), about 1.05e9, RK4 steps in all
 RK4_RESIDUAL_SCALE = 3e-13
 
 
-def _default_reset_state() -> np.ndarray:
-    return PLUS.copy()
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ModelParams:
-    """Reset rate r, dephasing rate gamma, coupling g (all non-negative,
-    hbar = 1) and the single-qubit state fresh particles arrive in."""
+    """Reset rate r, dephasing rate gamma and coupling g (all non-negative,
+    hbar = 1); fresh particles arrive in |+>."""
 
     r: float
     gamma: float
     g: float
-    reset_state: np.ndarray = field(default_factory=_default_reset_state)
 
     def __post_init__(self):
         for name in ("r", "gamma", "g"):
@@ -85,22 +93,6 @@ class ModelParams:
             if not np.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
             object.__setattr__(self, name, value)
-        chi = np.asarray(self.reset_state, dtype=complex).reshape(-1)
-        if chi.shape != (2,):
-            raise BadDimensionError("reset_state must be a single-qubit state vector")
-        if abs(np.linalg.norm(chi) - 1.0) > 1e-12:
-            raise NotNormalizedError("reset_state must be normalized within 1e-12")
-        chi = chi.copy()
-        chi.flags.writeable = False
-        object.__setattr__(self, "reset_state", chi)
-
-    @property
-    def reset_projector(self) -> np.ndarray:
-        return np.outer(self.reset_state, self.reset_state.conj())
-
-    def resets_to_plus(self) -> bool:
-        # overlap modulus, so a global phase on the reset state is fine
-        return abs(np.vdot(PLUS, self.reset_state)) >= 1.0 - 1e-12
 
 
 class DensityMatrix:
@@ -159,7 +151,7 @@ def liouvillian_apply(p: ModelParams, rho) -> np.ndarray:
     """Right-hand side of the master equation, drho/dt.
 
     Unitary part -i[H, rho], dephasing (gamma/2) sum_i (Z_i rho Z_i - rho)
-    and reset r sum_i (|chi><chi|_i kron tr_i rho - rho).  Linear in rho;
+    and reset r sum_i (|+><+|_i kron tr_i rho - rho).  Linear in rho;
     the result is traceless and Hermitian for Hermitian input.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -169,9 +161,8 @@ def liouvillian_apply(p: ModelParams, rho) -> np.ndarray:
     out = -1j * (h @ rho - rho @ h)
     for z in (_Z1, _Z2):
         out = out + 0.5 * p.gamma * (z @ rho @ z - rho)
-    proj = p.reset_projector
-    out = out + p.r * (kron(proj, partial_trace(rho, 1)) - rho)
-    out = out + p.r * (kron(partial_trace(rho, 2), proj) - rho)
+    out = out + p.r * (kron(_PLUS_PROJECTOR, partial_trace(rho, 1)) - rho)
+    out = out + p.r * (kron(partial_trace(rho, 2), _PLUS_PROJECTOR) - rho)
     return out
 
 
@@ -189,39 +180,19 @@ def unvectorize(v) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-@functools.lru_cache(maxsize=RESET_CACHE_SIZE)
-def _reset_terms(reset_state_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The two reset pieces gain_q - 1 of the superoperator, for the reset
-    state given by its bytes; read-only, built once per reset state."""
-    chi = np.frombuffer(reset_state_bytes, dtype=complex)
-    terms = []
-    for qubit in (1, 2):
-        gain = np.zeros((16, 16), dtype=complex)
-        for b in range(2):
-            bra = np.zeros(2, dtype=complex)
-            bra[b] = 1.0
-            k_small = np.outer(chi, bra)  # |chi><b|
-            k_full = kron(k_small, _I2) if qubit == 1 else kron(_I2, k_small)
-            gain = gain + np.kron(k_full.conj(), k_full)
-        term = gain - _EYE16
-        term.flags.writeable = False
-        terms.append(term)
-    return tuple(terms)
-
-
 def liouvillian_superoperator(p: ModelParams) -> np.ndarray:
     """16x16 matrix L with L @ vectorize(rho) = vectorize(liouvillian_apply(p, rho)).
 
     Column stacking maps rho -> X rho Y to kron(Y.T, X).  L is g, gamma
-    and r times fixed pieces.  The reset channel enters through its Kraus
-    operators |chi><b| acting on the reset qubit, which keeps this
-    construction independent of the partial-trace route used by
-    ``liouvillian_apply``; those pieces are built once per reset state.
+    and r times fixed pieces, built once at import.  The reset channel
+    enters through its Kraus operators |+><b| acting on the reset qubit,
+    which keeps this construction independent of the partial-trace route
+    used by ``liouvillian_apply``.
     """
     sup = -1j * (p.g * _COMMUTATOR_ZZ)
     for dephasing in _DEPHASING:
         sup = sup + 0.5 * p.gamma * dephasing
-    for reset in _reset_terms(p.reset_state.tobytes()):
+    for reset in _RESET:
         sup = sup + p.r * reset
     return sup
 
@@ -234,13 +205,6 @@ def _scaled(r, gamma, g) -> tuple:
     if np.count_nonzero(scale == 0.0):  # non-negative rates, so all three are 0
         raise DegenerateLimitError("r = gamma = g = 0 singles out no steady state")
     return r / scale, gamma / scale, g / scale
-
-
-def require_plus_reset(p: ModelParams) -> None:
-    """Raise UnsupportedResetStateError unless p resets to |+>, the one
-    reset state the closed form is derived for."""
-    if not p.resets_to_plus():
-        raise UnsupportedResetStateError("closed form is derived for the |+> reset state only")
 
 
 def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
@@ -306,14 +270,12 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
 def closed_form_steady_state(p: ModelParams) -> DensityMatrix:
     """Steady state from the closed-form matrix elements.
 
-    Valid for the |+> reset state.  All diagonal entries are 1/4; with
-    s = r + gamma/2 and D = 2 g^2 + s (r + gamma), the anti-diagonal
-    entries are r^2 s / (4 (r + gamma) D) and the remaining off-diagonal
-    entries are r (s - i g) / (4 D) or the conjugate.  At r = 0 the
-    continuity limit I/4 is returned; the kernel is degenerate there, see
-    ``steady_state``.
+    All diagonal entries are 1/4; with s = r + gamma/2 and
+    D = 2 g^2 + s (r + gamma), the anti-diagonal entries are
+    r^2 s / (4 (r + gamma) D) and the remaining off-diagonal entries are
+    r (s - i g) / (4 D) or the conjugate.  At r = 0 the continuity limit
+    I/4 is returned; the kernel is degenerate there, see ``steady_state``.
     """
-    require_plus_reset(p)
     r, gamma, g = (float(rate) for rate in _scaled(p.r, p.gamma, p.g))
     if r == 0.0:
         return DensityMatrix(_EYE4 / 4.0)
@@ -382,7 +344,7 @@ def steady_state(p: ModelParams, method: str = "closed_form") -> DensityMatrix:
     """Steady state of the master equation by the requested route.
 
     closed_form
-        Closed-form matrix elements (|+> reset state only).
+        Closed-form matrix elements.
     nullspace
         Kernel of the superoperator from one linear solve, with the
         first row of L replaced by the trace; trusted for every r > 0.

@@ -33,10 +33,6 @@ class OutOfRangeError(ValueError):
     """Value violates a physical bound, usually an upstream numerical fault."""
 
 
-class UnsupportedResetStateError(ValueError):
-    """Closed-form steady state is only derived for the |+> reset state."""
-
-
 class DegenerateLimitError(ValueError):
     """All rates vanish, so no steady state is singled out."""
 
@@ -60,5 +56,4 @@ SOLVER_ERRORS = (
     NoConvergenceError,
     NoSignChangeError,
     DegenerateLimitError,
-    UnsupportedResetStateError,
 )

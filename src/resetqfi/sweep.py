@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (STEADY_STATE_METHODS, ModelParams, closed_form_figures,
-                       require_plus_reset, steady_state)
+from .dynamics import STEADY_STATE_METHODS, ModelParams, closed_form_figures, steady_state
 from .entanglement import concurrence, negativity
 from .errors import SOLVER_ERRORS, NoSignChangeError
 from .metrology import c_matrix, collective_spin_ops, top_axes
@@ -214,11 +213,10 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
     m.  Their crossing with lambda_x is what ``find_critical_point``
     bisects on.  The closed form takes C and the entanglement measures
     from ``closed_form_figures``; the other routes from the eigendecomposed
-    state.  Any reset state is accepted, so this stays on ``steady_state``.
+    state.
     """
     rates = np.array([[params.r], [params.gamma], [params.g]])
     if method == "closed_form":
-        require_plus_reset(params)
         c, entanglement = _closed_form(rates)
     else:
         c, entanglement = _of_states([steady_state(params, method=method)])
@@ -403,9 +401,22 @@ def emit(payload, fmt: str = "csv", path: str | None = None) -> None:
 
 
 def parse_csv(text: str) -> list[SweepRow]:
-    """Read sweep rows back from CSV produced by ``emit``."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != list(CSV_FIELDS):
-        raise ValueError(f"unexpected CSV header {reader.fieldnames}")
-    return [SweepRow(**{name: float(record[name]) for name in CSV_FIELDS})
-            for record in reader]
+    """Read sweep rows back from CSV produced by ``emit``; blank lines are
+    skipped, and a row without one number per field raises ValueError
+    naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header != list(CSV_FIELDS):
+        raise ValueError(f"unexpected CSV header {header}")
+    rows = []
+    for record in reader:
+        if not record:
+            continue
+        if len(record) != len(CSV_FIELDS):
+            raise ValueError(f"CSV line {reader.line_num}: {len(record)} fields, "
+                             f"expected {len(CSV_FIELDS)}")
+        try:
+            rows.append(SweepRow(*map(float, record)))
+        except ValueError as err:
+            raise ValueError(f"CSV line {reader.line_num}: {err}") from None
+    return rows

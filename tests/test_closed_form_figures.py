@@ -16,7 +16,6 @@ from resetqfi import (
     DensityMatrix,
     ModelParams,
     SweepSpec,
-    UnsupportedResetStateError,
     c_matrix,
     closed_form_steady_state,
     emit,
@@ -249,12 +248,6 @@ class TestEdgeCases:
             _figures(0.0, 0.0, 0.0)
         with pytest.raises(DegenerateLimitError, match=f"^{message}$"):
             evaluate_point(ModelParams(r=0.0, gamma=0.0, g=0.0))
-
-    def test_other_reset_state_has_no_closed_form(self):
-        params = ModelParams(r=1.0, gamma=0.5, g=2.5, reset_state=[1.0, 0.0])
-        with pytest.raises(UnsupportedResetStateError,
-                           match=r"^closed form is derived for the \|\+> reset state only$"):
-            evaluate_point(params)
 
     def test_positivity_check_message(self, monkeypatch):
         # no valid rates give a negative eigenvalue, so raise the threshold

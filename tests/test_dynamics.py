@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,7 @@ from resetqfi import (
     ModelParams,
     NoConvergenceError,
     NotHermitianError,
-    NotNormalizedError,
-    UnsupportedResetStateError,
+    PLUS,
     closed_form_steady_state,
     hamiltonian,
     hermiticity_defect,
@@ -23,8 +24,6 @@ from resetqfi import (
 )
 
 PLUS_PLUS = np.full((4, 4), 0.25, dtype=complex)
-# reset states other than |+>: |0>, |1> and (|0> + i|1>)/sqrt(2)
-OTHER_RESETS = ([1.0, 0.0], [0.0, 1.0], np.array([1.0, 1.0j]) / np.sqrt(2.0))
 DEGENERATE_KERNEL = ("^Liouvillian kernel is not one-dimensional \\(L with its first row "
                      "replaced by the trace is singular\\); the steady state is not unique$")
 
@@ -35,28 +34,20 @@ def random_hermitian(rng, dim=4):
 
 
 class TestModelParams:
-    def test_defaults_to_plus_reset(self):
-        p = ModelParams(r=1.0, gamma=0.5, g=2.5)
-        assert np.allclose(p.reset_state, [1 / np.sqrt(2)] * 2)
-        assert p.resets_to_plus()
+    def test_fields_are_the_three_rates(self):
+        # the reset state is |+>, fixed by the model
+        assert [field.name for field in dataclasses.fields(ModelParams)] == ["r", "gamma", "g"]
 
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):
             ModelParams(r=-0.1, gamma=0.5, g=2.5)
 
-    @pytest.mark.parametrize("chi", [[1.0], [1.0, 0.0, 0.0], np.eye(2)])
-    def test_rejects_reset_state_of_wrong_shape(self, chi):
-        with pytest.raises(BadDimensionError, match="^reset_state must be a single-qubit"):
-            ModelParams(r=1.0, gamma=0.5, g=2.5, reset_state=chi)
-
-    def test_rejects_unnormalized_reset(self):
-        with pytest.raises(NotNormalizedError):
-            ModelParams(r=1.0, gamma=0.5, g=2.5, reset_state=[1.0, 1.0])
-
-    def test_plus_detection_ignores_global_phase(self):
-        chi = np.exp(0.3j) * np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert ModelParams(r=1.0, gamma=0.5, g=2.5, reset_state=chi).resets_to_plus()
-        assert not ModelParams(r=1.0, gamma=0.5, g=2.5, reset_state=[1.0, 0.0]).resets_to_plus()
+    @pytest.mark.parametrize("value", [-0.1, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["r", "gamma", "g"])
+    def test_each_rate_must_be_finite_and_non_negative(self, name, value):
+        rates = {"r": 1.0, "gamma": 0.5, "g": 2.5, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative, got "):
+            ModelParams(**rates)
 
 
 class TestDensityMatrix:
@@ -192,56 +183,34 @@ class TestSuperoperator:
             left = vectorize(np.eye(4)).conj() @ sup
             assert np.abs(left).max() <= 1e-12
 
-    def test_nondiagonal_reset_state(self):
-        rng = np.random.default_rng(26)
-        chi = np.array([np.cos(0.3), np.exp(0.4j) * np.sin(0.3)])
-        p = ModelParams(r=0.9, gamma=0.2, g=1.1, reset_state=chi)
-        sup = liouvillian_superoperator(p)
-        rho = random_hermitian(rng)
-        via_sup = unvectorize(sup @ vectorize(rho))
-        assert np.abs(via_sup - liouvillian_apply(p, rho)).max() <= 1e-11
-
-    @pytest.mark.parametrize("r, gamma, g, chi", [
-        (0.0, 0.0, 0.0, None),
-        (14.0, 0.5, 2.5, None),
-        (1e-3, 7.0, 0.0, None),
-        (0.3, 0.0, 1e4, [1.0, 0.0]),
-        (0.9, 0.2, 1.1, [np.cos(0.3), np.exp(0.4j) * np.sin(0.3)]),
-        (2.0, 1e-6, 3.3, [0.6, 0.8j]),
+    @pytest.mark.parametrize("r, gamma, g", [
+        (0.0, 0.0, 0.0),
+        (14.0, 0.5, 2.5),
+        (1e-3, 7.0, 0.0),
+        (0.3, 0.0, 1e4),
+        (0.9, 0.2, 1.1),
+        (2.0, 1e-6, 3.3),
     ])
-    def test_equals_kron_construction_bit_for_bit(self, r, gamma, g, chi):
+    def test_equals_kron_construction_bit_for_bit(self, r, gamma, g):
         """The precomputed pieces give exactly the full per-call kron build."""
-        p = ModelParams(r=r, gamma=gamma, g=g,
-                        **({} if chi is None else {"reset_state": chi}))
+        p = ModelParams(r=r, gamma=gamma, g=g)
         want = kron_superoperator(p)
         got = liouvillian_superoperator(p)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    def test_alternating_reset_states_bit_for_bit(self):
-        # a cache keyed on the wrong thing would hand one state's reset
-        # pieces to the next
-        states = [None, [1.0, 0.0], [np.cos(0.3), np.exp(0.4j) * np.sin(0.3)], None]
-        for chi, (r, gamma, g) in zip(states, [(1.4, 0.6, 2.2), (0.7, 0.1, 3.0),
-                                              (2.5, 1.2, 0.4), (0.2, 3.0, 0.1)]):
-            p = ModelParams(r=r, gamma=gamma, g=g,
-                            **({} if chi is None else {"reset_state": chi}))
-            assert liouvillian_superoperator(p).tobytes() == kron_superoperator(p).tobytes()
-
     def test_writing_into_result_leaves_next_call_unchanged(self):
-        p = ModelParams(r=1.4, gamma=0.6, g=2.2, reset_state=[0.6, 0.8j])
+        p = ModelParams(r=1.4, gamma=0.6, g=2.2)
         first = liouvillian_superoperator(p)
         first[...] = 99.0
         assert liouvillian_superoperator(p).tobytes() == kron_superoperator(p).tobytes()
 
     def test_cached_reset_terms_are_read_only(self):
-        p = ModelParams(r=1.0, gamma=0.5, g=2.5)
-        terms = dynamics._reset_terms(p.reset_state.tobytes())
-        assert len(terms) == 2
-        for term in terms:
-            assert not term.flags.writeable
+        assert len(dynamics._RESET) == 2
+        for piece in (*dynamics._RESET, dynamics._PLUS_PROJECTOR):
+            assert not piece.flags.writeable
             with pytest.raises(ValueError):
-                term[0, 0] = 1.0
+                piece[0, 0] = 1.0
 
 
 def kron_superoperator(p):
@@ -255,7 +224,7 @@ def kron_superoperator(p):
     for qubit in (1, 2):
         gain = np.zeros((16, 16), dtype=complex)
         for b in range(2):
-            k_small = np.outer(p.reset_state, np.eye(2, dtype=complex)[b])
+            k_small = np.outer(PLUS, np.eye(2, dtype=complex)[b])
             k_full = np.kron(k_small, i2) if qubit == 1 else np.kron(i2, k_small)
             gain = gain + np.kron(k_full.conj(), k_full)
         want = want + p.r * (gain - eye16)
@@ -298,11 +267,6 @@ class TestClosedForm:
         assert abs(rho[1, 0] - (1.25 + 2.5j) / 57.5) <= 1e-12
         assert abs(rho[1, 2] - rho[0, 3]) <= 1e-15
 
-    def test_rejects_other_reset_states(self):
-        p = ModelParams(r=1.0, gamma=0.5, g=2.5, reset_state=[1.0, 0.0])
-        with pytest.raises(UnsupportedResetStateError):
-            closed_form_steady_state(p)
-
     def test_rejects_all_rates_zero(self):
         with pytest.raises(DegenerateLimitError):
             closed_form_steady_state(ModelParams(r=0.0, gamma=0.0, g=0.0))
@@ -330,19 +294,18 @@ class TestSteadyState:
         diff = steady_state(p, "integrate").mat - steady_state(p, "closed_form").mat
         assert np.abs(diff).max() <= 1e-8
 
-    @pytest.mark.parametrize("r, gamma, g, chi, min_rounds", [
-        (14.0, 0.5, 2.5, None, 2),
-        (1.0, 0.01, 0.05, None, 2),
-        (0.3, 2.0, 0.7, None, 2),
-        (2.0, 0.4, 1.3, [1.0, 0.0], 4),
-        (0.9, 0.2, 1.1, [np.cos(0.3), np.exp(0.4j) * np.sin(0.3)], 4),
-        (0.01, 0.005, 0.02, None, 4),
+    @pytest.mark.parametrize("r, gamma, g, min_rounds", [
+        (14.0, 0.5, 2.5, 2),
+        (1.0, 0.01, 0.05, 2),
+        (0.3, 2.0, 0.7, 2),
+        (2.0, 0.4, 1.3, 3),
+        (0.9, 0.2, 1.1, 4),
+        (0.01, 0.005, 0.02, 4),
+        (0.2, 0.0, 4.0, 7),
     ])
-    def test_integrate_equals_matrix_hermitization_bit_for_bit(self, r, gamma, g, chi,
-                                                               min_rounds):
+    def test_integrate_equals_matrix_hermitization_bit_for_bit(self, r, gamma, g, min_rounds):
         """Hermitizing the vectorized state gives exactly the matrix round trip."""
-        p = ModelParams(r=r, gamma=gamma, g=g,
-                        **({} if chi is None else {"reset_state": chi}))
+        p = ModelParams(r=r, gamma=gamma, g=g)
         want, rounds = matrix_block_rk4(p)
         assert rounds >= min_rounds
         assert steady_state(p, "integrate").mat.tobytes() == DensityMatrix(want).mat.tobytes()
@@ -364,14 +327,14 @@ class TestSteadyState:
         diff = steady_state(p, "integrate").mat - steady_state(p, "nullspace").mat
         assert np.abs(diff).max() <= 2e-10
 
-    def test_integrate_basis_reset_reaches_the_exact_state(self):
-        # with |0> resets |00><00| is exact; a residual test that does not
-        # scale with L stopped 9.3e-11 short of it, and the route now lands
-        # 7.4e-18 from it, below the float spacing at 1
-        p = ModelParams(r=0.01, gamma=0.005, g=0.02, reset_state=[1.0, 0.0])
-        want = np.zeros((4, 4), dtype=complex)
-        want[0, 0] = 1.0
-        assert np.abs(steady_state(p, "integrate").mat - want).max() <= 1e-16
+    @pytest.mark.parametrize("r, gamma, g", [(0.01, 0.005, 0.02), (1e-3, 1e-3, 1e-3)])
+    def test_integrate_reaches_the_closed_form_at_slow_rates(self, r, gamma, g):
+        # a residual test that does not scale with L stopped 2.0e-11 and
+        # 3.3e-10 short of the closed form here; the route now lands within
+        # 4e-15 of it
+        p = ModelParams(r=r, gamma=gamma, g=g)
+        diff = steady_state(p, "integrate").mat - closed_form_steady_state(p).mat
+        assert np.abs(diff).max() <= 1e-13
 
     def test_integrate_scales_with_the_rates(self):
         # the step scales with the rates, so rates scaled by a power of two
@@ -394,31 +357,30 @@ class TestSteadyState:
         diff = steady_state(p, "nullspace").mat - closed_form_steady_state(p).mat
         assert np.abs(diff).max() <= 1e-14
 
-    @pytest.mark.parametrize("r, gamma, g, chi", [
-        *((0.0, 0.5, 2.5, chi) for chi in OTHER_RESETS),
-        (0.0, 0.0, 0.0, None),
-    ])
-    def test_nullspace_raises_without_reset(self, r, gamma, g, chi):
-        p = ModelParams(r=r, gamma=gamma, g=g, **({} if chi is None else {"reset_state": chi}))
+    @pytest.mark.parametrize("r, gamma, g", [(0.0, 0.5, 2.5), (0.0, 0.5, 0.0),
+                                             (0.0, 0.0, 2.5), (0.0, 0.0, 0.0)])
+    def test_nullspace_raises_without_reset(self, r, gamma, g):
+        p = ModelParams(r=r, gamma=gamma, g=g)
         with pytest.raises(DegenerateSteadyStateError, match=DEGENERATE_KERNEL):
             steady_state(p, "nullspace")
 
-    @pytest.mark.parametrize("chi", OTHER_RESETS + ([np.cos(0.3), np.exp(0.4j) * np.sin(0.3)],))
-    @pytest.mark.parametrize("r, gamma, g", [(1.0, 0.5, 2.5), (0.1, 0.5, 2.5),
-                                             (0.01, 0.005, 0.02)])
-    def test_nullspace_agrees_with_integrate_for_other_resets(self, r, gamma, g, chi):
-        p = ModelParams(r=r, gamma=gamma, g=g, reset_state=chi)
+    @pytest.mark.parametrize("r, gamma, g", [
+        (1.0, 0.5, 2.5), (0.1, 0.5, 2.5), (0.01, 0.005, 0.02), (14.0, 0.5, 2.5),
+        (1.0, 0.01, 0.05), (0.3, 2.0, 0.7), (2.0, 0.4, 1.3), (5.0, 0.0, 0.0),
+        (0.5, 3.0, 0.0), (0.2, 0.0, 4.0), (40.0, 10.0, 0.5), (3.0, 1e-4, 1e2),
+    ])
+    def test_nullspace_agrees_with_integrate(self, r, gamma, g):
+        # the two numerical routes share only the superoperator
+        p = ModelParams(r=r, gamma=gamma, g=g)
         diff = steady_state(p, "nullspace").mat - steady_state(p, "integrate").mat
         assert np.abs(diff).max() <= 1e-9
 
     @pytest.mark.parametrize("r", [1.0, 1e-6, 1e-300])
-    @pytest.mark.parametrize("chi, index", [([1.0, 0.0], 0), ([0.0, 1.0], 3)])
-    def test_nullspace_basis_reset_pins_both_qubits_at_every_rate(self, r, chi, index):
-        # with |0> (|1>) resets |00><00| (|11><11|) is the exact steady state
-        p = ModelParams(r=r, gamma=0.5, g=2.5, reset_state=chi)
-        want = np.zeros((4, 4), dtype=complex)
-        want[index, index] = 1.0
-        assert np.abs(steady_state(p, "nullspace").mat - want).max() <= 1e-14
+    def test_nullspace_pins_plus_plus_without_dephasing_or_coupling(self, r):
+        # with gamma = g = 0 only resets act, and |++><++| is the exact
+        # steady state for every reset rate
+        p = ModelParams(r=r, gamma=0.0, g=0.0)
+        assert np.abs(steady_state(p, "nullspace").mat - PLUS_PLUS).max() <= 1e-14
 
     def test_nullspace_eigensolves_only_the_state(self, eigh_calls):
         steady_state(ModelParams(r=14.0, gamma=0.5, g=2.5), "nullspace")
@@ -431,10 +393,3 @@ class TestSteadyState:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             steady_state(ModelParams(r=1.0, gamma=0.5, g=2.5), "magic")
-
-    def test_zero_state_reset_pins_both_qubits(self):
-        # with |0> resets the product |00><00| is stationary for every rate
-        p = ModelParams(r=2.0, gamma=0.4, g=1.3, reset_state=[1.0, 0.0])
-        rho = steady_state(p, "nullspace")
-        assert np.abs(liouvillian_apply(p, rho.mat)).max() <= 1e-10
-        assert rho.mat[0, 0].real >= 0.999

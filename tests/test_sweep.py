@@ -766,3 +766,17 @@ class TestEmit:
     def test_parse_rejects_foreign_header(self):
         with pytest.raises(ValueError):
             parse_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2\n", "^CSV line 2: 2 fields, expected 12$"),
+        (",".join(["1"] * 13) + "\n", "^CSV line 2: 13 fields, expected 12$"),
+        (",".join(["1"] * 12) + "\n\n1,x,1,1,1,1,1,1,1,1,1,1\n",
+         "^CSV line 4: could not convert string to float: 'x'$"),
+    ], ids=["short", "long", "not-a-number"])
+    def test_parse_rejects_malformed_row_naming_its_line(self, body, message):
+        with pytest.raises(ValueError, match=message):
+            parse_csv(CSV_HEADER + "\n" + body)
+
+    def test_parse_skips_blank_lines(self):
+        rows = parse_csv(CSV_HEADER + "\n\n" + ",".join(["1"] * 12) + "\n\n")
+        assert rows == [SweepRow(*[1.0] * 12)]
