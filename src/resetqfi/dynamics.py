@@ -90,7 +90,7 @@ class ModelParams:
     def __post_init__(self):
         for name in ("r", "gamma", "g"):
             value = float(getattr(self, name))
-            if not np.isfinite(value) or value < 0.0:
+            if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
             object.__setattr__(self, name, value)
 

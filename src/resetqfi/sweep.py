@@ -12,6 +12,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import operator
 import sys
 from collections.abc import Sequence
@@ -28,15 +29,19 @@ CSV_HEADER = ("r,gamma,g,mean_qfi,lambda_x,lambda_yz_hi,lambda_yz_lo,"
               "concurrence,negativity,opt_nx,opt_ny,opt_nz")
 CSV_FIELDS = tuple(CSV_HEADER.split(","))
 CRITICAL_BRACKET_WIDTH = 1e-4
-# Grid points per stacked pass of run_sweep, and rows per formatted piece
-# of emit.  A 10^5-point closed-form sweep peaks 10.6 MB above import in
-# chunks of 512 (9.6 MB of it the table it returns) and 42 MB in one
-# pass, in 0.22-0.25 s against 0.17-0.33 s (3 runs each, 2-core Xeon,
-# numpy 2.4.6, BLAS on 1 thread).
+# Grid points per stacked pass of run_sweep.  A 10^5-point closed-form
+# sweep peaks 10.6 MB above import in chunks of 512 (9.6 MB of it the
+# table it returns) and 42 MB in one pass, in 0.22-0.25 s against
+# 0.17-0.33 s (3 runs each, 2-core Xeon, numpy 2.4.6, BLAS on 1 thread).
 SWEEP_CHUNK = 512
+# Rows per formatted piece of emit.  A piece costs about 10 us beyond its
+# formatting and a pass of run_sweep about 0.28 ms (2-core Xeon, numpy
+# 2.4.6), so pieces are shorter than passes: over fewer rows a column
+# more often holds one value (the optimal axis, zero entanglement below
+# the threshold) and is formatted once.
+EMIT_CHUNK = 256
 
 _SPIN2 = collective_spin_ops(2)
-_ROW_FORMAT = ",".join(["%.9g"] * len(CSV_FIELDS))
 _ROW_VALUES = operator.attrgetter(*CSV_FIELDS)
 
 
@@ -128,11 +133,11 @@ class SweepSpec:
                 object.__setattr__(self, name, float(value))
         for name in ("start", "stop"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         for name in ("fixed_r", "fixed_gamma", "g", "g_ratio"):
             value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value >= 0.0):
+            if value is not None and not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not self.start < self.stop:
             raise ValueError(f"need start < stop, got [{self.start}, {self.stop}]")
@@ -354,16 +359,23 @@ def _row_array(rows) -> np.ndarray:
 
 def _csv_pieces(array: np.ndarray):
     yield CSV_HEADER + "\n"
-    for start in range(0, len(array), SWEEP_CHUNK):
-        chunk = array[start:start + SWEEP_CHUNK]
-        yield (_ROW_FORMAT + "\n") * len(chunk) % tuple(chunk.ravel().tolist())
+    for start in range(0, len(array), EMIT_CHUNK):
+        chunk = array[start:start + EMIT_CHUNK]
+        # a column whose bits equal its first row's all the way down is
+        # formatted once, into the row format; bits keep -0.0 ("-0") apart
+        # from 0.0 ("0")
+        bits = chunk.view(np.int64)
+        fixed = (bits == bits[0]).all(axis=0)
+        row = ",".join(["%.9g" % x if same else "%.9g"
+                        for x, same in zip(chunk[0].tolist(), fixed.tolist())])
+        yield (row + "\n") * len(chunk) % tuple(chunk[:, ~fixed].ravel().tolist())
 
 
 def _json_pieces(array: np.ndarray):
     opening = "["
-    for start in range(0, len(array), SWEEP_CHUNK):
+    for start in range(0, len(array), EMIT_CHUNK):
         objs = [{name: float(_nine_digits(x)) for name, x in zip(CSV_FIELDS, values)}
-                for values in array[start:start + SWEEP_CHUNK].tolist()]
+                for values in array[start:start + EMIT_CHUNK].tolist()]
         # the chunk's list is "[\n  {...},\n  {...}\n]"; what lies between
         # "[" and "\n]" joins with "," into the text of one list
         yield opening + json.dumps(objs, indent=2)[1:-2]
@@ -376,8 +388,9 @@ _ROW_PIECES = {"csv": _csv_pieces, "json": _json_pieces}
 
 def _text(payload, fmt: str):
     """The CSV or JSON text of rows or a critical point, in pieces; rows are
-    read into their array first, then formatted SWEEP_CHUNK at a time, so
-    no text of the whole output is built."""
+    read into their array first, then formatted EMIT_CHUNK at a time, so
+    no text of the whole output is built.  A CSV column that holds one
+    value over a piece is formatted once for that piece."""
     if isinstance(payload, CriticalPoint):
         return [_critical_text(payload, fmt)]
     return _ROW_PIECES[fmt](_row_array(payload))
@@ -387,9 +400,9 @@ def emit(payload, fmt: str = "csv", path: str | None = None) -> None:
     """Serialize rows or a critical point to CSV or JSON.
 
     Rows are a ``SweepTable`` or any iterable of ``SweepRow``; they are
-    formatted and written SWEEP_CHUNK at a time.  Values carry 9
-    significant digits; lines end with a bare newline.  ``path`` of None
-    writes to stdout.
+    formatted and written EMIT_CHUNK at a time.  Values carry 9
+    significant digits, the bytes of ``"%.9g" % value`` for each value;
+    lines end with a bare newline.  ``path`` of None writes to stdout.
     """
     if fmt not in _ROW_PIECES:
         raise ValueError(f"unknown format {fmt!r}; choose csv or json")

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from resetqfi import (
 )
 from resetqfi.cli import EXIT_OK, EXIT_SOLVER, main
 from resetqfi.dynamics import steady_state
-from resetqfi.sweep import CRITICAL_BRACKET_WIDTH, SWEEP_CHUNK
+from resetqfi.sweep import CRITICAL_BRACKET_WIDTH, EMIT_CHUNK, SWEEP_CHUNK
 
 DATA = Path(__file__).parent / "data"
 
@@ -719,7 +720,7 @@ class TestEmit:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_table_and_row_list_emit_the_same_bytes(self, capsys, chunk_sweep_table, fmt):
-        # SWEEP_CHUNK + 3 rows: formatted as one full chunk and one of 3 rows
+        # SWEEP_CHUNK + 3 rows: formatted in EMIT_CHUNK pieces, the last of 3 rows
         emit(chunk_sweep_table, fmt=fmt)
         from_table = capsys.readouterr().out
         emit(list(chunk_sweep_table), fmt=fmt)
@@ -780,3 +781,84 @@ class TestEmit:
     def test_parse_skips_blank_lines(self):
         rows = parse_csv(CSV_HEADER + "\n\n" + ",".join(["1"] * 12) + "\n\n")
         assert rows == [SweepRow(*[1.0] * 12)]
+
+
+def _plain_csv(rows) -> str:
+    """The CSV of ``rows`` with every value rendered on its own by %.9g."""
+    lines = [",".join("%.9g" % x for x in astuple(row)) for row in rows]
+    return "".join(line + "\n" for line in (CSV_HEADER, *lines))
+
+
+def _special_values() -> np.ndarray:
+    """Seven rows of seeded values with, in their first columns, signed zeros
+    mixed in one column, NaN, infinities, the smallest subnormal, and
+    columns that hold one value over all rows or over the first three."""
+    array = np.random.default_rng(19).normal(size=(7, len(CSV_FIELDS)))
+    array[:, 0] = [0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0]
+    array[:, 1] = [np.nan, np.inf, -np.inf, 5e-324, -5e-324, np.nan, 0.0]
+    array[:, 2] = np.nan
+    array[:, 3] = -np.inf
+    array[:, 4] = 5e-324
+    array[:, 5] = -0.0
+    array[:, 6] = [1.5, 1.5, 1.5, 2.0, 1.5, 1.5, 1.5]
+    array[:, 7] = [-0.0, -0.0, -0.0, 0.0, 0.0, 0.0, -0.0]
+    return array
+
+
+EMIT_SWEEPS = {
+    "sweep-vary-r": SweepSpec(vary="r", start=0.0, stop=20.0, steps=1000,
+                              fixed_gamma=0.5, g_ratio=5.0),
+    "sweep-vary-gamma-g-ratio": SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=1000,
+                                          fixed_r=1.0, g_ratio=5.0),
+    "sweep-vary-gamma-fixed-g": SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=1000,
+                                          fixed_r=14.0, g=2.5),
+}
+
+
+@pytest.fixture(scope="module")
+def emit_payloads():
+    """Tables and row lists whose CSV is checked against ``_plain_csv``."""
+    sweeps = {name: run_sweep(spec) for name, spec in EMIT_SWEEPS.items()}
+    special = _special_values()
+    return {
+        "special-values": SweepTable(special),
+        "all-constant": SweepTable(np.tile(special[[3]], (600, 1))),
+        "one-row": SweepTable(special[:1]),
+        "empty": SweepTable(np.empty((0, len(CSV_FIELDS)))),
+        "strided-slice": sweeps["sweep-vary-r"][::-3],
+        "row-list": list(sweeps["sweep-vary-gamma-g-ratio"])[:300],
+        **sweeps,
+    }
+
+
+EMIT_CASES = ["special-values", "all-constant", "one-row", "empty", "strided-slice",
+              "row-list", *EMIT_SWEEPS]
+# "whole" is one piece of len + 1 rows
+EMIT_PIECES = [1, 2, 3, EMIT_CHUNK, "whole"]
+
+
+def _emit_in_pieces(monkeypatch, capsys, payload, piece, fmt) -> str:
+    monkeypatch.setattr(sweep, "EMIT_CHUNK", len(payload) + 1 if piece == "whole" else piece)
+    emit(payload, fmt=fmt)
+    return capsys.readouterr().out
+
+
+class TestEmitPieces:
+    """emit formats a CSV column that holds one value over a piece once for
+    that piece; its bytes are those of every value rendered on its own, at
+    every piece size."""
+
+    @pytest.mark.parametrize("piece", EMIT_PIECES)
+    @pytest.mark.parametrize("case", EMIT_CASES)
+    def test_csv_equals_plain_rendering(self, monkeypatch, capsys, emit_payloads, case, piece):
+        payload = emit_payloads[case]
+        text = _emit_in_pieces(monkeypatch, capsys, payload, piece, "csv")
+        # compared line by line, so a failure names its first differing line
+        assert text.splitlines(keepends=True) == _plain_csv(payload).splitlines(keepends=True)
+
+    @pytest.mark.parametrize("case", EMIT_CASES)
+    def test_json_does_not_depend_on_the_piece_size(self, monkeypatch, capsys, emit_payloads, case):
+        payload = emit_payloads[case]
+        texts = {_emit_in_pieces(monkeypatch, capsys, payload, piece, "json")
+                 for piece in EMIT_PIECES}
+        assert len(texts) == 1
