@@ -96,12 +96,12 @@ class ModelParams:
 
 
 class DensityMatrix:
-    """Validated quantum state with its eigendecomposition.
+    """Validated two-qubit state with its eigendecomposition.
 
-    The state is eigendecomposed once, then checked in the order square,
-    finite and Hermitian within 1e-10 (by ``hermitian_eig``), unit trace
-    within 1e-10, smallest eigenvalue above -1e-10; the first failure
-    raises.
+    Any shape other than 4x4 raises ``BadDimensionError``.  The state is
+    then eigendecomposed once and checked in the order finite and
+    Hermitian within 1e-10 (by ``hermitian_eig``), unit trace within
+    1e-10, smallest eigenvalue above -1e-10; the first failure raises.
     The stored matrix is read-only.
     """
 
@@ -110,6 +110,8 @@ class DensityMatrix:
 
     def __init__(self, mat):
         mat = np.asarray(mat, dtype=complex)
+        if mat.shape != (4, 4):
+            raise BadDimensionError(f"expected a 4x4 two-qubit state, got shape {mat.shape}")
         eig = hermitian_eig(mat)
         trace = np.trace(mat)
         if abs(trace - 1.0) > self.TRACE_TOL:
@@ -123,10 +125,6 @@ class DensityMatrix:
     @property
     def mat(self) -> np.ndarray:
         return self._mat
-
-    @property
-    def dim(self) -> int:
-        return self._mat.shape[0]
 
     @property
     def eig(self) -> HermitianEig:

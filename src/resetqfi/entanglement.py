@@ -3,18 +3,12 @@
 import numpy as np
 
 from .dynamics import DensityMatrix
-from .errors import BadDimensionError, OutOfRangeError
+from .errors import OutOfRangeError
 from .qlinalg import kron, partial_transpose, sigma_y, trace_norm
 
 _YY = kron(sigma_y, sigma_y)
 # eigenvalues of a state this far below zero indicate a broken input state
 NEGATIVE_EIG_TOL = -1e-12
-
-
-def _two_qubit_state(rho: DensityMatrix) -> np.ndarray:
-    if rho.dim != 4:
-        raise BadDimensionError(f"defined for two qubits only, got dimension {rho.dim}")
-    return rho.mat
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -27,7 +21,6 @@ def concurrence(rho: DensityMatrix) -> float:
     square roots would be off by its square root; the singular values are
     not.
     """
-    _two_qubit_state(rho)
     eigenvalues, eigenvectors = rho.eig.eigenvalues, rho.eig.eigenvectors
     low = eigenvalues.min()
     if low < NEGATIVE_EIG_TOL:
@@ -43,5 +36,5 @@ def negativity(rho: DensityMatrix) -> float:
     Zero whenever the partial transpose is positive semidefinite and 1/2
     for Bell states.
     """
-    value = 0.5 * (trace_norm(partial_transpose(_two_qubit_state(rho), 2)) - 1.0)
+    value = 0.5 * (trace_norm(partial_transpose(rho.mat, 2)) - 1.0)
     return max(0.0, float(value))  # trace norm of a unit-trace state is >= 1

@@ -13,16 +13,8 @@ class BadDimensionError(ValueError):
     """Operand has the wrong shape for this operation."""
 
 
-class DimensionMismatchError(BadDimensionError):
-    """Two operands that must share a dimension do not."""
-
-
 class NotNormalizedError(ValueError):
     """Vector norm differs from 1 beyond tolerance."""
-
-
-class TooManyParticlesError(ValueError):
-    """Requested particle number exceeds the supported maximum."""
 
 
 class NonPositiveFisherError(ValueError):

@@ -1,4 +1,4 @@
-"""Quantum Fisher information for collective rotations of few-qubit states.
+"""Quantum Fisher information for collective rotations of two-qubit states.
 
 A rotation exp(i phi J_n) about the unit axis n imprints the phase phi;
 the QFI of the state with respect to that generator bounds how well phi
@@ -17,16 +17,14 @@ import numpy as np
 from .dynamics import DensityMatrix
 from .errors import (
     BadDimensionError,
-    DimensionMismatchError,
     NonPositiveFisherError,
     NotNormalizedError,
     NotSymmetricError,
     OutOfRangeError,
-    TooManyParticlesError,
 )
 from .qlinalg import kron, sigma_x, sigma_y, sigma_z
 
-MAX_PARTICLES = 4
+N_PARTICLES = 2
 # eigenvalue pairs with p_i + p_j at or below this drop out of the spectral sums
 EIGENVALUE_CUTOFF = 1e-12
 IMAG_RESIDUE_TOL = 1e-10
@@ -71,41 +69,16 @@ Y_AXIS = Direction(0.0, 1.0, 0.0)
 Z_AXIS = Direction(0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class CollectiveSpin:
-    """Collective spin components J_a = (1/2) sum_i sigma_a^(i)."""
-
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
-    n_particles: int
-
-    @property
-    def dim(self) -> int:
-        return self.jx.shape[0]
-
-    def along(self, direction: Direction) -> np.ndarray:
-        """J_n = n . J for a unit axis n."""
-        return direction.nx * self.jx + direction.ny * self.jy + direction.nz * self.jz
+_I2 = np.eye(2, dtype=complex)
+# the collective spin J_a = (sigma_a x 1 + 1 x sigma_a) / 2, a = x, y, z, of
+# the two qubits, stacked; read-only
+_J = np.stack([0.5 * (kron(pauli, _I2) + kron(_I2, pauli)) for pauli in (sigma_x, sigma_y, sigma_z)])
+_J.flags.writeable = False
 
 
-def collective_spin_ops(n_particles: int) -> CollectiveSpin:
-    """Build J_x, J_y, J_z on the full 2^n tensor-product space."""
-    if n_particles < 1:
-        raise ValueError(f"need at least one particle, got {n_particles}")
-    if n_particles > MAX_PARTICLES:
-        raise TooManyParticlesError(
-            f"dense operators are kept to <= {MAX_PARTICLES} particles, got {n_particles}")
-    components = []
-    for pauli in (sigma_x, sigma_y, sigma_z):
-        total = np.zeros((2**n_particles,) * 2, dtype=complex)
-        for site in range(n_particles):
-            term = np.eye(1, dtype=complex)
-            for k in range(n_particles):
-                term = kron(term, pauli if k == site else np.eye(2, dtype=complex))
-            total += term
-        components.append(0.5 * total)
-    return CollectiveSpin(*components, n_particles=n_particles)
+def _along(direction: Direction) -> np.ndarray:
+    """J_n = n . J for a unit axis n."""
+    return direction.nx * _J[0] + direction.ny * _J[1] + direction.nz * _J[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,12 +109,6 @@ class SensitivityClass(Enum):
     SUB_SHOT_NOISE_USEFUL = "sub_shot_noise_useful"
 
 
-def _check_dims(rho: DensityMatrix, spin: CollectiveSpin) -> None:
-    if rho.dim != spin.dim:
-        raise DimensionMismatchError(
-            f"state dimension {rho.dim} does not match spin dimension {spin.dim}")
-
-
 def _spectral_weights(p: np.ndarray) -> np.ndarray:
     """(p_i - p_j)^2 / (p_i + p_j) with vanishing pairs excluded, for one
     spectrum p."""
@@ -151,42 +118,38 @@ def _spectral_weights(p: np.ndarray) -> np.ndarray:
     return np.divide(diffs**2, sums, out=np.zeros_like(sums), where=keep)
 
 
-def qfi_direction(rho: DensityMatrix, direction: Direction, spin: CollectiveSpin) -> float:
+def qfi_direction(rho: DensityMatrix, direction: Direction) -> float:
     """QFI of rho for the generator J_n along one fixed axis."""
-    _check_dims(rho, spin)
     eig = rho.eig
-    jn = spin.along(direction)
+    jn = _along(direction)
     a = eig.eigenvectors.conj().T @ jn @ eig.eigenvectors
     weights = _spectral_weights(eig.eigenvalues)
     return float(2.0 * (weights * np.abs(a) ** 2).sum())
 
 
-def qfi_pure(psi, direction: Direction, spin: CollectiveSpin) -> float:
+def qfi_pure(psi, direction: Direction) -> float:
     """Pure-state QFI, four times the variance of J_n."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape[0] != spin.dim:
-        raise DimensionMismatchError(
-            f"state dimension {psi.shape[0]} does not match spin dimension {spin.dim}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    if psi.shape[0] != 4:
+        raise BadDimensionError(f"state vector must have 4 entries, got {psi.shape[0]}")
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # NaN fails too
         raise NotNormalizedError("state vector must be normalized within 1e-10")
-    jpsi = spin.along(direction) @ psi
+    jpsi = _along(direction) @ psi
     mean = np.vdot(psi, jpsi).real
     mean_sq = np.vdot(jpsi, jpsi).real
     return float(4.0 * (mean_sq - mean**2))
 
 
-def c_matrix(rho: DensityMatrix, spin: CollectiveSpin) -> np.ndarray:
-    """Real symmetric 3x3 matrix C with n . C n = qfi_direction(rho, n, spin).
+def c_matrix(rho: DensityMatrix) -> np.ndarray:
+    """Real symmetric 3x3 matrix C with n . C n = qfi_direction(rho, n).
 
     C_kl sums (p_i - p_j)^2 / (p_i + p_j) times the symmetrized product
     of J_k and J_l matrix elements in the eigenbasis of rho.  The
     imaginary residue of that sum must stay below 1e-10; it is asserted
     and discarded.
     """
-    _check_dims(rho, spin)
     basis = rho.eig.eigenvectors
-    generators = np.stack((spin.jx, spin.jy, spin.jz))
-    elements = basis.conj().T @ generators @ basis  # (3, d, d)
+    elements = basis.conj().T @ _J @ basis  # (3, 4, 4)
     half = np.einsum("ab,kab,lba->kl", _spectral_weights(rho.eig.eigenvalues), elements, elements)
     c = half + half.T
     residue = np.abs(c.imag).max()
@@ -279,37 +242,36 @@ def optimal_direction(c) -> Direction:
     return Direction(*axes[0])
 
 
-def mean_qfi_max(rho: DensityMatrix, spin: CollectiveSpin) -> QfiResult:
+def mean_qfi_max(rho: DensityMatrix) -> QfiResult:
     """Maximize the QFI over rotation axes and report it per particle."""
-    c = c_matrix(rho, spin)
+    c = c_matrix(rho)
     top, axes = top_axes(c[None])
     lam = float(top[0])
     return QfiResult(
         c=c,
         lambda_max=lam,
-        mean_f=lam / spin.n_particles,
+        mean_f=lam / N_PARTICLES,
         opt_dir=Direction(*axes[0]),
     )
 
 
-def classify(mean_f: float, n_particles: int) -> SensitivityClass:
+def classify(mean_f: float) -> SensitivityClass:
     """Shot-noise comparison of the mean QFI per particle.
 
-    Values above 1 beat any uncorrelated ensemble of the same size;
-    values up to n_particles are physical (Heisenberg scaling).
+    Values above 1 beat any uncorrelated pair of qubits; values up to
+    N_PARTICLES = 2 are physical (Heisenberg scaling).
     """
-    if not -1e-9 <= mean_f <= n_particles + 1e-9:  # NaN fails too
+    if not -1e-9 <= mean_f <= N_PARTICLES + 1e-9:  # NaN fails too
         raise OutOfRangeError(
-            f"mean QFI per particle {mean_f} lies outside [0, {n_particles}]")
+            f"mean QFI per particle {mean_f} lies outside [0, {N_PARTICLES}]")
     if mean_f > 1.0 + 1e-12:
         return SensitivityClass.SUB_SHOT_NOISE_USEFUL
     return SensitivityClass.WITHIN_SHOT_NOISE
 
 
-def rotate(rho: DensityMatrix, direction: Direction, phi: float, spin: CollectiveSpin) -> DensityMatrix:
+def rotate(rho: DensityMatrix, direction: Direction, phi: float) -> DensityMatrix:
     """Apply exp(i phi J_n) to the state."""
-    _check_dims(rho, spin)
-    jn = spin.along(direction)
+    jn = _along(direction)
     eigenvalues, eigenvectors = np.linalg.eigh(jn)
     u = (eigenvectors * np.exp(1j * phi * eigenvalues)) @ eigenvectors.conj().T
     return DensityMatrix(u @ rho.mat @ u.conj().T)

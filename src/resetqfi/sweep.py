@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import STEADY_STATE_METHODS, ModelParams, closed_form_figures, steady_state
 from .entanglement import concurrence, negativity
 from .errors import SOLVER_ERRORS, NoSignChangeError
-from .metrology import c_matrix, collective_spin_ops, top_axes
+from .metrology import N_PARTICLES, c_matrix, top_axes
 
 CSV_HEADER = ("r,gamma,g,mean_qfi,lambda_x,lambda_yz_hi,lambda_yz_lo,"
               "concurrence,negativity,opt_nx,opt_ny,opt_nz")
@@ -41,7 +41,6 @@ SWEEP_CHUNK = 512
 # the threshold) and is formatted once.
 EMIT_CHUNK = 256
 
-_SPIN2 = collective_spin_ops(2)
 _ROW_VALUES = operator.attrgetter(*CSV_FIELDS)
 
 
@@ -191,7 +190,7 @@ def _table(rates, c, concurrence, negativity) -> np.ndarray:
     gamma and g, each an array of N or one fixed value), moment matrices
     and entanglement measures."""
     lambda_max, axes = top_axes(c)
-    return np.column_stack((*np.broadcast_arrays(*rates), lambda_max / _SPIN2.n_particles,
+    return np.column_stack((*np.broadcast_arrays(*rates), lambda_max / N_PARTICLES,
                             *_branches(c), concurrence, negativity, axes))
 
 
@@ -205,7 +204,7 @@ def _closed_form(rates) -> tuple:
 def _of_states(states) -> tuple:
     """C of a list of N states, shape (N, 3, 3), and a callable giving the
     concurrence and the negativity of each."""
-    return (np.array([c_matrix(rho, _SPIN2) for rho in states]),
+    return (np.array([c_matrix(rho) for rho in states]),
             lambda: (np.array([concurrence(rho) for rho in states]),
                      np.array([negativity(rho) for rho in states])))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from resetqfi import ModelParams, collective_spin_ops, sweep
+from resetqfi import ModelParams, sweep
 from resetqfi.dynamics import closed_form_figures
 
 
@@ -18,11 +18,6 @@ def model_grid():
 @pytest.fixture(scope="session")
 def grid():
     return model_grid()
-
-
-@pytest.fixture(scope="session")
-def spin2():
-    return collective_spin_ops(2)
 
 
 @pytest.fixture

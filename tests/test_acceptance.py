@@ -59,10 +59,10 @@ def _axis_kind(direction):
     return "other"
 
 
-def test_criterion_1_strong_reset_reference_point(spin2):
+def test_criterion_1_strong_reset_reference_point():
     failures = []
     rho = closed_form_steady_state(POINT_A)
-    result = mean_qfi_max(rho, spin2)
+    result = mean_qfi_max(rho)
     _expect(failures, abs(result.mean_f - 1.00226) <= 5e-3,
             f"mean QFI {result.mean_f:.6f} != 1.00226 (5e-3)")
     _expect(failures, abs(concurrence(rho) - 0.0992486) <= 5e-4,
@@ -72,10 +72,10 @@ def test_criterion_1_strong_reset_reference_point(spin2):
     _verdict(1, "r=14, gamma=0.5, g=2.5 reproduces the reference figures of merit", failures)
 
 
-def test_criterion_2_weak_rates_reference_point(spin2):
+def test_criterion_2_weak_rates_reference_point():
     failures = []
     rho = closed_form_steady_state(POINT_B)
-    result = mean_qfi_max(rho, spin2)
+    result = mean_qfi_max(rho)
     _expect(failures, abs(result.mean_f - 1.02124) <= 5e-3,
             f"mean QFI {result.mean_f:.6f} != 1.02124 (5e-3)")
     _expect(failures, abs(concurrence(rho) - 0.0367627) <= 5e-4,
@@ -85,7 +85,7 @@ def test_criterion_2_weak_rates_reference_point(spin2):
     _verdict(2, "r=1, gamma=0.01, g=0.05 reproduces the reference figures of merit", failures)
 
 
-def test_criterion_3_critical_points_and_axis_flip(spin2):
+def test_criterion_3_critical_points_and_axis_flip():
     failures = []
     spec_r = SweepSpec(vary="r", start=0.5, stop=8.0, steps=2,
                        fixed_gamma=0.5, g_ratio=5.0)
@@ -102,7 +102,7 @@ def test_criterion_3_critical_points_and_axis_flip(spin2):
             f"dephasing crossing {crit_g.value:.4f} != 0.214 (0.01)")
 
     def best_axis(params):
-        return optimal_direction(c_matrix(closed_form_steady_state(params), spin2))
+        return optimal_direction(c_matrix(closed_form_steady_state(params)))
 
     below_r = _axis_kind(best_axis(ModelParams(r=crit_r.value - 0.5, gamma=0.5, g=2.5)))
     above_r = _axis_kind(best_axis(ModelParams(r=crit_r.value + 0.5, gamma=0.5, g=2.5)))
@@ -148,16 +148,15 @@ def test_criterion_5_steady_state_routes_agree(grid):
              failures)
 
 
-def test_criterion_6_reset_rate_limits(spin2):
+def test_criterion_6_reset_rate_limits():
     failures = []
-    no_reset = mean_qfi_max(closed_form_steady_state(ModelParams(r=0.0, gamma=0.5, g=2.5)),
-                            spin2)
+    no_reset = mean_qfi_max(closed_form_steady_state(ModelParams(r=0.0, gamma=0.5, g=2.5)))
     _expect(failures, abs(no_reset.mean_f) <= 1e-9,
             f"mean QFI at r=0 is {no_reset.mean_f:.2e}, not 0")
 
     # the strong-reset limit of the steady state is the product |++> state
     plus_plus = np.full(4, 0.5, dtype=complex)
-    oracle = max(qfi_pure(plus_plus, axis, spin2) for axis in (X_AXIS, Y_AXIS, Z_AXIS)) / 2.0
+    oracle = max(qfi_pure(plus_plus, axis) for axis in (X_AXIS, Y_AXIS, Z_AXIS)) / 2.0
     spec = SweepSpec(vary="r", start=100.0, stop=2000.0, steps=5,
                      fixed_gamma=0.5, g_ratio=5.0)
     means = [row.mean_qfi for row in run_sweep(spec)]
@@ -172,15 +171,15 @@ def test_criterion_6_reset_rate_limits(spin2):
              failures)
 
 
-def test_criterion_7_property_battery(grid, spin2):
+def test_criterion_7_property_battery(grid):
     rng = np.random.default_rng(51)
     failures = []
 
     # quadratic form: n.Cn equals the directional QFI
     for params in (POINT_A, POINT_B):
         rho = closed_form_steady_state(params)
-        c = c_matrix(rho, spin2)
-        worst = max(abs(d.as_array() @ c @ d.as_array() - qfi_direction(rho, d, spin2))
+        c = c_matrix(rho)
+        worst = max(abs(d.as_array() @ c @ d.as_array() - qfi_direction(rho, d))
                     for d in (Direction.from_vector(rng.normal(size=3)) for _ in range(100)))
         _expect(failures, worst <= 1e-9, f"quadratic form off by {worst:.2e} at r={params.r}")
 
@@ -190,14 +189,14 @@ def test_criterion_7_property_battery(grid, spin2):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
         d = Direction.from_vector(rng.normal(size=3))
-        dense = qfi_direction(DensityMatrix(np.outer(psi, psi.conj())), d, spin2)
-        worst = max(worst, abs(dense - qfi_pure(psi, d, spin2)))
+        dense = qfi_direction(DensityMatrix(np.outer(psi, psi.conj())), d)
+        worst = max(worst, abs(dense - qfi_pure(psi, d)))
     _expect(failures, worst <= 1e-8, f"pure-state agreement off by {worst:.2e}")
 
     # bounds and moment-matrix block structure across the grid
     for params in grid:
         rho = closed_form_steady_state(params)
-        result = mean_qfi_max(rho, spin2)
+        result = mean_qfi_max(rho)
         _expect(failures, -1e-9 <= result.mean_f <= 2.0 + 1e-9,
                 f"mean QFI {result.mean_f} outside [0, 2] at r={params.r}")
         c = result.c
@@ -209,9 +208,9 @@ def test_criterion_7_property_battery(grid, spin2):
     rho = closed_form_steady_state(POINT_A)
     for d in (X_AXIS, Direction.from_vector([0.0, 1.0, 1.0]),
               Direction.from_vector(rng.normal(size=3))):
-        before = qfi_direction(rho, d, spin2)
+        before = qfi_direction(rho, d)
         for phi in (0.7, 2.1):
-            after = qfi_direction(rotate(rho, d, phi, spin2), d, spin2)
+            after = qfi_direction(rotate(rho, d, phi), d)
             _expect(failures, abs(after - before) <= 1e-9,
                     f"rotation changed the QFI by {abs(after - before):.2e}")
 

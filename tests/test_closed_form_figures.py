@@ -25,9 +25,8 @@ from resetqfi import (
     sweep,
 )
 from resetqfi.dynamics import closed_form_figures
-from resetqfi.metrology import DIRECTION_TIE_TOL, collective_spin_ops
+from resetqfi.metrology import DIRECTION_TIE_TOL
 
-SPIN2 = collective_spin_ops(2)
 FIGURES = CSV_FIELDS[3:]
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -56,7 +55,7 @@ def log_uniform_rates():
 def eigen_figures(log_uniform_rates):
     """C and negativity of each eigendecomposed closed-form state."""
     states = [closed_form_steady_state(ModelParams(*point)) for point in log_uniform_rates.T]
-    return (np.array([c_matrix(rho, SPIN2) for rho in states]),
+    return (np.array([c_matrix(rho) for rho in states]),
             np.array([entanglement.negativity(rho) for rho in states]))
 
 
@@ -112,7 +111,10 @@ def _mp_reference(mp, r, gamma, g):
     spectral sums in mpmath."""
     rho = _mp_state(mp, r, gamma, g)
     eigenvalues, vectors = mp.eigh(rho)
-    spin = [mp.matrix(op.tolist()) for op in (SPIN2.jx, SPIN2.jy, SPIN2.jz)]
+    # the two-qubit collective spin (sigma_a x 1 + 1 x sigma_a) / 2, built here
+    paulis = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+    spin = [mp.matrix((0.5 * (np.kron(p, np.eye(2)) + np.kron(np.eye(2), p))).tolist())
+            for p in paulis]
     elements = [vectors.H * op * vectors for op in spin]
     c = mp.matrix(3, 3)
     for i in range(4):

@@ -53,13 +53,18 @@ class TestModelParams:
 class TestDensityMatrix:
     def test_accepts_maximally_mixed(self):
         rho = DensityMatrix(np.eye(4) / 4)
-        assert rho.dim == 4
+        assert rho.mat.shape == (4, 4)
         assert abs(rho.mat.trace() - 1.0) == 0.0
 
     def test_matrix_is_read_only(self):
         rho = DensityMatrix(np.eye(4) / 4)
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 0.5
+
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (4, 2), (16,), (1, 4, 4)])
+    def test_rejects_all_but_two_qubit_shapes(self, shape):
+        with pytest.raises(BadDimensionError, match=r"^expected a 4x4 two-qubit state, got shape"):
+            DensityMatrix(np.zeros(shape))
 
     def test_rejects_non_hermitian(self):
         bad = np.eye(4, dtype=complex) / 4

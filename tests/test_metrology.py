@@ -6,9 +6,7 @@ from resetqfi import (
     Y_AXIS,
     Z_AXIS,
     BadDimensionError,
-    CollectiveSpin,
     DensityMatrix,
-    DimensionMismatchError,
     Direction,
     ModelParams,
     NonPositiveFisherError,
@@ -16,23 +14,19 @@ from resetqfi import (
     NotSymmetricError,
     OutOfRangeError,
     SensitivityClass,
-    TooManyParticlesError,
     c_matrix,
     classify,
     closed_form_steady_state,
-    collective_spin_ops,
     mean_qfi_max,
     optimal_direction,
     qcrb,
     qfi_direction,
     qfi_pure,
     rotate,
-    sigma_x,
-    sigma_y,
-    sigma_z,
     steady_state,
 )
 from resetqfi.dynamics import closed_form_figures
+from resetqfi import metrology
 from resetqfi.metrology import top_axes
 
 BELL = np.zeros(4, dtype=complex)
@@ -107,124 +101,110 @@ class TestDirection:
         assert Z_AXIS.nz == 1.0
 
 
-class TestCollectiveSpin:
-    def test_single_particle_is_half_pauli(self):
-        spin = collective_spin_ops(1)
-        assert np.array_equal(spin.jx, sigma_x / 2)
-        assert np.array_equal(spin.jy, sigma_y / 2)
-        assert np.array_equal(spin.jz, sigma_z / 2)
-
+class TestTwoQubitSpin:
     def test_two_particle_jz(self):
-        spin = collective_spin_ops(2)
-        assert np.allclose(spin.jz, np.diag([1.0, 0.0, 0.0, -1.0]))
+        assert np.allclose(metrology._J[2], np.diag([1.0, 0.0, 0.0, -1.0]))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_su2_commutators(self, n):
-        spin = collective_spin_ops(n)
-        comm = spin.jx @ spin.jy - spin.jy @ spin.jx
-        assert np.abs(comm - 1j * spin.jz).max() <= 1e-12
+    def test_su2_commutators(self):
+        jx, jy, jz = metrology._J
+        assert np.abs(jx @ jy - jy @ jx - 1j * jz).max() <= 1e-12
 
     def test_along_mixes_components(self):
-        spin = collective_spin_ops(2)
         d = Direction.from_vector([1.0, 1.0, 0.0])
-        expected = (spin.jx + spin.jy) / np.sqrt(2.0)
-        assert np.abs(spin.along(d) - expected).max() <= 1e-15
+        expected = (metrology._J[0] + metrology._J[1]) / np.sqrt(2.0)
+        assert np.abs(metrology._along(d) - expected).max() <= 1e-15
 
-    def test_rejects_zero_particles(self):
+    def test_is_read_only(self):
         with pytest.raises(ValueError):
-            collective_spin_ops(0)
-
-    def test_rejects_too_many_particles(self):
-        with pytest.raises(TooManyParticlesError):
-            collective_spin_ops(5)
+            metrology._J[0, 0, 0] = 0.0
 
 
 class TestQfiDirection:
-    def test_maximally_mixed_is_blind(self, spin2):
+    def test_maximally_mixed_is_blind(self):
         rho = DensityMatrix(np.eye(4) / 4)
         for d in (X_AXIS, Y_AXIS, Z_AXIS):
-            assert abs(qfi_direction(rho, d, spin2)) <= 1e-12
+            assert abs(qfi_direction(rho, d)) <= 1e-12
 
-    def test_bell_state_reaches_heisenberg(self, spin2):
-        assert abs(qfi_direction(pure_density(BELL), Z_AXIS, spin2) - 4.0) <= 1e-10
+    def test_bell_state_reaches_heisenberg(self):
+        assert abs(qfi_direction(pure_density(BELL), Z_AXIS) - 4.0) <= 1e-10
 
-    def test_steady_state_value(self, spin2):
+    def test_steady_state_value(self):
         rho = closed_form_steady_state(POINT_A)
         d = Direction.from_vector([0.0, 1.0, 1.0])
-        assert abs(qfi_direction(rho, d, spin2) - 2.00452) <= 1e-2
+        assert abs(qfi_direction(rho, d) - 2.00452) <= 1e-2
 
-    def test_dimension_mismatch(self, spin2):
-        with pytest.raises(DimensionMismatchError):
-            qfi_direction(DensityMatrix(np.eye(2) / 2), Z_AXIS, spin2)
+    def test_dimension_mismatch(self):
+        with pytest.raises(BadDimensionError):
+            qfi_direction(DensityMatrix(np.eye(2) / 2), Z_AXIS)
 
 
 class TestQfiPure:
-    def test_plus_state_single_qubit(self):
-        spin = collective_spin_ops(1)
-        plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert abs(qfi_pure(plus, Z_AXIS, spin) - 1.0) <= 1e-12
-        assert abs(qfi_pure(plus, X_AXIS, spin)) <= 1e-12
+    def test_product_plus_state(self):
+        assert abs(qfi_pure(PLUS_PLUS, X_AXIS)) <= 1e-12
+        assert abs(qfi_pure(PLUS_PLUS, Y_AXIS) - 2.0) <= 1e-12
+        assert abs(qfi_pure(PLUS_PLUS, Z_AXIS) - 2.0) <= 1e-12
 
-    def test_product_plus_state(self, spin2):
-        assert abs(qfi_pure(PLUS_PLUS, X_AXIS, spin2)) <= 1e-12
-        assert abs(qfi_pure(PLUS_PLUS, Y_AXIS, spin2) - 2.0) <= 1e-12
-        assert abs(qfi_pure(PLUS_PLUS, Z_AXIS, spin2) - 2.0) <= 1e-12
+    def test_bell_state(self):
+        assert abs(qfi_pure(BELL, Z_AXIS) - 4.0) <= 1e-12
 
-    def test_bell_state(self, spin2):
-        assert abs(qfi_pure(BELL, Z_AXIS, spin2) - 4.0) <= 1e-12
-
-    def test_rejects_unnormalized(self, spin2):
+    def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalizedError):
-            qfi_pure(np.ones(4), Z_AXIS, spin2)
+            qfi_pure(np.ones(4), Z_AXIS)
 
-    def test_dimension_mismatch(self, spin2):
-        with pytest.raises(DimensionMismatchError,
-                           match="^state dimension 2 does not match spin dimension 4$"):
-            qfi_pure(np.array([1.0, 0.0]), Z_AXIS, spin2)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        with pytest.raises(NotNormalizedError):
+            qfi_pure(np.array([value, 0.0, 0.0, 0.0]), Z_AXIS)
 
-    def test_agrees_with_mixed_state_formula(self, spin2):
+    def test_dimension_mismatch(self):
+        with pytest.raises(BadDimensionError, match="^state vector must have 4 entries, got 2$"):
+            qfi_pure(np.array([1.0, 0.0]), Z_AXIS)
+
+    def test_agrees_with_mixed_state_formula(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             psi = random_pure(rng)
             d = random_direction(rng)
-            dense = qfi_direction(pure_density(psi), d, spin2)
-            assert abs(dense - qfi_pure(psi, d, spin2)) <= 1e-8
+            dense = qfi_direction(pure_density(psi), d)
+            assert abs(dense - qfi_pure(psi, d)) <= 1e-8
 
 
 class TestCMatrix:
-    def test_maximally_mixed_is_zero(self, spin2):
-        assert np.abs(c_matrix(DensityMatrix(np.eye(4) / 4), spin2)).max() <= 1e-12
+    def test_maximally_mixed_is_zero(self):
+        assert np.abs(c_matrix(DensityMatrix(np.eye(4) / 4))).max() <= 1e-12
 
-    def test_product_plus_state(self, spin2):
-        c = c_matrix(pure_density(PLUS_PLUS), spin2)
+    def test_product_plus_state(self):
+        c = c_matrix(pure_density(PLUS_PLUS))
         assert np.abs(c - np.diag([0.0, 2.0, 2.0])).max() <= 1e-12
         # diagonal doubles as four times the variance of each component
         for k, axis in enumerate((X_AXIS, Y_AXIS, Z_AXIS)):
-            assert abs(c[k, k] - qfi_pure(PLUS_PLUS, axis, spin2)) <= 1e-12
+            assert abs(c[k, k] - qfi_pure(PLUS_PLUS, axis)) <= 1e-12
 
-    def test_quadratic_form_matches_directional_qfi(self, spin2):
+    def test_quadratic_form_matches_directional_qfi(self):
         rng = np.random.default_rng(32)
         for params in (POINT_A, POINT_B):
             rho = closed_form_steady_state(params)
-            c = c_matrix(rho, spin2)
+            c = c_matrix(rho)
             for _ in range(100):
                 d = random_direction(rng)
                 n = d.as_array()
-                assert abs(n @ c @ n - qfi_direction(rho, d, spin2)) <= 1e-9
+                assert abs(n @ c @ n - qfi_direction(rho, d)) <= 1e-9
 
-    def test_steady_state_block_structure(self, spin2):
+    def test_steady_state_block_structure(self):
         for params in (POINT_A, ModelParams(r=0.7, gamma=1.9, g=0.3)):
-            c = c_matrix(closed_form_steady_state(params), spin2)
+            c = c_matrix(closed_form_steady_state(params))
             assert abs(c[0, 1]) <= 1e-9
             assert abs(c[0, 2]) <= 1e-9
             assert abs(c[1, 1] - c[2, 2]) <= 1e-9
 
-    def test_non_hermitian_generator_leaves_imaginary_residue(self, spin2):
-        skewed = CollectiveSpin(spin2.jx, spin2.jy + 1j * spin2.jx, spin2.jz, n_particles=2)
+    def test_non_hermitian_generator_leaves_imaginary_residue(self, monkeypatch):
+        jx, jy, jz = metrology._J
+        skewed = np.stack((jx, jy + 1j * jx, jz))
+        monkeypatch.setattr(metrology, "_J", skewed)
         with pytest.raises(OutOfRangeError, match="^moment matrix has imaginary residue"):
-            c_matrix(closed_form_steady_state(POINT_A), skewed)
+            c_matrix(closed_form_steady_state(POINT_A))
 
-    def test_convex_mixing_never_gains_qfi(self, spin2):
+    def test_convex_mixing_never_gains_qfi(self):
         rng = np.random.default_rng(33)
         rho1 = closed_form_steady_state(POINT_A)
         rho2 = closed_form_steady_state(ModelParams(r=2.0, gamma=1.0, g=0.5))
@@ -232,9 +212,9 @@ class TestCMatrix:
             mixed = DensityMatrix(weight * rho1.mat + (1 - weight) * rho2.mat)
             for _ in range(10):
                 d = random_direction(rng)
-                bound = (weight * qfi_direction(rho1, d, spin2)
-                         + (1 - weight) * qfi_direction(rho2, d, spin2))
-                assert qfi_direction(mixed, d, spin2) <= bound + 1e-9
+                bound = (weight * qfi_direction(rho1, d)
+                         + (1 - weight) * qfi_direction(rho2, d))
+                assert qfi_direction(mixed, d) <= bound + 1e-9
 
 
 class TestOptimalDirection:
@@ -252,15 +232,15 @@ class TestOptimalDirection:
         d = optimal_direction(np.diag([1.0, 5.0, 2.0]))
         assert d.ny == 1.0
 
-    def test_small_reset_rate_prefers_x(self, spin2):
-        c = c_matrix(closed_form_steady_state(ModelParams(r=1.8, gamma=0.5, g=2.5)), spin2)
+    def test_small_reset_rate_prefers_x(self):
+        c = c_matrix(closed_form_steady_state(ModelParams(r=1.8, gamma=0.5, g=2.5)))
         d = optimal_direction(c)
         assert abs(d.nx - 1.0) <= 1e-6
         assert abs(d.ny) <= 1e-6
         assert abs(d.nz) <= 1e-6
 
-    def test_large_reset_rate_prefers_yz_diagonal(self, spin2):
-        c = c_matrix(closed_form_steady_state(POINT_A), spin2)
+    def test_large_reset_rate_prefers_yz_diagonal(self):
+        c = c_matrix(closed_form_steady_state(POINT_A))
         d = optimal_direction(c)
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
         assert abs(d.nx) <= 1e-6
@@ -286,11 +266,11 @@ class TestOptimalDirection:
         with pytest.raises(OutOfRangeError, match="non-finite"):
             optimal_direction(bad)
 
-    def test_stack_matches_per_matrix_reference(self, spin2):
+    def test_stack_matches_per_matrix_reference(self):
         rng = np.random.default_rng(35)
         stack = [np.zeros((3, 3)), np.eye(3), np.diag([2.0, 2.0, 1.0]), np.diag([1.0, 2.0, 2.0]),
                  np.diag([1.0, 5.0, 2.0]), np.diag([3.0, 3.0, 3.0 + 1e-11])]
-        stack += [c_matrix(closed_form_steady_state(ModelParams(r=r, gamma=0.5, g=2.5)), spin2)
+        stack += [c_matrix(closed_form_steady_state(ModelParams(r=r, gamma=0.5, g=2.5)))
                   for r in (0.0, 1.8, 2.3, 14.0)]
         for _ in range(20):
             m = rng.normal(size=(3, 3))
@@ -301,11 +281,11 @@ class TestOptimalDirection:
             assert lam == ref_lam
             assert hexes(axis) == hexes(ref_axis)
 
-    def test_each_row_equals_its_single_matrix_call(self, spin2, eigh_calls):
+    def test_each_row_equals_its_single_matrix_call(self, eigh_calls):
         # a route sweep takes its axes from one stacked call and evaluate_point
         # from an N = 1 call, and the two must give the same row
         rng = np.random.default_rng(17)
-        stack = [c_matrix(steady_state(ModelParams(*rates), method), spin2)
+        stack = [c_matrix(steady_state(ModelParams(*rates), method))
                  for rates in ((14.0, 0.5, 2.5), (1.8, 0.5, 2.5), (0.3, 2.0, 0.7),
                                (1.0, 0.01, 0.05), (0.01, 0.005, 0.02))
                  for method in ("nullspace", "integrate")]
@@ -419,17 +399,17 @@ class TestTopAxesBlockDiagonal:
 
 
 class TestMeanQfiMax:
-    def test_reference_values(self, spin2):
+    def test_reference_values(self):
         for params, expected in ((POINT_A, 1.00226), (POINT_B, 1.02124)):
-            result = mean_qfi_max(closed_form_steady_state(params), spin2)
+            result = mean_qfi_max(closed_form_steady_state(params))
             assert abs(result.mean_f - expected) <= 5e-3
 
-    def test_no_reset_loses_all_sensitivity(self, spin2):
-        result = mean_qfi_max(closed_form_steady_state(ModelParams(r=0.0, gamma=0.5, g=2.5)), spin2)
+    def test_no_reset_loses_all_sensitivity(self):
+        result = mean_qfi_max(closed_form_steady_state(ModelParams(r=0.0, gamma=0.5, g=2.5)))
         assert abs(result.mean_f) <= 1e-9
 
-    def test_fields_are_consistent(self, spin2):
-        result = mean_qfi_max(closed_form_steady_state(POINT_A), spin2)
+    def test_fields_are_consistent(self):
+        result = mean_qfi_max(closed_form_steady_state(POINT_A))
         assert abs(result.mean_f - result.lambda_max / 2.0) <= 1e-15
         eigenvalues = np.linalg.eigvalsh(result.c)
         assert abs(result.lambda_max - eigenvalues[-1]) <= 1e-12
@@ -439,52 +419,51 @@ class TestMeanQfiMax:
 
 class TestClassify:
     def test_shot_noise_boundary(self):
-        assert classify(1.0, 2) is SensitivityClass.WITHIN_SHOT_NOISE
-        assert classify(0.0, 2) is SensitivityClass.WITHIN_SHOT_NOISE
-        assert classify(1.00226, 2) is SensitivityClass.SUB_SHOT_NOISE_USEFUL
+        assert classify(1.0) is SensitivityClass.WITHIN_SHOT_NOISE
+        assert classify(0.0) is SensitivityClass.WITHIN_SHOT_NOISE
+        assert classify(1.00226) is SensitivityClass.SUB_SHOT_NOISE_USEFUL
 
     def test_rejects_unphysical_values(self):
         with pytest.raises(OutOfRangeError):
-            classify(2.5, 2)
+            classify(2.5)
         with pytest.raises(OutOfRangeError):
-            classify(-0.5, 2)
+            classify(-0.5)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_values(self, value):
         with pytest.raises(OutOfRangeError):
-            classify(value, 2)
+            classify(value)
 
 
 class TestRotate:
-    def test_zero_angle_is_identity(self, spin2):
+    def test_zero_angle_is_identity(self):
         rho = closed_form_steady_state(POINT_A)
-        rotated = rotate(rho, Y_AXIS, 0.0, spin2)
+        rotated = rotate(rho, Y_AXIS, 0.0)
         assert np.abs(rotated.mat - rho.mat).max() <= 1e-12
 
-    def test_preserves_spectrum(self, spin2):
+    def test_preserves_spectrum(self):
         rng = np.random.default_rng(34)
         rho = closed_form_steady_state(POINT_B)
         for _ in range(10):
             phi = rng.uniform(-np.pi, np.pi)
-            rotated = rotate(rho, random_direction(rng), phi, spin2)
+            rotated = rotate(rho, random_direction(rng), phi)
             assert np.abs(np.linalg.eigvalsh(rotated.mat)
                           - np.linalg.eigvalsh(rho.mat)).max() <= 1e-10
 
-    def test_qfi_invariant_under_generated_rotation(self, spin2):
+    def test_qfi_invariant_under_generated_rotation(self):
         # rotating about n commutes with J_n, so the QFI along n is unchanged
         rho = closed_form_steady_state(POINT_A)
         d = Direction.from_vector([0.0, 1.0, 1.0])
-        before = qfi_direction(rho, d, spin2)
+        before = qfi_direction(rho, d)
         for phi in (0.3, 1.2, 2.9):
-            after = qfi_direction(rotate(rho, d, phi, spin2), d, spin2)
+            after = qfi_direction(rotate(rho, d, phi), d)
             assert abs(after - before) <= 1e-9
 
     def test_bloch_rotation_moves_plus_to_minus(self):
-        spin = collective_spin_ops(1)
-        plus = pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        rotated = rotate(plus, Z_AXIS, np.pi, spin)
-        minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        overlap = minus.conj() @ rotated.mat @ minus
+        # exp(i pi J_z) = -(Z x Z), which takes |++> to -|-->
+        rotated = rotate(pure_density(PLUS_PLUS), Z_AXIS, np.pi)
+        minus_minus = np.array([1.0, -1.0, -1.0, 1.0]) / 2.0
+        overlap = minus_minus @ rotated.mat @ minus_minus
         assert abs(overlap - 1.0) <= 1e-12
 
 

@@ -36,3 +36,29 @@ def test_entangled_below_shot_noise_at_g_five_gamma():
     qfi, negativity = _qfi_per_particle_and_negativity(np.array([10.0, 20.0]), 5.0)
     assert (negativity > 0.0).all()
     assert np.round(qfi, 3).tolist() == [0.703, 0.955]
+
+
+def _threshold(above, lo, hi):
+    """The r / gamma at g = 5 gamma where ``above`` turns from False at lo
+    to True at hi, by bisection down to adjacent floats."""
+    assert not above(lo) and above(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_thresholds_at_g_five_gamma():
+    # the roots of the ROADMAP's exact threshold polynomials: the
+    # entanglement quadratic, 6.25861046, and the shot-noise polynomial
+    # on the yz axis, 27.3332559
+    def figures(r):
+        qfi, negativity = _qfi_per_particle_and_negativity(np.array([r]), 5.0)
+        return float(qfi[0]), float(negativity[0])
+
+    entangled = _threshold(lambda r: figures(r)[1] > 0.0, 1.0, 10.0)
+    beats_shot_noise = _threshold(lambda r: figures(r)[0] > 1.0, 10.0, 100.0)
+    assert "%.9g" % entangled == "6.25861046"
+    assert "%.9g" % beats_shot_noise == "27.3332559"

@@ -15,7 +15,6 @@ from hypothesis import strategies as st  # noqa: E402
 from resetqfi import (  # noqa: E402
     ModelParams,
     c_matrix,
-    collective_spin_ops,
     evaluate_point,
     liouvillian_apply,
     liouvillian_superoperator,
@@ -40,7 +39,6 @@ APPLY_TOL = 1e-13
 # C is positive semidefinite; its entries are at most 4, and rounding leaves
 # far less than this below zero
 PSD_TOL = 1e-13
-SPIN2 = collective_spin_ops(2)
 
 
 def _rates(method, position):
@@ -68,7 +66,7 @@ def test_route_row_matches_the_closed_form(method, position):
 @given(position=POSITION)
 def test_route_moment_matrix_is_positive_semidefinite(method, position):
     r, gamma, g = _rates(method, position)
-    c = c_matrix(steady_state(ModelParams(r=r, gamma=gamma, g=g), method), SPIN2)
+    c = c_matrix(steady_state(ModelParams(r=r, gamma=gamma, g=g), method))
     assert np.linalg.eigvalsh(c)[0] >= -PSD_TOL
 
 
