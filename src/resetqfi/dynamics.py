@@ -133,7 +133,7 @@ class DensityMatrix:
 
 def _check_psd(smallest) -> None:
     """The ``DensityMatrix`` positivity check on the smallest eigenvalue of
-    each state, given as a numpy scalar or an array of any shape."""
+    each state, given as one number or an array of any shape."""
     bad = smallest < DensityMatrix.PSD_TOL
     if np.count_nonzero(bad):  # half the cost of bad.any() on a numpy scalar
         first = np.ravel(smallest)[np.ravel(bad).argmax()]
@@ -195,14 +195,55 @@ def liouvillian_superoperator(p: ModelParams) -> np.ndarray:
     return sup
 
 
+_ALL_RATES_ZERO = "r = gamma = g = 0 singles out no steady state"
+
+
 def _scaled(r, gamma, g) -> tuple:
     """Valid rates divided by the largest of them, which keeps every power
     in the closed-form entries finite; r = gamma = g = 0 raises.  Scalar
     rates come back as numpy scalars, arrays as arrays."""
     scale = np.maximum(np.maximum(r, gamma), g)
     if np.count_nonzero(scale == 0.0):  # non-negative rates, so all three are 0
-        raise DegenerateLimitError("r = gamma = g = 0 singles out no steady state")
+        raise DegenerateLimitError(_ALL_RATES_ZERO)
     return r / scale, gamma / scale, g / scale
+
+
+def _closed_form_terms(r, gamma, g, sqrt, minimum) -> tuple:
+    """C_xx, the numerators of C_yy and C_yz over their common denominator
+    K P, that denominator, the negativity before its clip at 0, and the
+    smallest eigenvalue of the closed-form state, at scaled rates: float64
+    arrays with np.sqrt and np.minimum, or Python floats with math.sqrt
+    and min.
+
+    Only + - * / touch the polynomials, and the square root is correctly
+    rounded either way, so both give the same bits.  r = 0 divides by
+    zero where gamma = 0 too, and K P is 0 only where the state is |++>;
+    the caller replaces those figures, or branches before it calls.
+    """
+    # With K = 2 D = 4 g^2 + (r + gamma)(2 r + gamma) and P, Q, W below:
+    #   C_xx = 32 g^2 r^2 (r + gamma) / (K (4 g^2 (r + gamma) + (2 r + gamma)((r + gamma)^2 + r^2)))
+    #   C_yy = 2 r^2 Q / ((r + gamma)^2 K P),   C_yz = 4 g r^3 W / ((r + gamma)^2 K P)
+    #   negativity = max(0, 4 g (r + gamma)(r - g) - gamma (2 r + gamma)^2) / (4 (r + gamma) K)
+    # The spectrum is 1/4 - a twice and 1/4 + a +- 2|e|, with a the
+    # anti-diagonal entry and |e| = r sqrt((r + gamma/2)^2 + g^2) / (2 K)
+    # the modulus of the (0, 1) entry.
+    rg = r + gamma
+    r2g = r + rg
+    g2 = g * g
+    k = 4.0 * g2 + rg * r2g
+    dephased = gamma * r2g * r2g * r2g
+    p = 4.0 * g2 * (4.0 * g2 + 2.0 * gamma * gamma + 6.0 * gamma * r + 3.0 * r * r) + dephased
+    cubic = ((2.0 * gamma + 7.0 * r) * gamma + 7.0 * r * r) * gamma + 3.0 * r * r * r
+    q = 16.0 * g2 * g2 * rg * rg + 4.0 * g2 * r2g * cubic + dephased * rg * r2g
+    w = 4.0 * g2 * rg * (gamma + 3.0 * r) + dephased
+    excess = 4.0 * g * rg * (r - g) - gamma * r2g * r2g
+    ratio = r / rg  # r^2 / (r + gamma)^2 as a square, which cannot underflow
+    c_xx = 32.0 * g2 * r * r * rg / (k * (4.0 * g2 * rg + r2g * (rg * rg + r * r)))
+    shifted = r + 0.5 * gamma
+    anti = r * ratio * shifted / (2.0 * k)
+    edge = r * sqrt(shifted * shifted + g2) / (2.0 * k)
+    return (c_xx, 2.0 * ratio * ratio * q, 4.0 * g * r * ratio * ratio * w, k * p,
+            excess / (4.0 * rg * k), minimum(0.25 - anti, 0.25 + anti - 2.0 * edge))
 
 
 def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
@@ -224,45 +265,51 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
     At r = 0 the continuity limit I/4 has C = 0.  Where gamma = g = 0, or g
     is too small to square against r, the state is |++> and C is
     diag(0, 2, 2).  The ``DensityMatrix`` positivity check runs on the
-    analytic spectrum, 1/4 - a twice and 1/4 + a +- 2|e| (a the
-    anti-diagonal entry, e the (0, 1) entry); unit trace and Hermiticity
-    hold by construction.
+    analytic spectrum; unit trace and Hermiticity hold by construction.
+    ``closed_form_gap`` takes the same terms at one point of Python floats.
     """
     r, gamma, g = _scaled(r, gamma, g)
-    # With K = 2 D = 4 g^2 + (r + gamma)(2 r + gamma) and P, Q, W below:
-    #   C_xx = 32 g^2 r^2 (r + gamma) / (K (4 g^2 (r + gamma) + (2 r + gamma)((r + gamma)^2 + r^2)))
-    #   C_yy = 2 r^2 Q / ((r + gamma)^2 K P),   C_yz = 4 g r^3 W / ((r + gamma)^2 K P)
-    #   negativity = max(0, 4 g (r + gamma)(r - g) - gamma (2 r + gamma)^2) / (4 (r + gamma) K)
-    rg = r + gamma
-    r2g = r + rg
-    g2 = g * g
-    k = 4.0 * g2 + rg * r2g
-    dephased = gamma * r2g * r2g * r2g
-    p = 4.0 * g2 * (4.0 * g2 + 2.0 * gamma * gamma + 6.0 * gamma * r + 3.0 * r * r) + dephased
-    cubic = ((2.0 * gamma + 7.0 * r) * gamma + 7.0 * r * r) * gamma + 3.0 * r * r * r
-    q = 16.0 * g2 * g2 * rg * rg + 4.0 * g2 * r2g * cubic + dephased * rg * r2g
-    w = 4.0 * g2 * rg * (gamma + 3.0 * r) + dephased
-    excess = 4.0 * g * rg * (r - g) - gamma * r2g * r2g
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 and |++> rows are replaced below
-        ratio = r / rg  # r^2 / (r + gamma)^2 as a square, which cannot underflow
-        c_xx = 32.0 * g2 * r * r * rg / (k * (4.0 * g2 * rg + r2g * (rg * rg + r * r)))
-        c_yy = 2.0 * ratio * ratio * q / (k * p)
-        c_yz = 4.0 * g * r * ratio * ratio * w / (k * p)
-        negativity = np.where(excess > 0.0, excess, 0.0) / (4.0 * rg * k)
-        anti = r * ratio * (r + 0.5 * gamma) / (2.0 * k)
-        edge = r * np.hypot(r + 0.5 * gamma, g) / (2.0 * k)
-    pure = p == 0.0
+        c_xx, yy, yz, kp, negativity, smallest = _closed_form_terms(
+            r, gamma, g, np.sqrt, np.minimum)
+        c_yy = yy / kp
+        c_yz = yz / kp
+    pure = kp == 0.0
     c_yy = np.where(pure, 2.0, c_yy)
     c_yz = np.where(pure, 0.0, c_yz)
-    # one select over the six figures, shape (6, N), which unpacks into rows
-    c_xx, c_yy, c_yz, negativity, anti, edge = np.where(
-        r == 0.0, 0.0, (c_xx, c_yy, c_yz, negativity, anti, edge))
-    _check_psd(np.minimum(0.25 - anti, 0.25 + anti - 2.0 * edge))
+    negativity = np.where(negativity > 0.0, negativity, 0.0)
+    # one select over the four figures, shape (4, N), which unpacks into rows
+    zero_reset = r == 0.0
+    c_xx, c_yy, c_yz, negativity = np.where(zero_reset, 0.0, (c_xx, c_yy, c_yz, negativity))
+    _check_psd(np.where(zero_reset, 0.25, smallest))  # I/4 at r = 0
     c = np.zeros(np.shape(r) + (3, 3))
     c[..., 0, 0] = c_xx
     c[..., 1, 1] = c[..., 2, 2] = c_yy
     c[..., 1, 2] = c[..., 2, 1] = c_yz
     return c, negativity
+
+
+def closed_form_gap(r: float, gamma: float, g: float) -> float:
+    """lambda_x - lambda_yz_hi = C_xx - (C_yy + |C_yz|) of the closed-form
+    state at one point of valid rates given as Python floats.
+
+    The same terms as ``closed_form_figures``, with the same checks, and
+    the same bits as the branch gap of its C, without a numpy call.
+    Python raises ZeroDivisionError where numpy gives inf, so r = 0 (C = 0)
+    and |++> (C = diag(0, 2, 2)) branch before they divide.
+    """
+    scale = max(r, gamma, g)
+    if scale == 0.0:  # non-negative rates, so all three are 0
+        raise DegenerateLimitError(_ALL_RATES_ZERO)
+    r, gamma, g = r / scale, gamma / scale, g / scale
+    if r == 0.0:
+        return 0.0
+    c_xx, yy, yz, kp, _, smallest = _closed_form_terms(r, gamma, g, math.sqrt, min)
+    if smallest < DensityMatrix.PSD_TOL:  # the numpy check only to raise its error
+        _check_psd(smallest)
+    if kp == 0.0:  # |++>: C_yy = 2, C_yz = 0
+        return c_xx - 2.0
+    return c_xx - (yy / kp + abs(yz / kp))
 
 
 def closed_form_steady_state(p: ModelParams) -> DensityMatrix:

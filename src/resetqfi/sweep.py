@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import STEADY_STATE_METHODS, ModelParams, closed_form_figures, steady_state
+from .dynamics import (
+    STEADY_STATE_METHODS,
+    ModelParams,
+    closed_form_figures,
+    closed_form_gap,
+    steady_state,
+)
 from .entanglement import concurrence, negativity
 from .errors import SOLVER_ERRORS, NoSignChangeError
 from .metrology import N_PARTICLES, c_matrix, top_axes
@@ -29,7 +35,8 @@ CSV_HEADER = ("r,gamma,g,mean_qfi,lambda_x,lambda_yz_hi,lambda_yz_lo,"
               "concurrence,negativity,opt_nx,opt_ny,opt_nz")
 CSV_FIELDS = tuple(CSV_HEADER.split(","))
 CRITICAL_BRACKET_WIDTH = 1e-4
-# Grid points per stacked pass of run_sweep.  A 10^5-point closed-form
+# Grid points per stacked pass of run_sweep; find_critical_point evaluates
+# one point at a time and has no passes.  A 10^5-point closed-form
 # sweep peaks 10.6 MB above import in chunks of 512 (9.6 MB of it the
 # table it returns) and 42 MB in one pass, in 0.22-0.25 s against
 # 0.17-0.33 s (3 runs each, 2-core Xeon, numpy 2.4.6, BLAS on 1 thread).
@@ -245,8 +252,13 @@ def _solve(spec: SweepSpec, values: np.ndarray) -> tuple:
         for value in values:
             states.append(steady_state(spec.params_at(value), spec.method))
     except SOLVER_ERRORS as err:
-        raise type(err)(f"{err} [at {spec.vary} = {value:.9g}]") from err
+        raise _at(spec, value, err) from err
     return rates, *_of_states(states)
+
+
+def _at(spec: SweepSpec, value, err: Exception) -> Exception:
+    """``err`` again, its message naming the value of the varied rate."""
+    return type(err)(f"{err} [at {spec.vary} = {value:.9g}]")
 
 
 def _gap(c: np.ndarray):
@@ -267,26 +279,20 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     return SweepTable(table)
 
 
-def _dyadic_points(lo: float, hi: float, depth: int) -> np.ndarray:
-    """lo, every midpoint the next ``depth`` halvings of [lo, hi] can visit,
-    and hi, in ascending order: the interval between entries i and j of an
-    even distance is halved by entry (i + j) // 2.  Each midpoint is
-    computed as the bisection computes it, and the halvings stop where the
-    bisection stops, once no interval is wider than CRITICAL_BRACKET_WIDTH."""
-    # the intervals of a level run between the entries ``step`` apart in
-    # ``edges``; their midpoints go halfway between
-    step = 1 << depth
-    edges = np.empty(step + 1)
-    edges[0], edges[-1] = lo, hi
-    while step > 1:
-        left, right = edges[:-step:step], edges[step::step]
-        if (right - left).max() <= CRITICAL_BRACKET_WIDTH:
-            break
-        step //= 2
-        # halves are added, not the ends, so brackets near the largest float
-        # do not overflow; the bits are those of 0.5 * (left + right) elsewhere
-        np.add(0.5 * left, 0.5 * right, out=edges[step::2 * step])
-    return edges[::step]
+def _gap_of(spec: SweepSpec):
+    """The function value -> lambda_x - lambda_yz_hi at that value of the
+    varied rate.  The closed form takes it from ``closed_form_gap`` on
+    Python floats; the other routes solve one point through ``_solve``.
+    A solver error names its value."""
+    if spec.method != "closed_form":
+        return lambda value: _gap(_solve(spec, np.array([value]))[1])[0]
+
+    def gap(value):
+        try:
+            return closed_form_gap(*spec.rates(value))
+        except SOLVER_ERRORS as err:
+            raise _at(spec, value, err) from err
+    return gap
 
 
 def find_critical_point(spec: SweepSpec) -> CriticalPoint:
@@ -294,44 +300,31 @@ def find_critical_point(spec: SweepSpec) -> CriticalPoint:
 
     The sweep interval [start, stop] must bracket a sign change; the
     bisection stops once the bracket is narrower than 1e-4, or once its
-    ends are adjacent floats.  The gap is evaluated through ``_solve`` in
-    stacked passes, each an ascending array of ``_dyadic_points``: the end
-    points with every midpoint of the first halvings, then the midpoints
-    inside each bracket the walk reaches once the pass is used up.  The
-    serial rules walk the gaps that come back by a pair of indices into
-    the array, so the search ends on the bracket a point-by-point
-    bisection ends on, bit for bit.  A closed-form pass covers as many
-    halvings as SWEEP_CHUNK points allow (8 at 512); a route point is a
-    full solve, so a route evaluates the end points, then one midpoint per
-    pass, the points of a point-by-point bisection in its order.  The gap
-    comes from C alone, so no entanglement measure is computed.
+    ends are adjacent floats.  It evaluates the gap at the two ends, then
+    at one midpoint per halving, in that order.  The closed form takes
+    each value from ``closed_form_gap``, a few dozen float operations
+    with no numpy call; the other routes solve each point through
+    ``_solve``.  The gap comes from C alone, so no entanglement measure
+    is computed.
     """
-    if spec.method == "closed_form":
-        depth = (SWEEP_CHUNK - 1).bit_length() - 1
-        points = _dyadic_points(spec.start, spec.stop, depth)
-    else:
-        depth, points = 1, _dyadic_points(spec.start, spec.stop, 0)
-    gaps = _gap(_solve(spec, points)[1]).tolist()
-    points = points.tolist()
-    if gaps[0] * gaps[-1] > 0.0:
+    gap = _gap_of(spec)
+    lo, hi = spec.start, spec.stop
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    if gap_lo * gap_hi > 0.0:
         raise NoSignChangeError(
             f"lambda_x - lambda_yz_hi keeps its sign on {spec.vary} in "
-            f"[{spec.start}, {spec.stop}] ({gaps[0]:.3e} and {gaps[-1]:.3e})")
-    i_lo, i_hi = 0, len(points) - 1
-    while points[i_hi] - points[i_lo] > CRITICAL_BRACKET_WIDTH:
-        if i_hi - i_lo == 1:  # the pass is used up; the ends and their gaps carry over
-            lo, hi = points[i_lo], points[i_hi]
-            mids = _dyadic_points(lo, hi, depth)[1:-1]
-            gaps = [gaps[i_lo], *_gap(_solve(spec, mids)[1]).tolist(), gaps[i_hi]]
-            points, i_lo, i_hi = [lo, *mids.tolist(), hi], 0, len(mids) + 1
-        i_mid = (i_lo + i_hi) // 2
-        if not points[i_lo] < points[i_mid] < points[i_hi]:  # the ends are adjacent floats
+            f"[{lo}, {hi}] ({gap_lo:.3e} and {gap_hi:.3e})")
+    while hi - lo > CRITICAL_BRACKET_WIDTH:
+        # halves are added, not the ends, so brackets near the largest
+        # float do not overflow; the bits are those of 0.5 * (lo + hi) elsewhere
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:  # the ends are adjacent floats
             break
-        if gaps[i_lo] * gaps[i_mid] <= 0.0:
-            i_hi = i_mid
+        gap_mid = gap(mid)
+        if gap_lo * gap_mid <= 0.0:
+            hi = mid
         else:
-            i_lo = i_mid
-    lo, hi = points[i_lo], points[i_hi]
+            lo, gap_lo = mid, gap_mid
     return CriticalPoint(vary=spec.vary, value=0.5 * lo + 0.5 * hi, bracket_width=0.5 * (hi - lo))
 
 

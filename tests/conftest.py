@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from resetqfi import ModelParams, sweep
-from resetqfi.dynamics import closed_form_figures
+from resetqfi.dynamics import closed_form_gap
 
 
 def model_grid():
@@ -21,21 +21,21 @@ def grid():
 
 
 @pytest.fixture
-def closed_form_passes(monkeypatch):
-    """The number of points of each ``closed_form_figures`` call that
-    ``sweep`` makes.  The 65th call fails, far more than a search or a
-    point-by-point reference of it makes here, so a search that would not
-    end fails instead of hanging."""
-    sizes = []
+def closed_form_gaps(monkeypatch):
+    """The rates (r, gamma, g) of each ``closed_form_gap`` call that
+    ``sweep`` makes.  The 257th call fails, far more than the searches of
+    one test make here (at most 104), so a search that would not end
+    fails instead of hanging."""
+    calls = []
 
     def counting(r, gamma, g):
-        sizes.append(np.broadcast(r, gamma, g).size)
-        if len(sizes) > 64:
-            raise AssertionError(f"more than 64 closed-form calls: {sizes}")
-        return closed_form_figures(r, gamma, g)
+        calls.append((r, gamma, g))
+        if len(calls) > 256:
+            raise AssertionError("more than 256 closed-form gap evaluations")
+        return closed_form_gap(r, gamma, g)
 
-    monkeypatch.setattr(sweep, "closed_form_figures", counting)
-    return sizes
+    monkeypatch.setattr(sweep, "closed_form_gap", counting)
+    return calls
 
 
 @pytest.fixture

@@ -137,7 +137,7 @@ class TestCritical:
         (["--vary", "r", "--lo", "1e12", "--hi", "3e12", "--gamma", "4e11", "--g-ratio", "5"],
          "r,1.86062584e+12,0.000122070312"),
     ])
-    def test_crossing_bytes(self, capsys, closed_form_passes, argv, row):
+    def test_crossing_bytes(self, capsys, closed_form_gaps, argv, row):
         assert main(["critical", *argv]) == EXIT_OK
         assert capsys.readouterr().out == f"vary,value,bracket_width\n{row}\n"
 

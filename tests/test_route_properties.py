@@ -39,6 +39,11 @@ APPLY_TOL = 1e-13
 # C is positive semidefinite; its entries are at most 4, and rounding leaves
 # far less than this below zero
 PSD_TOL = 1e-13
+# the bordered solve's trace row does not scale with the rates, so nullspace
+# states are not bit-equal under power-of-two scaling: 706 of 1200 were, on
+# 300 log-uniform points of [1e-3, 1e2]^3 with 2^k, k in {-20, -3, 5, 30},
+# and the largest entry difference was 8.3e-16
+SCALE_TOL = 1e-14
 
 
 def _rates(method, position):
@@ -81,3 +86,16 @@ def test_superoperator_applies_the_master_equation(position, entries):
     rho = z + z.conj().T
     got = unvectorize(liouvillian_superoperator(p) @ vectorize(rho))
     assert np.abs(got - liouvillian_apply(p, rho)).max() <= APPLY_TOL * max(r, gamma, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(position=POSITION, power=st.sampled_from((-20, -3, 5, 30)))
+def test_nullspace_state_scales_with_the_rates(position, power):
+    # the steady state depends on the ratios of the rates only; drawn from
+    # [1e-3, 1e2]^3, the cube SCALE_TOL was measured on
+    r, gamma, g = _rates("integrate", position)
+    factor = 2.0**power
+    base = steady_state(ModelParams(r=r, gamma=gamma, g=g), "nullspace").mat
+    scaled = steady_state(ModelParams(r=r * factor, gamma=gamma * factor, g=g * factor),
+                          "nullspace").mat
+    assert np.abs(scaled - base).max() <= SCALE_TOL

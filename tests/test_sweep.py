@@ -493,9 +493,9 @@ def _reference_outcome(spec):
     return _outcome(lambda spec: _serial_bisection(spec)[0], spec)
 
 
-# halving counts the seeded brackets must include: a closed-form pass
-# covers 8 halvings, so 7, 8 and 9 end around the first pass boundary, 15
-# ends inside the second pass and 17 needs a third
+# halving counts the seeded brackets must include: none, one, a few (3 to
+# 9), and 13 to 17, around the 15 that every perfbench bracket (1.8 to
+# 3.2 wide) takes
 HALVINGS = (0, 1, 3, 4, 7, 8, 9, 13, 15, 16, 17)
 
 
@@ -546,10 +546,10 @@ def seeded_brackets():
 
 
 class TestCriticalBisection:
-    """find_critical_point evaluates ascending arrays of the points the next
-    halvings can visit in stacked passes (the closed form) or one midpoint
-    per pass (the other routes), with the result of a point-by-point
-    bisection on evaluate_point rows, bit for bit."""
+    """find_critical_point evaluates the two ends, then one midpoint per
+    halving, from a scalar gap (the closed form) or one solve per point
+    (the other routes), with the result of a point-by-point bisection on
+    evaluate_point rows, bit for bit."""
 
     def test_matches_serial_bisection_bit_for_bit(self, seeded_brackets):
         halvings = set()
@@ -582,24 +582,26 @@ class TestCriticalBisection:
         assert _reference_outcome(spec) == ("NoSignChangeError", message)
         assert _outcome(find_critical_point, spec) == ("NoSignChangeError", message)
 
-    def test_closed_form_evaluates_two_stacked_passes(self, monkeypatch, closed_form_passes):
+    def test_closed_form_evaluates_the_serial_points_only(self, monkeypatch, closed_form_gaps):
         spec = SweepSpec(vary="r", start=1.5, stop=3.5, steps=2, fixed_gamma=0.5, g_ratio=5.0)
         want = _reference_outcome(spec)
         assert _serial_bisection(spec)[1] == 15
-        closed_form_passes.clear()  # the reference evaluates through evaluate_point
 
         def unreachable(*args):
-            raise AssertionError("the closed-form search builds no states and "
-                                 "computes no entanglement measure")
+            raise AssertionError("the closed-form search takes scalar gaps only: it calls "
+                                 "no closed_form_figures, builds no states and computes "
+                                 "no entanglement measure")
 
-        for owner, name in ((sweep, "steady_state"), (dynamics, "closed_form_steady_state"),
+        for owner, name in ((sweep, "closed_form_figures"), (dynamics, "closed_form_figures"),
+                            (sweep, "steady_state"), (dynamics, "closed_form_steady_state"),
                             (DensityMatrix, "__init__"), (sweep, "concurrence"),
                             (sweep, "negativity")):
             monkeypatch.setattr(owner, name, unreachable)
         assert _outcome(find_critical_point, spec) == want
-        # the end points with the 255 midpoints the first 8 halvings can
-        # visit, then the 127 that the last 7 halvings can visit
-        assert closed_form_passes == [257, 127]
+        # the two ends, then one midpoint per halving
+        assert len(closed_form_gaps) == 2 + 15
+        assert closed_form_gaps[:2] == [(1.5, 0.5, 2.5), (3.5, 0.5, 2.5)]
+        assert all(1.5 < r < 3.5 for r, _, _ in closed_form_gaps[2:])
 
     def test_superoperator_routes_evaluate_the_serial_points_only(self, route_calls):
         spec = SweepSpec(vary="r", start=2.0, stop=2.5, steps=2, fixed_gamma=0.5,
@@ -620,7 +622,7 @@ class TestCriticalBisection:
         assert want[0] == "NoSignChangeError"
         assert route_calls == [(3.0, 0.5, 2.5), (8.0, 0.5, 2.5)]
 
-    def test_bracket_of_adjacent_floats_ends(self, closed_form_passes):
+    def test_bracket_of_adjacent_floats_ends(self, closed_form_gaps):
         # the model is homogeneous in its rates, so the crossing scales with
         # them; above 2**39 adjacent floats lie more than 1e-4 apart, and the
         # search ends once the bracket's ends are adjacent
@@ -633,7 +635,7 @@ class TestCriticalBisection:
         assert point.value == pytest.approx(100.0 * find_critical_point(small).value, rel=1e-12)
         assert f"{point.value:.9g}" == "1.86062584e+12"
 
-    def test_bracket_near_the_largest_float(self, closed_form_passes):
+    def test_bracket_near_the_largest_float(self, closed_form_gaps):
         # lo + hi overflows here; the midpoints add halves instead
         spec = SweepSpec(vary="r", start=5e307, stop=1.7e308, steps=2, fixed_gamma=6e307,
                          g_ratio=2.0)
