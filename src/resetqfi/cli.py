@@ -7,9 +7,8 @@ Exit codes: 0 success, 2 bad flags or validation, 3 solver failure
 import argparse
 import sys
 
-from .dynamics import STEADY_STATE_METHODS, ModelParams
 from .errors import SOLVER_ERRORS
-from .sweep import SweepSpec, emit, evaluate_point, find_critical_point, run_sweep
+from .point import STEADY_STATE_METHODS, ModelParams, SweepSpec, emit, find_critical_point
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,14 +69,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     method = args.method.replace("-", "_")
+    # eval and sweep rows come from the array side, which loads numpy; a
+    # closed-form critical search runs on Python floats and loads none
     if args.command == "eval":
+        from .sweep import evaluate_point
+
         payload = [evaluate_point(ModelParams(r=args.r, gamma=args.gamma, g=args.g),
                                   method=method)]
     else:
         spec = SweepSpec(vary=args.vary, start=args.start, stop=args.stop, steps=args.steps,
                          fixed_r=args.r, fixed_gamma=args.gamma, g=args.g,
                          g_ratio=args.g_ratio, method=method)
-        payload = run_sweep(spec) if args.command == "sweep" else find_critical_point(spec)
+        if args.command == "sweep":
+            from .sweep import run_sweep
+
+            payload = run_sweep(spec)
+        else:
+            payload = find_critical_point(spec)
     emit(payload, fmt=args.format, path=args.out)
     return EXIT_OK
 

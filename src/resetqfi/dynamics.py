@@ -8,15 +8,24 @@ integration) so they can cross-check each other.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import point
 from .errors import (
     BadDimensionError,
     DegenerateLimitError,
     DegenerateSteadyStateError,
     NoConvergenceError,
+)
+# ModelParams, the closed-form terms and the scalar gap live in the numpy-free
+# point module; closed_form_gap is imported to be read from here as well
+from .point import (  # noqa: F401
+    _ALL_RATES_ZERO,
+    STEADY_STATE_METHODS,
+    ModelParams,
+    _closed_form_terms,
+    closed_form_gap,
 )
 from .qlinalg import (
     HermitianEig,
@@ -61,8 +70,6 @@ _RESET = (_reset_piece(1), _reset_piece(2))
 # vectorize(rho.conj().T) == vectorize(rho).conj()[_VEC_TRANSPOSE] for 4x4 rho
 _VEC_TRANSPOSE = np.arange(16).reshape(4, 4).T.reshape(-1)
 
-STEADY_STATE_METHODS = ("closed_form", "nullspace", "integrate")
-
 RK4_BLOCK = 1_000  # steps of the first round; each later round doubles them
 RK4_ROUND_CAP = 20  # 1000 (2^20 - 1), about 1.05e9, RK4 steps in all
 # The convergence test is ||L rho||_max < RK4_RESIDUAL_SCALE ||L||_1, with
@@ -78,35 +85,18 @@ RK4_ROUND_CAP = 20  # 1000 (2^20 - 1), about 1.05e9, RK4 steps in all
 RK4_RESIDUAL_SCALE = 3e-13
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Reset rate r, dephasing rate gamma and coupling g (all non-negative,
-    hbar = 1); fresh particles arrive in |+>."""
-
-    r: float
-    gamma: float
-    g: float
-
-    def __post_init__(self):
-        for name in ("r", "gamma", "g"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-            object.__setattr__(self, name, value)
-
-
 class DensityMatrix:
     """Validated two-qubit state with its eigendecomposition.
 
     Any shape other than 4x4 raises ``BadDimensionError``.  The state is
     then eigendecomposed once and checked in the order finite and
     Hermitian within 1e-10 (by ``hermitian_eig``), unit trace within
-    1e-10, smallest eigenvalue above -1e-10; the first failure raises.
+    1e-10, smallest eigenvalue above ``point.PSD_TOL`` = -1e-10; the first
+    failure raises.
     The stored matrix is read-only.
     """
 
     TRACE_TOL = 1e-10
-    PSD_TOL = -1e-10
 
     def __init__(self, mat):
         mat = np.asarray(mat, dtype=complex)
@@ -133,11 +123,11 @@ class DensityMatrix:
 
 def _check_psd(smallest) -> None:
     """The ``DensityMatrix`` positivity check on the smallest eigenvalue of
-    each state, given as one number or an array of any shape."""
-    bad = smallest < DensityMatrix.PSD_TOL
+    each state, given as one number or an array of any shape, against
+    ``point.PSD_TOL``; the first failing state raises."""
+    bad = smallest < point.PSD_TOL
     if np.count_nonzero(bad):  # half the cost of bad.any() on a numpy scalar
-        first = np.ravel(smallest)[np.ravel(bad).argmax()]
-        raise ValueError(f"density matrix has negative eigenvalue {first:.3e}")
+        point._check_smallest(np.ravel(smallest)[np.ravel(bad).argmax()])
 
 
 def hamiltonian(p: ModelParams) -> np.ndarray:
@@ -195,9 +185,6 @@ def liouvillian_superoperator(p: ModelParams) -> np.ndarray:
     return sup
 
 
-_ALL_RATES_ZERO = "r = gamma = g = 0 singles out no steady state"
-
-
 def _scaled(r, gamma, g) -> tuple:
     """Valid rates divided by the largest of them, which keeps every power
     in the closed-form entries finite; r = gamma = g = 0 raises.  Scalar
@@ -206,44 +193,6 @@ def _scaled(r, gamma, g) -> tuple:
     if np.count_nonzero(scale == 0.0):  # non-negative rates, so all three are 0
         raise DegenerateLimitError(_ALL_RATES_ZERO)
     return r / scale, gamma / scale, g / scale
-
-
-def _closed_form_terms(r, gamma, g, sqrt, minimum) -> tuple:
-    """C_xx, the numerators of C_yy and C_yz over their common denominator
-    K P, that denominator, the negativity before its clip at 0, and the
-    smallest eigenvalue of the closed-form state, at scaled rates: float64
-    arrays with np.sqrt and np.minimum, or Python floats with math.sqrt
-    and min.
-
-    Only + - * / touch the polynomials, and the square root is correctly
-    rounded either way, so both give the same bits.  r = 0 divides by
-    zero where gamma = 0 too, and K P is 0 only where the state is |++>;
-    the caller replaces those figures, or branches before it calls.
-    """
-    # With K = 2 D = 4 g^2 + (r + gamma)(2 r + gamma) and P, Q, W below:
-    #   C_xx = 32 g^2 r^2 (r + gamma) / (K (4 g^2 (r + gamma) + (2 r + gamma)((r + gamma)^2 + r^2)))
-    #   C_yy = 2 r^2 Q / ((r + gamma)^2 K P),   C_yz = 4 g r^3 W / ((r + gamma)^2 K P)
-    #   negativity = max(0, 4 g (r + gamma)(r - g) - gamma (2 r + gamma)^2) / (4 (r + gamma) K)
-    # The spectrum is 1/4 - a twice and 1/4 + a +- 2|e|, with a the
-    # anti-diagonal entry and |e| = r sqrt((r + gamma/2)^2 + g^2) / (2 K)
-    # the modulus of the (0, 1) entry.
-    rg = r + gamma
-    r2g = r + rg
-    g2 = g * g
-    k = 4.0 * g2 + rg * r2g
-    dephased = gamma * r2g * r2g * r2g
-    p = 4.0 * g2 * (4.0 * g2 + 2.0 * gamma * gamma + 6.0 * gamma * r + 3.0 * r * r) + dephased
-    cubic = ((2.0 * gamma + 7.0 * r) * gamma + 7.0 * r * r) * gamma + 3.0 * r * r * r
-    q = 16.0 * g2 * g2 * rg * rg + 4.0 * g2 * r2g * cubic + dephased * rg * r2g
-    w = 4.0 * g2 * rg * (gamma + 3.0 * r) + dephased
-    excess = 4.0 * g * rg * (r - g) - gamma * r2g * r2g
-    ratio = r / rg  # r^2 / (r + gamma)^2 as a square, which cannot underflow
-    c_xx = 32.0 * g2 * r * r * rg / (k * (4.0 * g2 * rg + r2g * (rg * rg + r * r)))
-    shifted = r + 0.5 * gamma
-    anti = r * ratio * shifted / (2.0 * k)
-    edge = r * sqrt(shifted * shifted + g2) / (2.0 * k)
-    return (c_xx, 2.0 * ratio * ratio * q, 4.0 * g * r * ratio * ratio * w, k * p,
-            excess / (4.0 * rg * k), minimum(0.25 - anti, 0.25 + anti - 2.0 * edge))
 
 
 def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +215,8 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
     is too small to square against r, the state is |++> and C is
     diag(0, 2, 2).  The ``DensityMatrix`` positivity check runs on the
     analytic spectrum; unit trace and Hermiticity hold by construction.
-    ``closed_form_gap`` takes the same terms at one point of Python floats.
+    ``point._closed_form_point`` takes the same terms at one point of
+    Python floats.
     """
     r, gamma, g = _scaled(r, gamma, g)
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 and |++> rows are replaced below
@@ -287,29 +237,6 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
     c[..., 1, 1] = c[..., 2, 2] = c_yy
     c[..., 1, 2] = c[..., 2, 1] = c_yz
     return c, negativity
-
-
-def closed_form_gap(r: float, gamma: float, g: float) -> float:
-    """lambda_x - lambda_yz_hi = C_xx - (C_yy + |C_yz|) of the closed-form
-    state at one point of valid rates given as Python floats.
-
-    The same terms as ``closed_form_figures``, with the same checks, and
-    the same bits as the branch gap of its C, without a numpy call.
-    Python raises ZeroDivisionError where numpy gives inf, so r = 0 (C = 0)
-    and |++> (C = diag(0, 2, 2)) branch before they divide.
-    """
-    scale = max(r, gamma, g)
-    if scale == 0.0:  # non-negative rates, so all three are 0
-        raise DegenerateLimitError(_ALL_RATES_ZERO)
-    r, gamma, g = r / scale, gamma / scale, g / scale
-    if r == 0.0:
-        return 0.0
-    c_xx, yy, yz, kp, _, smallest = _closed_form_terms(r, gamma, g, math.sqrt, min)
-    if smallest < DensityMatrix.PSD_TOL:  # the numpy check only to raise its error
-        _check_psd(smallest)
-    if kp == 0.0:  # |++>: C_yy = 2, C_yz = 0
-        return c_xx - 2.0
-    return c_xx - (yy / kp + abs(yz / kp))
 
 
 def closed_form_steady_state(p: ModelParams) -> DensityMatrix:

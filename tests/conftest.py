@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from resetqfi import ModelParams, sweep
+from resetqfi import ModelParams, point
 from resetqfi.dynamics import closed_form_gap
 
 
@@ -23,7 +23,7 @@ def grid():
 @pytest.fixture
 def closed_form_gaps(monkeypatch):
     """The rates (r, gamma, g) of each ``closed_form_gap`` call that
-    ``sweep`` makes.  The 257th call fails, far more than the searches of
+    ``find_critical_point`` makes.  The 257th call fails, far more than the searches of
     one test make here (at most 104), so a search that would not end
     fails instead of hanging."""
     calls = []
@@ -34,7 +34,7 @@ def closed_form_gaps(monkeypatch):
             raise AssertionError("more than 256 closed-form gap evaluations")
         return closed_form_gap(r, gamma, g)
 
-    monkeypatch.setattr(sweep, "closed_form_gap", counting)
+    monkeypatch.setattr(point, "closed_form_gap", counting)
     return calls
 
 

@@ -189,3 +189,64 @@ def test_module_entry_point(tmp_path):
     rows = parse_csv(target.read_text())
     assert len(rows) == 5
     assert abs(rows[0].mean_qfi - 1.02124461) <= 1e-8
+
+
+# Runs resetqfi.cli.main on its arguments in a fresh interpreter, then
+# writes on a last stderr line whether numpy was loaded.
+_FRESH_MAIN = """
+import sys
+from resetqfi.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as stop:
+    code = stop.code
+sys.stderr.write(f"\\nnumpy loaded: {'numpy' in sys.modules}\\n")
+raise SystemExit(code)
+"""
+
+
+def _fresh(code: str, *args: str):
+    """(exit code, stdout, stderr without its last line, whether numpy was
+    loaded) of ``code`` run by a fresh interpreter on this package."""
+    package_root = str(Path(resetqfi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=path))
+    stderr, _, last = result.stderr.rstrip("\n").rpartition("\n")
+    assert last in ("numpy loaded: True", "numpy loaded: False"), result.stderr
+    return result.returncode, result.stdout, stderr, last == "numpy loaded: True"
+
+
+README_CRITICAL = ["critical", "--vary", "r", "--lo", "0.5", "--hi", "8", "--gamma", "0.5",
+                   "--g-ratio", "5"]
+
+
+class TestClosedFormCriticalLoadsNoNumpy:
+    """A closed-form critical search runs on Python floats: in a fresh
+    interpreter it, its error exits and a bare import load no numpy."""
+
+    @pytest.mark.parametrize("argv, code, out", [
+        (README_CRITICAL, EXIT_OK, "vary,value,bracket_width\nr,2.3257618,2.86102295e-05\n"),
+        (["critical", "--vary", "r", "--lo", "0", "--hi", "1", "--gamma", "0", "--g", "0"],
+         EXIT_SOLVER, ""),
+        (README_CRITICAL[:-1] + ["-5"], EXIT_USAGE, ""),
+        (["critical", "--vary", "r", "--lo", "3", "--hi", "8", "--gamma", "0.5",
+          "--g-ratio", "5"], EXIT_SOLVER, ""),
+    ], ids=["readme", "all-rates-zero", "negative-g-ratio", "no-sign-change"])
+    def test_command(self, argv, code, out):
+        returncode, stdout, stderr, numpy_loaded = _fresh(_FRESH_MAIN, *argv)
+        assert (returncode, stdout) == (code, out)
+        assert bool(stderr) == (code != EXIT_OK)
+        assert not numpy_loaded
+
+    def test_import(self):
+        code = "import sys, resetqfi; sys.stderr.write(f\"numpy loaded: {'numpy' in sys.modules}\")"
+        assert _fresh(code)[3] is False
+
+    @pytest.mark.parametrize("argv", [SWEEP_SMALL, EVAL_A, EVAL_A + ["--method", "nullspace"]],
+                             ids=["sweep", "eval", "eval-nullspace"])
+    def test_array_side_still_runs_and_loads_numpy(self, argv):
+        returncode, stdout, stderr, numpy_loaded = _fresh(_FRESH_MAIN, *argv)
+        assert (returncode, stderr) == (EXIT_OK, "")
+        assert stdout.startswith(CSV_HEADER + "\n")
+        assert numpy_loaded

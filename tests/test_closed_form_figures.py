@@ -13,7 +13,6 @@ import pytest
 from resetqfi import (
     CSV_FIELDS,
     DegenerateLimitError,
-    DensityMatrix,
     ModelParams,
     SweepSpec,
     c_matrix,
@@ -21,6 +20,7 @@ from resetqfi import (
     emit,
     entanglement,
     evaluate_point,
+    point,
     run_sweep,
     sweep,
 )
@@ -255,7 +255,7 @@ class TestEdgeCases:
         # no valid rates give a negative eigenvalue, so raise the threshold
         # above the smallest one, 1/4 + a - 2|e| at this point
         rates = [np.array([14.0]), np.array([0.5]), np.array([2.5])]
-        monkeypatch.setattr(DensityMatrix, "PSD_TOL", 0.2)
+        monkeypatch.setattr(point, "PSD_TOL", 0.2)
         with pytest.raises(ValueError) as want:
             closed_form_steady_state(ModelParams(14.0, 0.5, 2.5))
         with pytest.raises(ValueError) as got:

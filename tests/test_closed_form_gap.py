@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from resetqfi import DegenerateLimitError, DensityMatrix, sweep  # noqa: E402
+from resetqfi import DegenerateLimitError, point, sweep  # noqa: E402
 from resetqfi.dynamics import closed_form_figures, closed_form_gap  # noqa: E402
 
 # log-uniform over [1e-300, 1e300], zero, or subnormal
@@ -69,7 +69,7 @@ def test_positivity_failure_matches_the_array_path(rates):
     # the state is I/4, whose 1/4 the scalar path does not check.
     assume(rates[0] / max(rates) > 0.0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(DensityMatrix, "PSD_TOL", 0.3)
+        patch.setattr(point, "PSD_TOL", 0.3)
         want = _outcome(_array_gap, rates)
         assert want[0] is ValueError
         assert _outcome(closed_form_gap, rates) == want
