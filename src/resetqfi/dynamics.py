@@ -32,6 +32,8 @@ from .qlinalg import (
     hermitian_eig,
     kron,
     partial_trace,
+    sigma_x,
+    sigma_y,
     sigma_z,
 )
 
@@ -67,8 +69,6 @@ def _reset_piece(qubit: int) -> np.ndarray:
 
 # The two reset pieces, scaled by r per call.
 _RESET = (_reset_piece(1), _reset_piece(2))
-# vectorize(rho.conj().T) == vectorize(rho).conj()[_VEC_TRANSPOSE] for 4x4 rho
-_VEC_TRANSPOSE = np.arange(16).reshape(4, 4).T.reshape(-1)
 
 RK4_BLOCK = 1_000  # steps of the first round; each later round doubles them
 RK4_ROUND_CAP = 20  # 1000 (2^20 - 1), about 1.05e9, RK4 steps in all
@@ -78,10 +78,11 @@ RK4_ROUND_CAP = 20  # 1000 (2^20 - 1), about 1.05e9, RK4 steps in all
 # rounding: a state rounded to u = 2^-53 leaves about u ||L||_1, and the
 # rounding of the one-step polynomial and of the block products raises the
 # level a converged run settles at.  Run for 40 rounds on 1536 log-uniform
-# points of [1e-3, 1e2]^3, that level has a median of 9e-16 ||L||_1 and a
-# largest value of 4.1e-15 ||L||_1.  The scale sits about 70 times above
-# the largest; a smaller one buys accuracy with rounds (3e-14 needs up to
-# 19 of the 20 on 4027 points of that cube, 3e-13 up to 18).
+# points of [1e-3, 1e2]^3, that level has a median of 9e-17 ||L||_1 and a
+# largest value of 1.6e-15 ||L||_1 (9e-16 and 4.1e-15 with complex blocks
+# in the matrix basis).  The scale sits about 190 times above the largest;
+# a smaller one buys accuracy with rounds (3e-14 needs up to 19 of the 20
+# on 4027 points of that cube, 3e-13 up to 18).
 RK4_RESIDUAL_SCALE = 3e-13
 
 
@@ -185,6 +186,41 @@ def liouvillian_superoperator(p: ModelParams) -> np.ndarray:
     return sup
 
 
+# B, the 16x16 matrix of columns vec(P_ab), P_ab = sigma_a x sigma_b / 2 for
+# a, b in (1, x, y, z): an orthonormal basis of Hermitian 4x4 matrices, so B
+# is unitary.  A Hermitian rho is B x with x real, and a map that takes
+# Hermitian matrices to Hermitian ones is real in this basis: the
+# coherence-vector form of Alicki and Lendi, Quantum Dynamical Semigroups
+# and Applications (Lecture Notes in Physics 286, 1987).  Column stacking
+# puts entry (row, col) of a 4x4 matrix at 4 col + row, so
+# B[(j, l, i, k), (a, b)] = P_ab[2 i + k, 2 j + l] = sigma_a[i, j] sigma_b[k, l] / 2.
+_PAULIS = np.array([_I2, sigma_x, sigma_y, sigma_z])
+_PAULI_BASIS = (np.einsum("aij,bkl->jlikab", _PAULIS, _PAULIS) / 2.0).reshape(16, 16)
+_PAULI_BASIS.flags.writeable = False
+
+
+def _real_piece(piece: np.ndarray) -> np.ndarray:
+    """B^dagger piece B, the real matrix of a Hermiticity-preserving piece in
+    the basis P_ab; read-only.  An imaginary part above 1e-15 raises."""
+    full = _PAULI_BASIS.conj().T @ piece @ _PAULI_BASIS
+    residue = np.abs(full.imag).max()
+    if residue > 1e-15:
+        raise ArithmeticError(f"superoperator piece has an imaginary part of {residue:.1e} "
+                              "in the Pauli basis")
+    real = np.ascontiguousarray(full.real)
+    real.flags.writeable = False
+    return real
+
+
+# The pieces of liouvillian_superoperator in the basis P_ab, the unitary
+# one with its factor -i: -i [ZZ, .], the dephasing and the reset pieces.
+_REAL_UNITARY = _real_piece(-1j * _COMMUTATOR_ZZ)
+_REAL_DEPHASING = tuple(_real_piece(piece) for piece in _DEPHASING)
+_REAL_RESET = tuple(_real_piece(piece) for piece in _RESET)
+_REAL_EYE16 = np.eye(16)
+_REAL_EYE16.flags.writeable = False
+
+
 def _scaled(r, gamma, g) -> tuple:
     """Valid rates divided by the largest of them, which keeps every power
     in the closed-form entries finite; r = gamma = g = 0 raises.  Scalar
@@ -215,8 +251,8 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
     is too small to square against r, the state is |++> and C is
     diag(0, 2, 2).  The ``DensityMatrix`` positivity check runs on the
     analytic spectrum; unit trace and Hermiticity hold by construction.
-    ``point._closed_form_point`` takes the same terms at one point of
-    Python floats.
+    ``point.closed_form_gap`` takes the same terms, through the shared
+    ``point._closed_form_terms``, at one point of Python floats.
     """
     r, gamma, g = _scaled(r, gamma, g)
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 and |++> rows are replaced below
@@ -284,25 +320,32 @@ def _integrate_steady_state(p: ModelParams) -> np.ndarray:
     if p.r == 0.0:
         raise DegenerateSteadyStateError(
             "integration needs r > 0; at r = 0 the steady state is not unique")
-    sup = liouvillian_superoperator(p)
+    # L in the basis P_ab, summed in the order of liouvillian_superoperator
+    real = p.g * _REAL_UNITARY
+    for dephasing in _REAL_DEPHASING:
+        real = real + 0.5 * p.gamma * dephasing
+    for reset in _REAL_RESET:
+        real = real + p.r * reset
     # the step shrinks with the fastest rate and grows as it falls, so that
     # h L, and the rounding of the RK4 polynomial of it, do not depend on
     # the scale of the rates
     h = 0.01 / max(p.r, p.gamma, 4.0 * p.g)
-    a = h * sup
+    a = h * real
     a2 = a @ a
-    one_step = _EYE16 + a + a2 / 2.0 + (a @ a2) / 6.0 + (a2 @ a2) / 24.0
+    one_step = _REAL_EYE16 + a + a2 / 2.0 + (a @ a2) / 6.0 + (a2 @ a2) / 24.0
     # RK4 on a linear equation is exactly this degree-4 polynomial, so a
     # block of RK4_BLOCK steps collapses into one matrix power; squaring
-    # the block after each round doubles the steps of the next one.  Drift
-    # control (re-hermitization, on the vectorized state) and the
-    # convergence check run at the round boundaries.
+    # the block after each round doubles the steps of the next one.  The
+    # blocks are real and the state is B x with x real, so it stays
+    # Hermitian with no correction; the convergence check runs on the
+    # complex L at the round boundaries.
     block = np.linalg.matrix_power(one_step, RK4_BLOCK)
+    sup = liouvillian_superoperator(p)
     tol = RK4_RESIDUAL_SCALE * np.abs(sup).sum(axis=0).max()
-    state = vectorize(np.eye(4, dtype=complex) / 4.0)
+    coherence = _REAL_EYE16[0] / 2.0  # I/4 = P_11 / 2
     for _ in range(RK4_ROUND_CAP):
-        state = block @ state
-        state = 0.5 * (state + state.conj()[_VEC_TRANSPOSE])
+        coherence = block @ coherence
+        state = _PAULI_BASIS @ coherence
         if np.abs(sup @ state).max() < tol:
             rho = unvectorize(state)
             return rho / np.trace(rho).real
@@ -324,12 +367,14 @@ def steady_state(p: ModelParams, method: str = "closed_form") -> DensityMatrix:
         DegenerateSteadyStateError.
     integrate
         Fixed-step RK4 from I/4, with the step 0.01 / max(r, gamma, 4 g),
-        in rounds of 1000, 2000, 4000, ... steps (one matrix power each),
-        until ||drho/dt||_max < 3e-13 ||L||_1,
+        in rounds of 1000, 2000, 4000, ... steps (one power of a real
+        16x16 matrix each, L in the Pauli basis), until
+        ||drho/dt||_max < 3e-13 ||L||_1,
         with ||L||_1 the largest column sum of |L|; NoConvergenceError
-        after 20 rounds.  Trusted on [1e-3, 1e2]^3 in (r, gamma, g), where
-        the state error grows with the stiffness max(r, gamma, 4 g) / r:
-        about 1e-10 where it nears 1e5.
+        after 20 rounds.  The state is Hermitian by construction.  Trusted
+        on [1e-3, 1e2]^3 in (r, gamma, g): within 9.1e-13 of the nullspace
+        state on 2560 seeded points of that cube, stiffness
+        max(r, gamma, 4 g) / r up to 3.4e5 among them.
     """
     if method == "closed_form":
         return closed_form_steady_state(p)

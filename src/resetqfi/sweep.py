@@ -94,8 +94,15 @@ def _table(rates, c, concurrence, negativity) -> np.ndarray:
     gamma and g, each an array of N or one fixed value), moment matrices
     and entanglement measures."""
     lambda_max, axes = top_axes(c)
-    return np.column_stack((*np.broadcast_arrays(*rates), lambda_max / N_PARTICLES,
-                            *_branches(c), concurrence, negativity, axes))
+    table = np.empty((len(c), len(CSV_FIELDS)))
+    columns = table.T
+    columns[0], columns[1], columns[2] = rates
+    columns[3] = lambda_max / N_PARTICLES
+    columns[4], columns[5], columns[6] = _branches(c)
+    columns[7] = concurrence
+    columns[8] = negativity
+    table[:, 9:] = axes
+    return table
 
 
 def _closed_form(rates) -> tuple:
