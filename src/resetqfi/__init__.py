@@ -15,6 +15,7 @@ it, and numpy, the first time one is used.
 """
 
 import importlib
+import types
 
 from .errors import (
     BadDimensionError,
@@ -54,6 +55,10 @@ _ARRAY_NAMES = {
     "sweep": ("SweepTable", "evaluate_point", "run_sweep"),
 }
 _HOME = {name: module for module, names in _ARRAY_NAMES.items() for name in names}
+# the eager names imported above and the array-side names, each listed once
+__all__ = sorted([*(name for name, value in globals().items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType)),
+                  *_HOME])
 _SUBMODULES = ("cli", "dynamics", "entanglement", "errors", "metrology", "point", "qlinalg",
                "sweep")
 
@@ -73,64 +78,3 @@ def __dir__():
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "PLUS",
-    "X_AXIS",
-    "Y_AXIS",
-    "Z_AXIS",
-    "CSV_FIELDS",
-    "CSV_HEADER",
-    "BadDimensionError",
-    "CriticalPoint",
-    "DegenerateLimitError",
-    "DegenerateSteadyStateError",
-    "DensityMatrix",
-    "Direction",
-    "HermitianEig",
-    "ModelParams",
-    "NoConvergenceError",
-    "NonPositiveFisherError",
-    "NoSignChangeError",
-    "NotHermitianError",
-    "NotNormalizedError",
-    "NotSymmetricError",
-    "OutOfRangeError",
-    "PhaseEstimate",
-    "QfiResult",
-    "SensitivityClass",
-    "SweepRow",
-    "SweepSpec",
-    "SweepTable",
-    "c_matrix",
-    "classify",
-    "closed_form_steady_state",
-    "concurrence",
-    "emit",
-    "evaluate_point",
-    "find_critical_point",
-    "hamiltonian",
-    "hermitian_eig",
-    "hermiticity_defect",
-    "kron",
-    "liouvillian_apply",
-    "liouvillian_superoperator",
-    "mean_qfi_max",
-    "negativity",
-    "optimal_direction",
-    "parse_csv",
-    "partial_trace",
-    "partial_transpose",
-    "qcrb",
-    "qfi_direction",
-    "qfi_pure",
-    "rotate",
-    "run_sweep",
-    "sigma_x",
-    "sigma_y",
-    "sigma_z",
-    "steady_state",
-    "trace_norm",
-    "unvectorize",
-    "vectorize",
-]

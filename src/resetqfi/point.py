@@ -280,6 +280,16 @@ def _nine_digits(x: float) -> str:
     return f"{x:.9g}"
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cell(x: float) -> str:
+    """The text json.dumps gives float("%.9g" % x): its repr, or NaN,
+    Infinity or -Infinity."""
+    text = repr(float("%.9g" % x))
+    return _NON_FINITE.get(text, text)
+
+
 def _critical_text(point: CriticalPoint, fmt: str) -> str:
     if fmt == "csv":
         return ("vary,value,bracket_width\n"
@@ -294,21 +304,25 @@ def _critical_text(point: CriticalPoint, fmt: str) -> str:
 
 def _text(payload, fmt: str):
     """The CSV or JSON text of rows or a critical point, in pieces; rows
-    are formatted by ``sweep`` on their array."""
+    are read into their array and formatted by ``sweep``."""
     if isinstance(payload, CriticalPoint):
         return [_critical_text(payload, fmt)]
-    from .sweep import _table_pieces
+    from .sweep import _row_array, _row_pieces
 
-    return _table_pieces(payload, fmt)
+    return _row_pieces(_row_array(payload), fmt)
 
 
 def emit(payload, fmt: str = "csv", path: str | None = None) -> None:
     """Serialize rows or a critical point to CSV or JSON.
 
     Rows are a ``SweepTable`` or any iterable of ``SweepRow``; they are
-    formatted and written EMIT_CHUNK at a time.  Values carry 9
-    significant digits, the bytes of ``"%.9g" % value`` for each value;
-    lines end with a bare newline.  ``path`` of None writes to stdout.
+    formatted and written EMIT_CHUNK at a time, by one writer for both
+    formats, and a column that holds one value over those rows is
+    formatted once for them.  Values carry 9 significant digits: CSV has
+    the bytes of ``"%.9g" % value`` for each value, JSON those of
+    ``json.dumps(..., indent=2)`` of one object per row holding
+    ``float("%.9g" % value)``.  Lines end with a bare newline.  ``path``
+    of None writes to stdout.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; choose csv or json")

@@ -10,7 +10,8 @@ calls back into this module for the solver routes.
 """
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .point import (  # noqa: F401
     SweepRow,
     SweepSpec,
     _at,
-    _nine_digits,
+    _json_cell,
     emit,
     find_critical_point,
     parse_csv,
@@ -192,41 +193,52 @@ def _row_array(rows) -> np.ndarray:
     return np.array([_ROW_VALUES(row) for row in rows], dtype=float).reshape(-1, len(CSV_FIELDS))
 
 
-def _csv_pieces(array: np.ndarray):
-    yield CSV_HEADER + "\n"
+class _Layout(NamedTuple):
+    """The text of a table in one format, around its cells."""
+
+    leads: tuple      # the text before each field of a row
+    end: str          # after the last field
+    between: str      # between rows
+    opening: str      # before the first row
+    closing: str      # after the last row
+    empty: str        # the whole text of a table of no rows
+    slot: str         # the slot of a value that varies down a piece
+    cell: Callable | None  # what fills a slot from a value; None, the value
+
+
+_LAYOUTS = {
+    "csv": _Layout(("",) + (",",) * (len(CSV_FIELDS) - 1), "\n", "",
+                   CSV_HEADER + "\n", "", CSV_HEADER + "\n", "%.9g", None),
+    # the text of json.dumps(rows, indent=2), one object per row
+    "json": _Layout(tuple(("\n  {" if k == 0 else ",") + f'\n    "{name}": '
+                          for k, name in enumerate(CSV_FIELDS)),
+                    "\n  }", ",", "[", "\n]\n", "[]\n", "%s", _json_cell),
+}
+
+
+def _row_pieces(array: np.ndarray, fmt: str):
+    """The CSV or JSON text of an (N, 12) row array, in pieces of
+    EMIT_CHUNK rows, so no text of the whole output is built.  A column
+    that holds one value over a piece is formatted once for that piece;
+    the other cells fill the slots of one row template repeated over the
+    piece."""
+    leads, end, between, opening, closing, empty, slot, cell = _LAYOUTS[fmt]
+    if not len(array):
+        yield empty
+        return
+    yield opening
     for start in range(0, len(array), EMIT_CHUNK):
         chunk = array[start:start + EMIT_CHUNK]
         # a column whose bits equal its first row's all the way down is
-        # formatted once, into the row format; bits keep -0.0 ("-0") apart
-        # from 0.0 ("0")
+        # formatted once, into the row template; bits keep -0.0 ("-0")
+        # apart from 0.0 ("0")
         bits = chunk.view(np.int64)
         fixed = (bits == bits[0]).all(axis=0)
-        row = ",".join(["%.9g" % x if same else "%.9g"
-                        for x, same in zip(chunk[0].tolist(), fixed.tolist())])
-        yield (row + "\n") * len(chunk) % tuple(chunk[:, ~fixed].ravel().tolist())
-
-
-def _json_pieces(array: np.ndarray):
-    import json
-
-    opening = "["
-    for start in range(0, len(array), EMIT_CHUNK):
-        objs = [{name: float(_nine_digits(x)) for name, x in zip(CSV_FIELDS, values)}
-                for values in array[start:start + EMIT_CHUNK].tolist()]
-        # the chunk's list is "[\n  {...},\n  {...}\n]"; what lies between
-        # "[" and "\n]" joins with "," into the text of one list
-        yield opening + json.dumps(objs, indent=2)[1:-2]
-        opening = ","
-    yield "[]\n" if opening == "[" else "\n]\n"
-
-
-_ROW_PIECES = {"csv": _csv_pieces, "json": _json_pieces}
-
-
-def _table_pieces(rows, fmt: str):
-    """The CSV or JSON text of a SweepTable, or of any other iterable of
-    SweepRow, in pieces; the rows are read into their array first, then
-    formatted EMIT_CHUNK at a time, so no text of the whole output is
-    built.  A CSV column that holds one value over a piece is formatted
-    once for that piece."""
-    return _ROW_PIECES[fmt](_row_array(rows))
+        row = "".join([lead + (slot % (x if cell is None else cell(x)) if same else slot)
+                       for lead, x, same in zip(leads, chunk[0].tolist(), fixed.tolist())])
+        cells = chunk[:, ~fixed].ravel().tolist()
+        text = (row + end + between) * len(chunk) % tuple(
+            cells if cell is None else map(cell, cells))
+        # the last row of the table ends without a separator
+        yield text[:len(text) - len(between)] if start + EMIT_CHUNK >= len(array) else text
+    yield closing

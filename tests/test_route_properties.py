@@ -22,6 +22,7 @@ from resetqfi import (  # noqa: E402
     unvectorize,
     vectorize,
 )
+from resetqfi.point import STEADY_STATE_METHODS  # noqa: E402
 
 # log10 of the smallest and largest rate of each route's envelope
 ENVELOPES = {"nullspace": (-6.0, 4.0), "integrate": (-3.0, 2.0)}
@@ -88,14 +89,19 @@ def test_superoperator_applies_the_master_equation(position, entries):
     assert np.abs(got - liouvillian_apply(p, rho)).max() <= APPLY_TOL * max(r, gamma, g)
 
 
+@pytest.mark.parametrize("method", STEADY_STATE_METHODS)
 @settings(max_examples=100, deadline=None)
 @given(position=POSITION, power=st.sampled_from((-20, -3, 5, 30)))
-def test_nullspace_state_scales_with_the_rates(position, power):
+def test_state_scales_with_the_rates(method, position, power):
     # the steady state depends on the ratios of the rates only; drawn from
-    # [1e-3, 1e2]^3, the cube SCALE_TOL was measured on
+    # [1e-3, 1e2]^3, the cube SCALE_TOL was measured on.  The closed form
+    # and the RK4 step scale with the rates, so their states are bit-equal
     r, gamma, g = _rates("integrate", position)
     factor = 2.0**power
-    base = steady_state(ModelParams(r=r, gamma=gamma, g=g), "nullspace").mat
+    base = steady_state(ModelParams(r=r, gamma=gamma, g=g), method).mat
     scaled = steady_state(ModelParams(r=r * factor, gamma=gamma * factor, g=g * factor),
-                          "nullspace").mat
-    assert np.abs(scaled - base).max() <= SCALE_TOL
+                          method).mat
+    if method == "nullspace":
+        assert np.abs(scaled - base).max() <= SCALE_TOL
+    else:
+        assert scaled.tobytes() == base.tobytes()

@@ -846,9 +846,9 @@ def _emit_in_pieces(monkeypatch, capsys, payload, piece, fmt) -> str:
 
 
 class TestEmitPieces:
-    """emit formats a CSV column that holds one value over a piece once for
-    that piece; its bytes are those of every value rendered on its own, at
-    every piece size."""
+    """emit formats a column that holds one value over a piece once for
+    that piece; its CSV and JSON bytes are those of every value rendered
+    on its own, at every piece size."""
 
     @pytest.mark.parametrize("piece", EMIT_PIECES)
     @pytest.mark.parametrize("case", EMIT_CASES)
@@ -858,9 +858,11 @@ class TestEmitPieces:
         # compared line by line, so a failure names its first differing line
         assert text.splitlines(keepends=True) == _plain_csv(payload).splitlines(keepends=True)
 
+    @pytest.mark.parametrize("piece", EMIT_PIECES)
     @pytest.mark.parametrize("case", EMIT_CASES)
-    def test_json_does_not_depend_on_the_piece_size(self, monkeypatch, capsys, emit_payloads, case):
+    def test_json_equals_plain_rendering(self, monkeypatch, capsys, emit_payloads, case, piece):
         payload = emit_payloads[case]
-        texts = {_emit_in_pieces(monkeypatch, capsys, payload, piece, "json")
-                 for piece in EMIT_PIECES}
-        assert len(texts) == 1
+        text = _emit_in_pieces(monkeypatch, capsys, payload, piece, "json")
+        plain = json.dumps([{name: float("%.9g" % x) for name, x in zip(CSV_FIELDS, astuple(row))}
+                            for row in payload], indent=2) + "\n"
+        assert text.splitlines(keepends=True) == plain.splitlines(keepends=True)
