@@ -1,7 +1,8 @@
 """Command line front end: evaluate points, run sweeps, locate crossings.
 
-Exit codes: 0 success, 2 bad flags or validation, 3 solver failure
-(degenerate steady state, no convergence, no sign change), 4 I/O failure.
+Exit codes: 0 success, 2 bad flags or validation (a sweep too large for
+memory included), 3 solver failure (degenerate steady state, no
+convergence, no sign change), 4 I/O failure.
 """
 
 import argparse
@@ -99,6 +100,9 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except ValueError as err:
         print(f"resetqfi: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as err:
+        print(f"resetqfi: out of memory: {err}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:
         print(f"resetqfi: cannot write output: {err}", file=sys.stderr)

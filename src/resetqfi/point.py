@@ -10,6 +10,7 @@ function-level imports of ``sweep``.
 """
 
 import contextlib
+import functools
 import io
 import math
 import operator
@@ -228,12 +229,13 @@ def _at(spec: SweepSpec, value, err: Exception) -> Exception:
 def _gap_of(spec: SweepSpec):
     """The function value -> lambda_x - lambda_yz_hi at that value of the
     varied rate.  The closed form takes it from ``closed_form_gap`` on
-    Python floats; the other routes solve one point through
-    ``sweep._solve``.  A solver error names its value."""
+    Python floats; the other routes take it from ``sweep._route_gap``,
+    one point solved through the per-point solve of a route sweep.  A
+    solver error names its value."""
     if spec.method != "closed_form":
         from .sweep import _route_gap
 
-        return _route_gap(spec)
+        return functools.partial(_route_gap, spec)
 
     def gap(value):
         try:
@@ -252,8 +254,8 @@ def find_critical_point(spec: SweepSpec) -> CriticalPoint:
     at one midpoint per halving, in that order.  The closed form takes
     each value from ``closed_form_gap``, a few dozen float operations
     with no numpy call; the other routes solve each point through
-    ``sweep._solve``.  The gap comes from C alone, so no entanglement
-    measure is computed.
+    ``sweep._state``, the per-point solve of a route sweep.  The gap comes
+    from C alone, so no entanglement measure is computed.
     """
     gap = _gap_of(spec)
     lo, hi = spec.start, spec.stop
@@ -302,16 +304,6 @@ def _critical_text(point: CriticalPoint, fmt: str) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _text(payload, fmt: str):
-    """The CSV or JSON text of rows or a critical point, in pieces; rows
-    are read into their array and formatted by ``sweep``."""
-    if isinstance(payload, CriticalPoint):
-        return [_critical_text(payload, fmt)]
-    from .sweep import _row_array, _row_pieces
-
-    return _row_pieces(_row_array(payload), fmt)
-
-
 def emit(payload, fmt: str = "csv", path: str | None = None) -> None:
     """Serialize rows or a critical point to CSV or JSON.
 
@@ -326,7 +318,12 @@ def emit(payload, fmt: str = "csv", path: str | None = None) -> None:
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; choose csv or json")
-    pieces = _text(payload, fmt)
+    if isinstance(payload, CriticalPoint):
+        pieces = [_critical_text(payload, fmt)]
+    else:
+        from .sweep import _row_array, _row_pieces
+
+        pieces = _row_pieces(_row_array(payload), fmt)
     with (contextlib.nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="ascii", newline="")) as handle:
         for piece in pieces:

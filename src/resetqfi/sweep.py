@@ -90,35 +90,29 @@ def _branches(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c[..., 0, 0], block_mean + half_gap, block_mean - half_gap
 
 
-def _table(rates, c, concurrence, negativity) -> np.ndarray:
-    """(N, 12) array of N points in CSV_FIELDS order from their rates (r,
-    gamma and g, each an array of N or one fixed value), moment matrices
-    and entanglement measures."""
+def _rows(rates, states=None) -> np.ndarray:
+    """(N, 12) array of N points in CSV_FIELDS order at rates (r, gamma and
+    g, each an array of N or one fixed value).  With no states, C and the
+    negativity come from ``closed_form_figures`` and the concurrence is
+    twice the negativity; otherwise C, the concurrence and the negativity
+    come from each of the N validated states."""
+    if states is None:
+        c, negativities = closed_form_figures(*rates)
+        concurrences = 2.0 * negativities
+    else:
+        c = np.array([c_matrix(rho) for rho in states])
+        concurrences = np.array([concurrence(rho) for rho in states])
+        negativities = np.array([negativity(rho) for rho in states])
     lambda_max, axes = top_axes(c)
     table = np.empty((len(c), len(CSV_FIELDS)))
     columns = table.T
     columns[0], columns[1], columns[2] = rates
     columns[3] = lambda_max / N_PARTICLES
     columns[4], columns[5], columns[6] = _branches(c)
-    columns[7] = concurrence
-    columns[8] = negativity
+    columns[7] = concurrences
+    columns[8] = negativities
     table[:, 9:] = axes
     return table
-
-
-def _closed_form(rates) -> tuple:
-    """C of the closed-form states at rates (r, gamma, g), and a callable
-    giving the concurrence (twice the negativity) and the negativity of each."""
-    c, negativity = closed_form_figures(*rates)
-    return c, lambda: (2.0 * negativity, negativity)
-
-
-def _of_states(states) -> tuple:
-    """C of a list of N states, shape (N, 3, 3), and a callable giving the
-    concurrence and the negativity of each."""
-    return (np.array([c_matrix(rho) for rho in states]),
-            lambda: (np.array([concurrence(rho) for rho in states]),
-                     np.array([negativity(rho) for rho in states])))
 
 
 def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow:
@@ -132,58 +126,48 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
     state.
     """
     rates = np.array([[params.r], [params.gamma], [params.g]])
-    if method == "closed_form":
-        c, entanglement = _closed_form(rates)
-    else:
-        c, entanglement = _of_states([steady_state(params, method=method)])
-    return SweepRow(*_table(rates, c, *entanglement())[0].tolist())
+    states = None if method == "closed_form" else [steady_state(params, method=method)]
+    return SweepRow(*_rows(rates, states)[0].tolist())
 
 
-def _solve(spec: SweepSpec, values: np.ndarray) -> tuple:
-    """Rates (r, gamma, g), moment matrices C and a callable giving the
-    concurrence and negativity of each point, at ``values`` of the varied
-    rate, an array of shape (N,) that holds ``spec.start`` first if it
-    holds it at all.  The closed form takes all from
-    ``closed_form_figures``; the other routes build and validate one
-    ``steady_state`` per point.  A solver error names its value; r = gamma
-    = g = 0, the closed form's one failure, can only occur at
-    ``spec.start``, as ``SweepSpec`` checked the end rates."""
-    rates = spec.rates(values)
-    value = values[0]
+def _state(spec: SweepSpec, value):
+    """The validated steady state by the spec's route, other than the
+    closed form, at one value of the varied rate; a solver error names
+    the value."""
     try:
-        if spec.method == "closed_form":
-            return rates, *_closed_form(rates)
-        states = []
-        for value in values:
-            states.append(steady_state(spec.params_at(value), spec.method))
+        return steady_state(spec.params_at(value), spec.method)
     except SOLVER_ERRORS as err:
         raise _at(spec, value, err) from err
-    return rates, *_of_states(states)
-
-
-def _gap(c: np.ndarray):
-    """lambda_x - lambda_yz_hi of a moment matrix, or of each in a stack."""
-    lambda_x, lambda_yz_hi, _ = _branches(c)
-    return lambda_x - lambda_yz_hi
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate every grid point through ``_solve``, SWEEP_CHUNK points per
-    stacked pass; solver failures name the offending point.  A row equals
-    the ``evaluate_point`` row of its point, bit for bit."""
+    """Evaluate every grid point, SWEEP_CHUNK points per stacked pass;
+    solver failures name the offending point.  A row equals the
+    ``evaluate_point`` row of its point, bit for bit."""
     grid = spec.grid()
     table = np.empty((len(grid), len(CSV_FIELDS)))
     for start in range(0, len(grid), SWEEP_CHUNK):
-        rates, c, entanglement = _solve(spec, grid[start:start + SWEEP_CHUNK])
-        table[start:start + SWEEP_CHUNK] = _table(rates, c, *entanglement())
+        values = grid[start:start + SWEEP_CHUNK]
+        rates = spec.rates(values)
+        if spec.method == "closed_form":
+            # r = gamma = g = 0, the closed form's one failure, can only
+            # occur at spec.start, as SweepSpec checked the end rates
+            try:
+                rows = _rows(rates)
+            except SOLVER_ERRORS as err:
+                raise _at(spec, values[0], err) from err
+        else:
+            rows = _rows(rates, [_state(spec, value) for value in values])
+        table[start:start + SWEEP_CHUNK] = rows
     return SweepTable(table)
 
 
-def _route_gap(spec: SweepSpec):
-    """The function value -> lambda_x - lambda_yz_hi at that value of the
-    varied rate by the spec's route, other than the closed form: one point
-    solved through ``_solve``, which names the value in a solver error."""
-    return lambda value: _gap(_solve(spec, np.array([value]))[1])[0]
+def _route_gap(spec: SweepSpec, value):
+    """lambda_x - lambda_yz_hi at one value of the varied rate by the
+    spec's route, other than the closed form, from C alone: no
+    entanglement measure is computed."""
+    lambda_x, lambda_yz_hi, _ = _branches(c_matrix(_state(spec, value)))
+    return lambda_x - lambda_yz_hi
 
 
 def _row_array(rows) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import resetqfi
-from resetqfi import CSV_HEADER, parse_csv
+from resetqfi import CSV_HEADER, SweepSpec, parse_csv
 from resetqfi.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main
 from resetqfi.dynamics import STEADY_STATE_METHODS
 
@@ -112,6 +112,21 @@ class TestSweep:
         code = main(SWEEP_SMALL + ["--out", str(target)])
         assert code == EXIT_IO
         assert "rows.csv" in capsys.readouterr().err
+
+    def test_sweep_too_large_for_memory_is_usage_error(self, capsys, monkeypatch):
+        # numpy raises MemoryError for a grid it cannot allocate, 7.28 TiB
+        # at 10**12 steps; the grid raises it here without allocating
+        def too_large(spec):
+            raise MemoryError(f"Unable to allocate 7.28 TiB for an array with shape "
+                              f"({spec.steps},) and data type float64")
+
+        monkeypatch.setattr(SweepSpec, "grid", too_large)
+        code = main(["sweep", "--vary", "r", "--from", "0", "--to", "1",
+                     "--steps", "1000000000000", "--gamma", "0.5", "--g-ratio", "5"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr() == ("", "resetqfi: out of memory: Unable to allocate "
+                                           "7.28 TiB for an array with shape (1000000000000,) "
+                                           "and data type float64\n")
 
 
 class TestCritical:

@@ -260,7 +260,9 @@ class TestStackedSweep:
         # nullspace has no unique kernel at r = 0, so its grid starts at gamma = g = 0
         SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=SWEEP_CHUNK + 3,
                   fixed_r=1.0, g_ratio=5.0, method="nullspace"),
-    ], ids=["closed_form", "nullspace"])
+        SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=7, fixed_r=1.0, g_ratio=5.0,
+                  method="integrate"),
+    ], ids=["closed_form", "nullspace", "integrate"])
     def test_rows_equal_single_points_bit_for_bit(self, spec):
         rows = run_sweep(spec)
         assert len(rows) == spec.steps
@@ -441,14 +443,22 @@ class TestCriticalPoint:
         with pytest.raises(NoSignChangeError):
             find_critical_point(spec)
 
-    @pytest.mark.parametrize("spec, error", [
+    @pytest.mark.parametrize("spec, round_cap, error", [
         (SweepSpec(vary="r", start=0.0, stop=8.0, steps=2, fixed_gamma=0.5, g_ratio=5.0,
-                   method="nullspace"),
+                   method="nullspace"), dynamics.RK4_ROUND_CAP,
          DegenerateSteadyStateError(f"{DEGENERATE_KERNEL} [at r = 0]")),
         (SweepSpec(vary="r", start=0.0, stop=1.0, steps=2, fixed_gamma=0.0, g=0.0),
+         dynamics.RK4_ROUND_CAP,
          DegenerateLimitError("r = gamma = g = 0 singles out no steady state [at r = 0]")),
-    ], ids=["nullspace", "closed_form"])
-    def test_solver_failure_names_the_point(self, spec, error):
+        # integrate takes 10 rounds at the low end and 14 at the high end,
+        # so a cap of 13 fails on the second end the search solves
+        (SweepSpec(vary="gamma", start=5e-4, stop=0.5, steps=2, fixed_r=0.01, g_ratio=2e3,
+                   method="integrate"), 13,
+         NoConvergenceError("residual still above 3e-13 ||L||_1 = 6.000e-10 after 13 rounds "
+                            "(8191000 RK4 steps) [at gamma = 0.5]")),
+    ], ids=["nullspace", "closed_form", "integrate"])
+    def test_solver_failure_names_the_point(self, monkeypatch, spec, round_cap, error):
+        monkeypatch.setattr(dynamics, "RK4_ROUND_CAP", round_cap)
         with pytest.raises(type(error)) as raised:
             find_critical_point(spec)
         assert str(raised.value) == str(error)
