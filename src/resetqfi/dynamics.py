@@ -104,10 +104,10 @@ class DensityMatrix:
         if mat.shape != (4, 4):
             raise BadDimensionError(f"expected a 4x4 two-qubit state, got shape {mat.shape}")
         eig = hermitian_eig(mat)
-        trace = np.trace(mat)
+        trace = mat.trace().item()
         if abs(trace - 1.0) > self.TRACE_TOL:
             raise ValueError(f"density matrix trace {trace:.12g} differs from 1")
-        _check_psd(eig.eigenvalues[0])
+        point._check_smallest(eig.eigenvalues[0].item())
         mat = mat.copy()
         mat.flags.writeable = False
         self._mat = mat
@@ -300,13 +300,17 @@ def closed_form_steady_state(p: ModelParams) -> DensityMatrix:
                                    [anti, edge, edge, 0.25]]))
 
 
+_TRACE_ROW = vectorize(_EYE4)  # the trace functional, border row of the nullspace solve
+_TRACE_ROW.flags.writeable = False
+
+
 def _nullspace_steady_state(p: ModelParams) -> np.ndarray:
     # tr L(rho) = 0, so the rows of the four diagonal entries sum to zero
     # and row 0 is redundant: the trace functional takes its place, and
     # L rho = 0, tr rho = 1 becomes one square solve (bordered as in
     # QuTiP's steadystate, Johansson, Nation and Nori, arXiv:1110.0573)
     bordered = liouvillian_superoperator(p)
-    bordered[0] = vectorize(_EYE4)
+    bordered[0] = _TRACE_ROW
     try:
         rho = unvectorize(np.linalg.solve(bordered, _EYE16[0]))
     except np.linalg.LinAlgError as err:
@@ -334,12 +338,18 @@ def _integrate_steady_state(p: ModelParams) -> np.ndarray:
     a2 = a @ a
     one_step = _REAL_EYE16 + a + a2 / 2.0 + (a @ a2) / 6.0 + (a2 @ a2) / 24.0
     # RK4 on a linear equation is exactly this degree-4 polynomial, so a
-    # block of RK4_BLOCK steps collapses into one matrix power; squaring
-    # the block after each round doubles the steps of the next one.  The
-    # blocks are real and the state is B x with x real, so it stays
-    # Hermitian with no correction; the convergence check runs on the
-    # complex L at the round boundaries.
-    block = np.linalg.matrix_power(one_step, RK4_BLOCK)
+    # block of RK4_BLOCK steps is one matrix power (the products of
+    # np.linalg.matrix_power, in its order); squaring the block after each
+    # round doubles the steps of the next one.  The blocks are real and the
+    # state is B x with x real, so it stays Hermitian with no correction;
+    # the convergence check runs on the complex L at the round boundaries.
+    block, power, steps = None, one_step, RK4_BLOCK
+    while steps:
+        steps, bit = divmod(steps, 2)
+        if bit:
+            block = power if block is None else block @ power
+        if steps:
+            power = power @ power
     sup = liouvillian_superoperator(p)
     tol = RK4_RESIDUAL_SCALE * np.abs(sup).sum(axis=0).max()
     coherence = _REAL_EYE16[0] / 2.0  # I/4 = P_11 / 2

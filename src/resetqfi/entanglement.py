@@ -22,12 +22,12 @@ def concurrence(rho: DensityMatrix) -> float:
     not.
     """
     eigenvalues, eigenvectors = rho.eig.eigenvalues, rho.eig.eigenvectors
-    low = eigenvalues.min()
+    low = eigenvalues[0].item()  # the eigenvalues ascend
     if low < NEGATIVE_EIG_TOL:
         raise OutOfRangeError(f"state has eigenvalue {low:.3e} below zero")
     root = eigenvectors * np.sqrt(np.maximum(eigenvalues, 0.0)) @ eigenvectors.conj().T
-    mu = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)  # descending
-    return max(0.0, float(mu[0] - mu[1] - mu[2] - mu[3]))
+    mu = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False).tolist()  # descending
+    return max(0.0, mu[0] - mu[1] - mu[2] - mu[3])
 
 
 def negativity(rho: DensityMatrix) -> float:
@@ -37,4 +37,4 @@ def negativity(rho: DensityMatrix) -> float:
     for Bell states.
     """
     value = 0.5 * (trace_norm(partial_transpose(rho.mat, 2)) - 1.0)
-    return max(0.0, float(value))  # trace norm of a unit-trace state is >= 1
+    return max(0.0, value)  # trace norm of a unit-trace state is >= 1

@@ -111,11 +111,11 @@ class SensitivityClass(Enum):
 
 def _spectral_weights(p: np.ndarray) -> np.ndarray:
     """(p_i - p_j)^2 / (p_i + p_j) with vanishing pairs excluded, for one
-    spectrum p."""
-    sums = p[:, None] + p
-    diffs = p[:, None] - p
-    keep = (sums > EIGENVALUE_CUTOFF) & ~np.eye(len(p), dtype=bool)
-    return np.divide(diffs**2, sums, out=np.zeros_like(sums), where=keep)
+    spectrum p; the few pairs of a state go faster on Python floats than
+    through masked array passes, with the same arithmetic."""
+    values = p.tolist()
+    return np.array([[(a - b) * (a - b) / (a + b) if i != j and a + b > EIGENVALUE_CUTOFF else 0.0
+                      for j, b in enumerate(values)] for i, a in enumerate(values)])
 
 
 def qfi_direction(rho: DensityMatrix, direction: Direction) -> float:

@@ -28,6 +28,8 @@ def _as_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimensionError(f"expected a square matrix, got shape {m.shape}")
+    if not m.size:  # no entries to reduce over
+        raise BadDimensionError(f"expected a matrix with entries, got shape {m.shape}")
     return m
 
 
@@ -35,7 +37,7 @@ def _finite_square(m) -> np.ndarray:
     """``_as_square``, rejecting NaN and infinite entries, which would slip
     past the tolerance tests (or, for inf, warn in ``m - m.conj().T``)."""
     m = _as_square(m)
-    if not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) < m.size:  # cheaper than .all() on a few entries
         raise OutOfRangeError(f"matrix has non-finite entries: {m.tolist()}")
     return m
 
@@ -43,7 +45,10 @@ def _finite_square(m) -> np.ndarray:
 def hermiticity_defect(m) -> float:
     """Largest entrywise deviation of a finite square matrix from its
     conjugate transpose; a NaN or infinite entry raises OutOfRangeError."""
-    m = _finite_square(m)
+    return _defect(_finite_square(m))
+
+
+def _defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
@@ -60,10 +65,15 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
 
+_COLUMNS4 = np.arange(4)  # the column index of a two-qubit state's eigenvectors
+_COLUMNS4.flags.writeable = False
+
+
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     # a unit vector always has a component above PHASE_TOL
     first = (np.abs(vectors) > PHASE_TOL).argmax(axis=0)
-    lead = vectors[first, np.arange(vectors.shape[1])]
+    columns = _COLUMNS4 if len(first) == 4 else np.arange(len(first))
+    lead = vectors[first, columns]
     return vectors * (lead.conj() / np.abs(lead))
 
 
@@ -85,8 +95,8 @@ def hermitian_eig(m) -> HermitianEig:
     NoConvergenceError
         If the underlying eigensolver fails to converge.
     """
-    m = np.asarray(m, dtype=complex)
-    defect = hermiticity_defect(m)  # square and finite first
+    m = _finite_square(m)
+    defect = _defect(m)
     if defect > HERMITIAN_TOL:
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {defect:.3e} (tol {HERMITIAN_TOL:.1e})")
@@ -137,8 +147,8 @@ def partial_transpose(m, qubit: int) -> np.ndarray:
 
 def trace_norm(m) -> float:
     """Sum of absolute eigenvalues of a finite Hermitian matrix."""
-    m = np.asarray(m, dtype=complex)
-    defect = hermiticity_defect(m)  # square and finite first
+    m = _finite_square(m)
+    defect = _defect(m)
     if defect > HERMITIAN_TOL:
         raise NotHermitianError(f"trace_norm needs a Hermitian input; defect {defect:.3e}")
     try:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import ModelParams, closed_form_figures, steady_state
+from .dynamics import DensityMatrix, ModelParams, closed_form_figures, steady_state
 from .entanglement import concurrence, negativity
 from .errors import SOLVER_ERRORS
 from .metrology import N_PARTICLES, c_matrix, top_axes
@@ -90,29 +90,32 @@ def _branches(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c[..., 0, 0], block_mean + half_gap, block_mean - half_gap
 
 
-def _rows(rates, states=None) -> np.ndarray:
-    """(N, 12) array of N points in CSV_FIELDS order at rates (r, gamma and
-    g, each an array of N or one fixed value).  With no states, C and the
-    negativity come from ``closed_form_figures`` and the concurrence is
-    twice the negativity; otherwise C, the concurrence and the negativity
-    come from each of the N validated states."""
-    if states is None:
-        c, negativities = closed_form_figures(*rates)
-        concurrences = 2.0 * negativities
-    else:
-        c = np.array([c_matrix(rho) for rho in states])
-        concurrences = np.array([concurrence(rho) for rho in states])
-        negativities = np.array([negativity(rho) for rho in states])
+def _rows(rates) -> np.ndarray:
+    """(N, 12) array of N closed-form points in CSV_FIELDS order at rates
+    (r, gamma and g, each an array of N or one fixed value): C and the
+    negativity come from ``closed_form_figures``, and the concurrence is
+    twice the negativity."""
+    c, negativities = closed_form_figures(*rates)
     lambda_max, axes = top_axes(c)
     table = np.empty((len(c), len(CSV_FIELDS)))
     columns = table.T
     columns[0], columns[1], columns[2] = rates
     columns[3] = lambda_max / N_PARTICLES
     columns[4], columns[5], columns[6] = _branches(c)
-    columns[7] = concurrences
+    columns[7] = 2.0 * negativities
     columns[8] = negativities
     table[:, 9:] = axes
     return table
+
+
+def _route_row(rates, rho: DensityMatrix) -> list:
+    """The 12 values, in CSV_FIELDS order, of one validated route state at
+    rates (r, gamma, g): C, its branches and axis, the concurrence and the
+    negativity, each from that state alone."""
+    c = c_matrix(rho)
+    lambda_max, axes = top_axes(c[None])
+    return [*rates, lambda_max.item() / N_PARTICLES, *map(float, _branches(c)),
+            concurrence(rho), negativity(rho), *axes[0].tolist()]
 
 
 def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow:
@@ -123,11 +126,13 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
     m.  Their crossing with lambda_x is what ``find_critical_point``
     bisects on.  The closed form takes C and the entanglement measures
     from ``closed_form_figures``; the other routes from the eigendecomposed
-    state.
+    state, through the row function of a route sweep.
     """
-    rates = np.array([[params.r], [params.gamma], [params.g]])
-    states = None if method == "closed_form" else [steady_state(params, method=method)]
-    return SweepRow(*_rows(rates, states)[0].tolist())
+    if method == "closed_form":
+        rates = np.array([[params.r], [params.gamma], [params.g]])
+        return SweepRow(*_rows(rates)[0].tolist())
+    rates = (params.r, params.gamma, params.g)
+    return SweepRow(*_route_row(rates, steady_state(params, method=method)))
 
 
 def _state(spec: SweepSpec, value):
@@ -141,24 +146,24 @@ def _state(spec: SweepSpec, value):
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate every grid point, SWEEP_CHUNK points per stacked pass;
-    solver failures name the offending point.  A row equals the
-    ``evaluate_point`` row of its point, bit for bit."""
+    """Evaluate every grid point in passes of SWEEP_CHUNK points, stacked
+    for the closed form and point by point for a route; solver failures
+    name the offending point.  A row equals the ``evaluate_point`` row of
+    its point, bit for bit."""
     grid = spec.grid()
     table = np.empty((len(grid), len(CSV_FIELDS)))
     for start in range(0, len(grid), SWEEP_CHUNK):
         values = grid[start:start + SWEEP_CHUNK]
-        rates = spec.rates(values)
         if spec.method == "closed_form":
             # r = gamma = g = 0, the closed form's one failure, can only
             # occur at spec.start, as SweepSpec checked the end rates
             try:
-                rows = _rows(rates)
+                table[start:start + SWEEP_CHUNK] = _rows(spec.rates(values))
             except SOLVER_ERRORS as err:
                 raise _at(spec, values[0], err) from err
         else:
-            rows = _rows(rates, [_state(spec, value) for value in values])
-        table[start:start + SWEEP_CHUNK] = rows
+            for row, value in enumerate(values.tolist(), start):
+                table[row] = _route_row(spec.rates(value), _state(spec, value))
     return SweepTable(table)
 
 

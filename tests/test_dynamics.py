@@ -13,6 +13,7 @@ from resetqfi import (
     ModelParams,
     NoConvergenceError,
     NotHermitianError,
+    OutOfRangeError,
     PLUS,
     closed_form_steady_state,
     evaluate_point,
@@ -81,6 +82,50 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.6, 0.6, -0.1, -0.1]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_type_and_message(self, entry):
+        bad = np.eye(4, dtype=complex) / 4
+        bad[2, 2] = entry
+        with pytest.raises(OutOfRangeError, match=r"^matrix has non-finite entries: \[\["):
+            DensityMatrix(bad)
+
+    def test_non_hermitian_type_and_message(self):
+        bad = np.eye(4, dtype=complex) / 4
+        bad[0, 1] = 0.1
+        with pytest.raises(NotHermitianError, match=(
+                r"^matrix deviates from Hermitian by 1\.000e-01 \(tol 1\.0e-10\)$")):
+            DensityMatrix(bad)
+
+    def test_wrong_trace_type_and_message(self):
+        with pytest.raises(ValueError,
+                           match=r"^density matrix trace 2\+0j differs from 1$") as raised:
+            DensityMatrix(np.eye(4) / 2)
+        assert type(raised.value) is ValueError
+
+    def test_negative_eigenvalue_type_and_message(self):
+        with pytest.raises(ValueError, match=(
+                r"^density matrix has negative eigenvalue -1\.000e-01$")) as raised:
+            DensityMatrix(np.diag([0.6, 0.6, -0.1, -0.1]))
+        assert type(raised.value) is ValueError
+
+    @pytest.mark.parametrize("mat, error, message", [
+        # shape before finiteness: a 2x2 NaN matrix is the wrong shape
+        (np.full((2, 2), np.nan), BadDimensionError, "^expected a 4x4 two-qubit state"),
+        # finiteness before Hermiticity and trace
+        (np.triu(np.full((4, 4), np.inf)), OutOfRangeError, "^matrix has non-finite entries"),
+        # Hermiticity before trace: trace 2 and not Hermitian
+        (np.eye(4) / 2 + np.triu(np.ones((4, 4)), 1), NotHermitianError,
+         r"^matrix deviates from Hermitian by 1\.000e\+00"),
+        # trace before positivity: trace 2 with eigenvalue -0.2
+        (np.diag([1.2, 1.2, -0.2, -0.2]), ValueError,
+         r"^density matrix trace 2\+0j differs from 1$"),
+    ], ids=["shape_first", "finite_before_hermitian", "hermitian_before_trace",
+            "trace_before_positivity"])
+    def test_first_failing_check_raises(self, mat, error, message):
+        with pytest.raises(error, match=message) as raised:
+            DensityMatrix(mat)
+        assert type(raised.value) is error
 
     def test_eigendecomposition_is_cached(self):
         rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]))
@@ -310,6 +355,32 @@ class TestClosedForm:
         assert np.array_equal(huge, steady_state(ModelParams(r=1.0, gamma=0.3, g=2.0)).mat)
 
 
+def matrix_power_rk4(p):
+    """The integrate route with its first block from np.linalg.matrix_power,
+    the rest step for step as the route takes it; the state, bit for bit,
+    that the route gives."""
+    real = p.g * dynamics._REAL_UNITARY
+    for piece in dynamics._REAL_DEPHASING:
+        real = real + 0.5 * p.gamma * piece
+    for piece in dynamics._REAL_RESET:
+        real = real + p.r * piece
+    a = 0.01 / max(p.r, p.gamma, 4.0 * p.g) * real
+    a2 = a @ a
+    one_step = dynamics._REAL_EYE16 + a + a2 / 2.0 + (a @ a2) / 6.0 + (a2 @ a2) / 24.0
+    block = np.linalg.matrix_power(one_step, dynamics.RK4_BLOCK)
+    sup = liouvillian_superoperator(p)
+    tol = dynamics.RK4_RESIDUAL_SCALE * np.abs(sup).sum(axis=0).max()
+    coherence = dynamics._REAL_EYE16[0] / 2.0
+    for _ in range(dynamics.RK4_ROUND_CAP):
+        coherence = block @ coherence
+        state = dynamics._PAULI_BASIS @ coherence
+        if np.abs(sup @ state).max() < tol:
+            rho = unvectorize(state)
+            return rho / np.trace(rho).real
+        block = block @ block
+    raise AssertionError(f"no convergence at {p}")
+
+
 class TestSteadyState:
     def test_nullspace_matches_closed_form(self):
         for p in (ModelParams(r=1.0, gamma=0.5, g=2.5),
@@ -345,6 +416,14 @@ class TestSteadyState:
         monkeypatch.setattr(dynamics, "RK4_ROUND_CAP", rounds - 1)
         with pytest.raises(NoConvergenceError):
             steady_state(p, "integrate")
+
+    def test_integrate_block_is_the_matrix_power(self):
+        # the route squares its first block up by hand, in the order of
+        # np.linalg.matrix_power, so its states keep their bits on every numpy
+        rng = np.random.default_rng(27)
+        for rates in np.exp(rng.uniform(np.log(1e-3), np.log(10.0), size=(32, 3))).tolist():
+            p = ModelParams(*rates)
+            assert steady_state(p, "integrate").mat.tobytes() == matrix_power_rk4(p).tobytes()
 
     def test_integrate_no_convergence_message(self):
         # |++> relaxes at r = 1e-6 while the step follows 4 g = 4: it takes

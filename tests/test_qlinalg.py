@@ -265,3 +265,12 @@ def test_rejects_non_finite_entries(call, m):
         warnings.simplefilter("error")
         with pytest.raises(OutOfRangeError, match="^matrix has non-finite entries: "):
             call(m)
+
+
+@pytest.mark.parametrize("call", [hermitian_eig, hermiticity_defect, trace_norm],
+                         ids=["hermitian_eig", "hermiticity_defect", "trace_norm"])
+def test_rejects_a_matrix_with_no_entries(call):
+    # a 0x0 matrix is square but has nothing to reduce over
+    with pytest.raises(BadDimensionError,
+                       match=r"^expected a matrix with entries, got shape \(0, 0\)$"):
+        call(np.zeros((0, 0)))

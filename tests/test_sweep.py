@@ -32,6 +32,8 @@ from resetqfi import (
 )
 from resetqfi.cli import EXIT_OK, EXIT_SOLVER, main
 from resetqfi.dynamics import steady_state
+from resetqfi.entanglement import concurrence, negativity
+from resetqfi.metrology import N_PARTICLES, c_matrix, top_axes
 from resetqfi.sweep import CRITICAL_BRACKET_WIDTH, EMIT_CHUNK, SWEEP_CHUNK
 
 DATA = Path(__file__).parent / "data"
@@ -268,6 +270,23 @@ class TestStackedSweep:
         assert len(rows) == spec.steps
         for value, row in zip(spec.grid(), rows):
             assert _bits(row) == _bits(evaluate_point(spec.params_at(value), spec.method))
+
+    @pytest.mark.parametrize("method", ["nullspace", "integrate"])
+    def test_route_row_is_its_stages_on_one_state(self, method):
+        # a route row is C, its top eigenvalue and axis, its branches and
+        # the two entanglement measures of one state, with nothing between
+        # the stages that could move a bit
+        rng = np.random.default_rng(26)
+        lows, highs = np.log([0.1, 1e-3, 1e-3]), np.log([10.0, 10.0, 10.0])
+        for rates in np.exp(rng.uniform(lows, highs, size=(64, 3))).tolist():
+            params = ModelParams(*rates)
+            rho = steady_state(params, method)
+            c = c_matrix(rho)
+            top, axes = top_axes(c[None])
+            want = (*rates, top[0] / N_PARTICLES, *sweep._branches(c), concurrence(rho),
+                    negativity(rho), *axes[0])
+            assert _bits(evaluate_point(params, method)) == tuple(
+                float.hex(float(x)) for x in want), rates
 
     def test_tie_break_and_sign_through_the_stack(self):
         rows = run_sweep(SweepSpec(vary="r", start=0.0, stop=14.0, steps=3,
