@@ -22,7 +22,6 @@ from .errors import (
     DegenerateLimitError,
     DegenerateSteadyStateError,
     NoConvergenceError,
-    NonPositiveFisherError,
     NoSignChangeError,
     NotHermitianError,
     NotNormalizedError,
@@ -47,9 +46,8 @@ _ARRAY_NAMES = {
                  "liouvillian_apply", "liouvillian_superoperator", "steady_state",
                  "unvectorize", "vectorize"),
     "entanglement": ("concurrence", "negativity"),
-    "metrology": ("X_AXIS", "Y_AXIS", "Z_AXIS", "Direction", "PhaseEstimate", "QfiResult",
-                  "SensitivityClass", "c_matrix", "classify", "mean_qfi_max",
-                  "optimal_direction", "qcrb", "qfi_direction", "qfi_pure", "rotate"),
+    "metrology": ("X_AXIS", "Y_AXIS", "Z_AXIS", "Direction", "QfiResult", "c_matrix",
+                  "mean_qfi_max", "optimal_direction", "qfi_direction", "qfi_pure", "rotate"),
     "qlinalg": ("HermitianEig", "hermitian_eig", "hermiticity_defect", "kron", "partial_trace",
                 "partial_transpose", "sigma_x", "sigma_y", "sigma_z", "trace_norm"),
     "sweep": ("SweepTable", "evaluate_point", "run_sweep"),

@@ -3,12 +3,9 @@
 import numpy as np
 
 from .dynamics import DensityMatrix
-from .errors import OutOfRangeError
 from .qlinalg import kron, partial_transpose, sigma_y, trace_norm
 
 _YY = kron(sigma_y, sigma_y)
-# eigenvalues of a state this far below zero indicate a broken input state
-NEGATIVE_EIG_TOL = -1e-12
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -19,12 +16,10 @@ def concurrence(rho: DensityMatrix) -> float:
     singular values of sqrt(rho) (Y x Y) sqrt(rho)*.  Near pure states the
     small eigenvalues are as small as their rounding error, and their
     square roots would be off by its square root; the singular values are
-    not.
+    not.  Eigenvalues below zero, down to the -1e-10 that ``DensityMatrix``
+    accepts, count as 0.
     """
     eigenvalues, eigenvectors = rho.eig.eigenvalues, rho.eig.eigenvectors
-    low = eigenvalues[0].item()  # the eigenvalues ascend
-    if low < NEGATIVE_EIG_TOL:
-        raise OutOfRangeError(f"state has eigenvalue {low:.3e} below zero")
     root = eigenvectors * np.sqrt(np.maximum(eigenvalues, 0.0)) @ eigenvectors.conj().T
     mu = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False).tolist()  # descending
     return max(0.0, mu[0] - mu[1] - mu[2] - mu[3])

@@ -17,10 +17,6 @@ class NotNormalizedError(ValueError):
     """Vector norm differs from 1 beyond tolerance."""
 
 
-class NonPositiveFisherError(ValueError):
-    """Cramer-Rao bound needs strictly positive Fisher information."""
-
-
 class OutOfRangeError(ValueError):
     """Value violates a physical bound, usually an upstream numerical fault."""
 

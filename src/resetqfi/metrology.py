@@ -8,16 +8,13 @@ eigenvector of C.
 """
 
 import math
-import operator
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .dynamics import DensityMatrix
 from .errors import (
     BadDimensionError,
-    NonPositiveFisherError,
     NotNormalizedError,
     NotSymmetricError,
     OutOfRangeError,
@@ -45,23 +42,6 @@ class Direction:
         norm = math.sqrt(self.nx**2 + self.ny**2 + self.nz**2)
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise NotNormalizedError(f"direction norm {norm!r} differs from 1")
-
-    @classmethod
-    def from_vector(cls, v) -> "Direction":
-        """Normalize an arbitrary nonzero finite 3-vector into a Direction."""
-        v = np.asarray(v, dtype=float).reshape(3)
-        # dividing by the largest |component| keeps the squares in the norm
-        # from overflowing or underflowing; it is inf or NaN where the norm is
-        scale = float(np.abs(v).max())
-        if scale == 0.0:
-            raise ValueError("the zero vector has no direction")
-        if not math.isfinite(scale):
-            raise ValueError(f"a vector of norm {scale} has no direction")
-        v = v / scale
-        return cls(*(v / np.linalg.norm(v)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.nx, self.ny, self.nz])
 
 
 X_AXIS = Direction(1.0, 0.0, 0.0)
@@ -94,19 +74,6 @@ class QfiResult:
     lambda_max: float
     mean_f: float
     opt_dir: Direction
-
-
-@dataclass(frozen=True)
-class PhaseEstimate:
-    """Cramer-Rao phase uncertainty after n_measurements repetitions."""
-
-    n_measurements: int
-    delta_phi: float
-
-
-class SensitivityClass(Enum):
-    WITHIN_SHOT_NOISE = "within_shot_noise"
-    SUB_SHOT_NOISE_USEFUL = "sub_shot_noise_useful"
 
 
 def _spectral_weights(p: np.ndarray) -> np.ndarray:
@@ -255,43 +222,9 @@ def mean_qfi_max(rho: DensityMatrix) -> QfiResult:
     )
 
 
-def classify(mean_f: float) -> SensitivityClass:
-    """Shot-noise comparison of the mean QFI per particle.
-
-    Values above 1 beat any uncorrelated pair of qubits; values up to
-    N_PARTICLES = 2 are physical (Heisenberg scaling).
-    """
-    if not -1e-9 <= mean_f <= N_PARTICLES + 1e-9:  # NaN fails too
-        raise OutOfRangeError(
-            f"mean QFI per particle {mean_f} lies outside [0, {N_PARTICLES}]")
-    if mean_f > 1.0 + 1e-12:
-        return SensitivityClass.SUB_SHOT_NOISE_USEFUL
-    return SensitivityClass.WITHIN_SHOT_NOISE
-
-
 def rotate(rho: DensityMatrix, direction: Direction, phi: float) -> DensityMatrix:
     """Apply exp(i phi J_n) to the state."""
     jn = _along(direction)
     eigenvalues, eigenvectors = np.linalg.eigh(jn)
     u = (eigenvectors * np.exp(1j * phi * eigenvalues)) @ eigenvectors.conj().T
     return DensityMatrix(u @ rho.mat @ u.conj().T)
-
-
-def qcrb(fisher: float, n_measurements: int) -> PhaseEstimate:
-    """Quantum Cramer-Rao bound on the phase uncertainty after an integer
-    number of measurements, at least one."""
-    if not 0.0 < fisher < math.inf:
-        raise NonPositiveFisherError(
-            f"Fisher information must be positive and finite, got {fisher}")
-    try:
-        n_measurements = operator.index(n_measurements)
-    except TypeError:
-        raise ValueError(f"need a finite number of measurements, an integer, "
-                         f"got {n_measurements!r}") from None
-    if n_measurements < 1:
-        raise ValueError(f"need a finite number of measurements, at least one, "
-                         f"got {n_measurements}")
-    return PhaseEstimate(
-        n_measurements=n_measurements,
-        delta_phi=1.0 / math.sqrt(n_measurements * fisher),
-    )

@@ -260,7 +260,10 @@ def find_critical_point(spec: SweepSpec) -> CriticalPoint:
     gap = _gap_of(spec)
     lo, hi = spec.start, spec.stop
     gap_lo, gap_hi = gap(lo), gap(hi)
-    if gap_lo * gap_hi > 0.0:
+    # signs are compared, not multiplied: a product of two tiny gaps
+    # underflows to 0, which would read as a crossing.  A zero gap is a
+    # root; a NaN gap fails every comparison
+    if gap_lo > 0.0 < gap_hi or gap_lo < 0.0 > gap_hi:
         raise NoSignChangeError(
             f"lambda_x - lambda_yz_hi keeps its sign on {spec.vary} in "
             f"[{lo}, {hi}] ({gap_lo:.3e} and {gap_hi:.3e})")
@@ -271,7 +274,7 @@ def find_critical_point(spec: SweepSpec) -> CriticalPoint:
         if not lo < mid < hi:  # the ends are adjacent floats
             break
         gap_mid = gap(mid)
-        if gap_lo * gap_mid <= 0.0:
+        if gap_lo <= 0.0 <= gap_mid or gap_lo >= 0.0 >= gap_mid:
             hi = mid
         else:
             lo, gap_lo = mid, gap_mid

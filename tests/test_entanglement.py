@@ -5,7 +5,6 @@ from resetqfi import (
     BadDimensionError,
     DensityMatrix,
     ModelParams,
-    OutOfRangeError,
     closed_form_steady_state,
     concurrence,
     evaluate_point,
@@ -79,11 +78,12 @@ class TestConcurrence:
         assert abs(concurrence(steady_state(params, "nullspace")) - exact) <= 2e-15
         assert abs(evaluate_point(params, "nullspace").concurrence - exact) <= 2e-15
 
-    def test_rejects_negative_spectrum(self):
-        # a valid DensityMatrix (eigenvalues above -1e-10) that is not a state
-        rho = DensityMatrix(np.diag([1.0 + 1e-11, 0.0, 0.0, -1e-11]))
-        with pytest.raises(OutOfRangeError, match="^state has eigenvalue -1.000e-11 below zero$"):
-            concurrence(rho)
+    def test_negative_eigenvalue_that_validation_accepts_counts_as_zero(self):
+        # DensityMatrix accepts eigenvalues down to -1e-10, and both
+        # measures take every state it accepts
+        rho = DensityMatrix(np.diag([-5e-11, 0.5, 0.5, 5e-11]))
+        assert concurrence(rho) == 0.0
+        assert negativity(rho) == pytest.approx(5e-11, rel=1e-6)
 
 
 class TestNegativity:

@@ -19,11 +19,10 @@ def test_library_example_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(blocks[0], {})
     lines = out.getvalue().splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 3
     printed = [[float(x) for x in NUMBER.findall(line)] for line in lines]
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     # each comment rounds its value to 5 decimals
     assert printed[0] == pytest.approx([1.00226], abs=5e-6)
     assert printed[1] == pytest.approx([0.0, inv_sqrt2, inv_sqrt2], abs=1e-12)
     assert printed[2] == pytest.approx([0.09925, 0.04962], abs=5e-6)
-    assert printed[3] == pytest.approx([0.70631], abs=5e-6)

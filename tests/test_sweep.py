@@ -27,6 +27,7 @@ from resetqfi import (
     evaluate_point,
     find_critical_point,
     parse_csv,
+    point,
     run_sweep,
     sweep,
 )
@@ -610,6 +611,23 @@ class TestCriticalBisection:
                    "(-2.326e-01 and -1.532e+00)")
         assert _reference_outcome(spec) == ("NoSignChangeError", message)
         assert _outcome(find_critical_point, spec) == ("NoSignChangeError", message)
+
+    def test_tiny_gaps_of_one_sign_are_no_crossing(self):
+        # the closed-form gaps at the ends are 2.3e-201 and 9.4e-201; their
+        # product underflows to 0
+        spec = SweepSpec(vary="r", start=1e-100, stop=2e-100, steps=2,
+                         fixed_gamma=0.5, g_ratio=5.0)
+        message = ("lambda_x - lambda_yz_hi keeps its sign on r in [1e-100, 2e-100] "
+                   "(2.345e-201 and 9.379e-201)")
+        assert _outcome(find_critical_point, spec) == ("NoSignChangeError", message)
+
+    def test_tiny_gaps_keep_their_signs_while_halving(self, monkeypatch):
+        # a gap of 1e-170 per unit of r: every product of two gaps underflows
+        # to 0, so a product test would take each midpoint as the new hi
+        monkeypatch.setattr(point, "_gap_of", lambda spec: lambda value: 1e-170 * (2.3 - value))
+        spec = SweepSpec(vary="r", start=0.5, stop=8.0, steps=2, fixed_gamma=0.5, g_ratio=5.0)
+        crossing = find_critical_point(spec)
+        assert abs(crossing.value - 2.3) <= crossing.bracket_width <= CRITICAL_BRACKET_WIDTH
 
     def test_closed_form_evaluates_the_serial_points_only(self, monkeypatch, closed_form_gaps):
         spec = SweepSpec(vary="r", start=1.5, stop=3.5, steps=2, fixed_gamma=0.5, g_ratio=5.0)
