@@ -18,14 +18,12 @@ from .errors import (
     DegenerateSteadyStateError,
     NoConvergenceError,
 )
-# ModelParams, the closed-form terms and the scalar gap live in the numpy-free
-# point module; closed_form_gap is imported to be read from here as well
+# ModelParams and the closed-form terms live in the numpy-free point module
 from .point import (  # noqa: F401
     _ALL_RATES_ZERO,
     STEADY_STATE_METHODS,
     ModelParams,
     _closed_form_terms,
-    closed_form_gap,
 )
 from .qlinalg import (
     HermitianEig,

@@ -4,13 +4,12 @@ the bisection for the axis-flip crossing and the text of a crossing.
 
 Nothing here imports numpy at import time, so ``import resetqfi`` and
 the closed-form ``critical`` command run without loading it.
-``dynamics`` and ``sweep`` import these names back; the solver routes
-and rows of figures of merit are reached from here through
+``dynamics`` and ``sweep`` import these names back.  The gap of a solver
+route and the rows that ``emit`` writes are reached from here through
 function-level imports of ``sweep``.
 """
 
 import contextlib
-import functools
 import io
 import math
 import operator
@@ -226,23 +225,24 @@ def _at(spec: SweepSpec, value, err: Exception) -> Exception:
     return type(err)(f"{err} [at {spec.vary} = {value:.9g}]")
 
 
-def _gap_of(spec: SweepSpec):
-    """The function value -> lambda_x - lambda_yz_hi at that value of the
-    varied rate.  The closed form takes it from ``closed_form_gap`` on
-    Python floats; the other routes take it from ``sweep._route_gap``,
-    one point solved through the per-point solve of a route sweep.  A
-    solver error names its value."""
-    if spec.method != "closed_form":
+def _gap(spec: SweepSpec, value) -> float:
+    """lambda_x - lambda_yz_hi at one value of the varied rate: from
+    ``closed_form_gap`` on Python floats for the closed form, from
+    ``sweep._route_gap``, C of one solved state, by the other routes.  A
+    solver error names the value."""
+    try:
+        if spec.method == "closed_form":
+            return closed_form_gap(*spec.rates(value))
         from .sweep import _route_gap
 
-        return functools.partial(_route_gap, spec)
+        return _route_gap(spec.params_at(value), spec.method)
+    except SOLVER_ERRORS as err:
+        raise _at(spec, value, err) from err
 
-    def gap(value):
-        try:
-            return closed_form_gap(*spec.rates(value))
-        except SOLVER_ERRORS as err:
-            raise _at(spec, value, err) from err
-    return gap
+
+def _keeps_its_sign(spec: SweepSpec, gap_start, gap_stop) -> NoSignChangeError:
+    return NoSignChangeError(f"lambda_x - lambda_yz_hi keeps its sign on {spec.vary} in "
+                             f"[{spec.start}, {spec.stop}] ({gap_start:.3e} and {gap_stop:.3e})")
 
 
 def find_critical_point(spec: SweepSpec) -> CriticalPoint:
@@ -251,33 +251,40 @@ def find_critical_point(spec: SweepSpec) -> CriticalPoint:
     The sweep interval [start, stop] must bracket a sign change; the
     bisection stops once the bracket is narrower than 1e-4, or once its
     ends are adjacent floats.  It evaluates the gap at the two ends, then
-    at one midpoint per halving, in that order.  The closed form takes
-    each value from ``closed_form_gap``, a few dozen float operations
-    with no numpy call; the other routes solve each point through
-    ``sweep._state``, the per-point solve of a route sweep.  The gap comes
-    from C alone, so no entanglement measure is computed.
+    at one midpoint per halving, in that order, through ``_gap``: a few
+    dozen float operations with no numpy call for the closed form, one
+    solved state per point for the other routes.  The gap comes from C
+    alone, so no entanglement measure is computed.
+
+    A gap of exactly 0 at an end carries no sign (the gap is 0 at r = 0,
+    where C = 0, and underflows to 0 near it), so the halving takes the
+    sign from the other end.  A crossing is reported only once the search
+    has seen gaps of both signs, or a midpoint gap of exactly 0; otherwise
+    NoSignChangeError is raised.
     """
-    gap = _gap_of(spec)
     lo, hi = spec.start, spec.stop
-    gap_lo, gap_hi = gap(lo), gap(hi)
-    # signs are compared, not multiplied: a product of two tiny gaps
-    # underflows to 0, which would read as a crossing.  A zero gap is a
-    # root; a NaN gap fails every comparison
-    if gap_lo > 0.0 < gap_hi or gap_lo < 0.0 > gap_hi:
-        raise NoSignChangeError(
-            f"lambda_x - lambda_yz_hi keeps its sign on {spec.vary} in "
-            f"[{lo}, {hi}] ({gap_lo:.3e} and {gap_hi:.3e})")
+    ends = gap_lo, gap_hi = _gap(spec, lo), _gap(spec, hi)
+    # below has the sign of the gaps below the crossing: the low end's, or
+    # the opposite of the high end's where the low end's gap is 0; none
+    # where both are 0.  Signs are compared, not multiplied: a product of
+    # two tiny gaps underflows to 0
+    below = gap_lo if gap_lo != 0.0 else -gap_hi
+    if not (below > 0.0 or below < 0.0) or gap_hi > 0.0 < below or gap_hi < 0.0 > below:
+        raise _keeps_its_sign(spec, *ends)
     while hi - lo > CRITICAL_BRACKET_WIDTH:
         # halves are added, not the ends, so brackets near the largest
         # float do not overflow; the bits are those of 0.5 * (lo + hi) elsewhere
         mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:  # the ends are adjacent floats
             break
-        gap_mid = gap(mid)
-        if gap_lo <= 0.0 <= gap_mid or gap_lo >= 0.0 >= gap_mid:
-            hi = mid
-        else:
+        gap_mid = _gap(spec, mid)
+        if gap_mid > 0.0 < below or gap_mid < 0.0 > below:
             lo, gap_lo = mid, gap_mid
+        else:
+            hi, gap_hi = mid, gap_mid
+    # an end still at its gap of 0 was never passed by a gap of the other sign
+    if gap_lo == 0.0 or (gap_hi == 0.0 and hi == spec.stop):
+        raise _keeps_its_sign(spec, *ends)
     return CriticalPoint(vary=spec.vary, value=0.5 * lo + 0.5 * hi, bracket_width=0.5 * (hi - lo))
 
 

@@ -15,29 +15,27 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import DensityMatrix, ModelParams, closed_form_figures, steady_state
+from .dynamics import ModelParams, closed_form_figures, steady_state
 from .entanglement import concurrence, negativity
 from .errors import SOLVER_ERRORS
 from .metrology import N_PARTICLES, c_matrix, top_axes
 
-# The specifications, the bisection and the text of a crossing live in the
-# numpy-free point module; they are imported here to be read from here as well.
+# The specifications, the bisection and emit live in the numpy-free point
+# module; emit, find_critical_point and CRITICAL_BRACKET_WIDTH are imported
+# here too because the benchmark's tracer and workloads read them from here.
 from .point import (  # noqa: F401
     CRITICAL_BRACKET_WIDTH,
     CSV_FIELDS,
     CSV_HEADER,
-    CriticalPoint,
     SweepRow,
     SweepSpec,
     _at,
     _json_cell,
     emit,
     find_critical_point,
-    parse_csv,
 )
 
-# Grid points per stacked pass of run_sweep; find_critical_point evaluates
-# one point at a time and has no passes.  A 10^5-point closed-form
+# Grid points per stacked pass of run_sweep.  A 10^5-point closed-form
 # sweep peaks 10.6 MB above import in chunks of 512 (9.6 MB of it the
 # table it returns) and 42 MB in one pass, in 0.22-0.25 s against
 # 0.17-0.33 s (3 runs each, 2-core Xeon, numpy 2.4.6, BLAS on 1 thread).
@@ -108,16 +106,6 @@ def _rows(rates) -> np.ndarray:
     return table
 
 
-def _route_row(rates, rho: DensityMatrix) -> list:
-    """The 12 values, in CSV_FIELDS order, of one validated route state at
-    rates (r, gamma, g): C, its branches and axis, the concurrence and the
-    negativity, each from that state alone."""
-    c = c_matrix(rho)
-    lambda_max, axes = top_axes(c[None])
-    return [*rates, lambda_max.item() / N_PARTICLES, *map(float, _branches(c)),
-            concurrence(rho), negativity(rho), *axes[0].tolist()]
-
-
 def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow:
     """All figures of merit for one parameter point.
 
@@ -125,53 +113,48 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
     the branches m +/- sqrt(((C_yy - C_zz)/2)^2 + C_yz^2) around its mean
     m.  Their crossing with lambda_x is what ``find_critical_point``
     bisects on.  The closed form takes C and the entanglement measures
-    from ``closed_form_figures``; the other routes from the eigendecomposed
-    state, through the row function of a route sweep.
+    from ``closed_form_figures``.  The other routes take C, its branches
+    and axis, the concurrence and the negativity from one validated
+    state; a route sweep builds its rows here.
     """
     if method == "closed_form":
         rates = np.array([[params.r], [params.gamma], [params.g]])
         return SweepRow(*_rows(rates)[0].tolist())
-    rates = (params.r, params.gamma, params.g)
-    return SweepRow(*_route_row(rates, steady_state(params, method=method)))
-
-
-def _state(spec: SweepSpec, value):
-    """The validated steady state by the spec's route, other than the
-    closed form, at one value of the varied rate; a solver error names
-    the value."""
-    try:
-        return steady_state(spec.params_at(value), spec.method)
-    except SOLVER_ERRORS as err:
-        raise _at(spec, value, err) from err
+    rho = steady_state(params, method)
+    c = c_matrix(rho)
+    lambda_max, axes = top_axes(c[None])
+    return SweepRow(params.r, params.gamma, params.g, lambda_max.item() / N_PARTICLES,
+                    *map(float, _branches(c)), concurrence(rho), negativity(rho),
+                    *axes[0].tolist())
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every grid point in passes of SWEEP_CHUNK points, stacked
-    for the closed form and point by point for a route; solver failures
-    name the offending point.  A row equals the ``evaluate_point`` row of
-    its point, bit for bit."""
+    for the closed form and through ``evaluate_point`` point by point for
+    a route, so a row equals the ``evaluate_point`` row of its point, bit
+    for bit.  A solver error names the point being built: the first of
+    its pass for the closed form, whose one failure (r = gamma = g = 0)
+    can only occur at spec.start, as SweepSpec checked the end rates."""
     grid = spec.grid()
     table = np.empty((len(grid), len(CSV_FIELDS)))
     for start in range(0, len(grid), SWEEP_CHUNK):
         values = grid[start:start + SWEEP_CHUNK]
-        if spec.method == "closed_form":
-            # r = gamma = g = 0, the closed form's one failure, can only
-            # occur at spec.start, as SweepSpec checked the end rates
-            try:
+        value = values[0]
+        try:
+            if spec.method == "closed_form":
                 table[start:start + SWEEP_CHUNK] = _rows(spec.rates(values))
-            except SOLVER_ERRORS as err:
-                raise _at(spec, values[0], err) from err
-        else:
-            for row, value in enumerate(values.tolist(), start):
-                table[row] = _route_row(spec.rates(value), _state(spec, value))
+            else:
+                for row, value in enumerate(values.tolist(), start):
+                    table[row] = _ROW_VALUES(evaluate_point(spec.params_at(value), spec.method))
+        except SOLVER_ERRORS as err:
+            raise _at(spec, value, err) from err
     return SweepTable(table)
 
 
-def _route_gap(spec: SweepSpec, value):
-    """lambda_x - lambda_yz_hi at one value of the varied rate by the
-    spec's route, other than the closed form, from C alone: no
-    entanglement measure is computed."""
-    lambda_x, lambda_yz_hi, _ = _branches(c_matrix(_state(spec, value)))
+def _route_gap(params: ModelParams, method: str):
+    """lambda_x - lambda_yz_hi at one point by a route other than the
+    closed form, from C alone: no entanglement measure is computed."""
+    lambda_x, lambda_yz_hi, _ = _branches(c_matrix(steady_state(params, method)))
     return lambda_x - lambda_yz_hi
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from resetqfi import ModelParams, point
-from resetqfi.dynamics import closed_form_gap
+from resetqfi.point import closed_form_gap
 
 
 def model_grid():

@@ -16,7 +16,8 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from resetqfi import DegenerateLimitError, point, sweep  # noqa: E402
-from resetqfi.dynamics import closed_form_figures, closed_form_gap  # noqa: E402
+from resetqfi.dynamics import closed_form_figures  # noqa: E402
+from resetqfi.point import closed_form_gap  # noqa: E402
 
 # log-uniform over [1e-300, 1e300], zero, or subnormal
 LOG_UNIFORM = st.floats(min_value=-300.0, max_value=300.0).map(lambda x: 10.0 ** x)

@@ -227,6 +227,18 @@ class TestRunSweep:
         # every point up to the failing one is solved once
         assert route_calls == [(0.01, 5e-4, 1.0), (0.01, 0.5, 1e3)]
 
+    def test_row_failure_names_the_point(self, monkeypatch):
+        # the state is built and validated; the negativity's eigensolve fails
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        spec = SweepSpec(vary="r", start=1.0, stop=3.0, steps=5, fixed_gamma=0.5, g_ratio=5.0,
+                         method="nullspace")
+        with pytest.raises(NoConvergenceError) as raised:
+            run_sweep(spec)
+        assert str(raised.value) == "Hermitian eigensolver failed: did not converge [at r = 1]"
+
     def test_closed_form_failure_names_the_point(self):
         spec = SweepSpec(vary="r", start=0.0, stop=1.0, steps=3, fixed_gamma=0.0, g=0.0)
         with pytest.raises(DegenerateLimitError, match=r"at r = 0"):
@@ -486,7 +498,12 @@ class TestCriticalPoint:
 
 def _serial_bisection(spec):
     """Reference: the bisection evaluating one evaluate_point row per step.
-    Returns the critical point and the number of halvings."""
+    Returns the critical point and the number of halvings.
+
+    A gap of exactly 0 at an end has no sign, and the other end gives the
+    sign below the crossing.  The search reports a crossing once it has
+    seen a gap of the sign below and one of the other sign, or a midpoint
+    gap of 0."""
 
     def gap(value):
         row = evaluate_point(spec.params_at(value), spec.method)
@@ -494,19 +511,25 @@ def _serial_bisection(spec):
 
     lo, hi = spec.start, spec.stop
     gap_lo, gap_hi = gap(lo), gap(hi)
-    if gap_lo * gap_hi > 0.0:
-        raise NoSignChangeError(
-            f"lambda_x - lambda_yz_hi keeps its sign on {spec.vary} in [{lo}, {hi}] "
-            f"({gap_lo:.3e} and {gap_hi:.3e})")
+    no_crossing = NoSignChangeError(
+        f"lambda_x - lambda_yz_hi keeps its sign on {spec.vary} in [{lo}, {hi}] "
+        f"({gap_lo:.3e} and {gap_hi:.3e})")
+    below = np.sign(gap_lo) or -np.sign(gap_hi)
+    if below == 0.0 or np.sign(gap_hi) == below:
+        raise no_crossing
+    seen = {np.sign(gap_lo), np.sign(gap_hi)} - {0.0}
     halvings = 0
     while hi - lo > CRITICAL_BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
-        gap_mid = gap(mid)
-        if gap_lo * gap_mid <= 0.0:
-            hi, gap_hi = mid, gap_mid
+        sign = np.sign(gap(mid))
+        seen.add(sign if sign == below else -below)
+        if sign == below:
+            lo = mid
         else:
-            lo, gap_lo = mid, gap_mid
+            hi = mid
         halvings += 1
+    if seen != {below, -below}:
+        raise no_crossing
     return CriticalPoint(vary=spec.vary, value=0.5 * (lo + hi),
                          bracket_width=0.5 * (hi - lo)), halvings
 
@@ -624,10 +647,51 @@ class TestCriticalBisection:
     def test_tiny_gaps_keep_their_signs_while_halving(self, monkeypatch):
         # a gap of 1e-170 per unit of r: every product of two gaps underflows
         # to 0, so a product test would take each midpoint as the new hi
-        monkeypatch.setattr(point, "_gap_of", lambda spec: lambda value: 1e-170 * (2.3 - value))
+        monkeypatch.setattr(point, "closed_form_gap", lambda r, gamma, g: 1e-170 * (2.3 - r))
         spec = SweepSpec(vary="r", start=0.5, stop=8.0, steps=2, fixed_gamma=0.5, g_ratio=5.0)
         crossing = find_critical_point(spec)
         assert abs(crossing.value - 2.3) <= crossing.bracket_width <= CRITICAL_BRACKET_WIDTH
+
+    def test_zero_gap_at_an_end_takes_its_sign_from_the_other(self, closed_form_gaps):
+        # C = 0 at r = 0, so the gap there is exactly 0 and has no sign; the
+        # halving follows the sign at r = 8 to the crossing at 2.32578230
+        spec = SweepSpec(vary="r", start=0.0, stop=8.0, steps=2, fixed_gamma=0.5, g_ratio=5.0)
+        crossing = find_critical_point(spec)
+        assert closed_form_gaps[0] == (0.0, 0.5, 2.5)
+        assert abs(crossing.value - 2.32578230) <= crossing.bracket_width
+        assert crossing.bracket_width <= CRITICAL_BRACKET_WIDTH
+
+    def test_zero_gap_at_an_end_is_no_crossing(self, closed_form_gaps):
+        # the gap is positive on (0, 1]: the search halves towards r = 0 and
+        # never sees the other sign
+        spec = SweepSpec(vary="r", start=0.0, stop=1.0, steps=2, fixed_gamma=0.5, g_ratio=5.0)
+        message = ("lambda_x - lambda_yz_hi keeps its sign on r in [0.0, 1.0] "
+                   "(0.000e+00 and 1.252e-01)")
+        assert _reference_outcome(spec) == ("NoSignChangeError", message)
+        assert _outcome(find_critical_point, spec) == ("NoSignChangeError", message)
+        assert len(closed_form_gaps) == 2 + 14
+
+    @pytest.mark.parametrize("spec", [
+        # r = 0: C = 0 at every gamma
+        SweepSpec(vary="gamma", start=0.1, stop=3.0, steps=2, fixed_r=0.0, g_ratio=5.0),
+        # a route state this close to I/4 has C = 0 to the last bit
+        SweepSpec(vary="r", start=1e-100, stop=2e-100, steps=2, fixed_gamma=0.5, g_ratio=5.0,
+                  method="nullspace"),
+        SweepSpec(vary="r", start=1e-100, stop=2e-100, steps=2, fixed_gamma=0.5, g_ratio=5.0,
+                  method="integrate"),
+    ], ids=["r_0", "nullspace", "integrate"])
+    def test_zero_gaps_at_both_ends_are_no_crossing(self, spec):
+        message = (f"lambda_x - lambda_yz_hi keeps its sign on {spec.vary} in "
+                   f"[{spec.start}, {spec.stop}] (0.000e+00 and 0.000e+00)")
+        assert _reference_outcome(spec) == ("NoSignChangeError", message)
+        assert _outcome(find_critical_point, spec) == ("NoSignChangeError", message)
+
+    def test_zero_gap_at_a_midpoint_is_a_crossing(self, monkeypatch):
+        # 0 at both r = 0 and the first midpoint r = 2, negative at r = 4
+        monkeypatch.setattr(point, "closed_form_gap", lambda r, gamma, g: r * (2.0 - r))
+        spec = SweepSpec(vary="r", start=0.0, stop=4.0, steps=2, fixed_gamma=0.5, g_ratio=5.0)
+        crossing = find_critical_point(spec)
+        assert crossing.value < 2.0 <= crossing.value + crossing.bracket_width
 
     def test_closed_form_evaluates_the_serial_points_only(self, monkeypatch, closed_form_gaps):
         spec = SweepSpec(vary="r", start=1.5, stop=3.5, steps=2, fixed_gamma=0.5, g_ratio=5.0)
