@@ -258,9 +258,11 @@ def find_critical_point(spec: SweepSpec) -> CriticalPoint:
 
     A gap of exactly 0 at an end carries no sign (the gap is 0 at r = 0,
     where C = 0, and underflows to 0 near it), so the halving takes the
-    sign from the other end.  A crossing is reported only once the search
-    has seen gaps of both signs, or a midpoint gap of exactly 0; otherwise
-    NoSignChangeError is raised.
+    sign below the crossing from the other end.  A midpoint gap of exactly
+    0 counts as the sign above the crossing.  A crossing needs a gap of the
+    sign below it and one not of that sign: while an end keeps its gap of
+    0, the halving goes on past the width of 1e-4, to adjacent floats at
+    most, and NoSignChangeError is raised if the end is never passed.
     """
     lo, hi = spec.start, spec.stop
     ends = gap_lo, gap_hi = _gap(spec, lo), _gap(spec, hi)
@@ -271,7 +273,8 @@ def find_critical_point(spec: SweepSpec) -> CriticalPoint:
     below = gap_lo if gap_lo != 0.0 else -gap_hi
     if not (below > 0.0 or below < 0.0) or gap_hi > 0.0 < below or gap_hi < 0.0 > below:
         raise _keeps_its_sign(spec, *ends)
-    while hi - lo > CRITICAL_BRACKET_WIDTH:
+    while (hi - lo > CRITICAL_BRACKET_WIDTH or gap_lo == 0.0
+           or (gap_hi == 0.0 and hi == spec.stop)):
         # halves are added, not the ends, so brackets near the largest
         # float do not overflow; the bits are those of 0.5 * (lo + hi) elsewhere
         mid = 0.5 * lo + 0.5 * hi
@@ -282,7 +285,7 @@ def find_critical_point(spec: SweepSpec) -> CriticalPoint:
             lo, gap_lo = mid, gap_mid
         else:
             hi, gap_hi = mid, gap_mid
-    # an end still at its gap of 0 was never passed by a gap of the other sign
+    # the ends became adjacent floats with an end still at its gap of 0
     if gap_lo == 0.0 or (gap_hi == 0.0 and hi == spec.stop):
         raise _keeps_its_sign(spec, *ends)
     return CriticalPoint(vary=spec.vary, value=0.5 * lo + 0.5 * hi, bracket_width=0.5 * (hi - lo))

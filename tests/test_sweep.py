@@ -35,6 +35,7 @@ from resetqfi.cli import EXIT_OK, EXIT_SOLVER, main
 from resetqfi.dynamics import steady_state
 from resetqfi.entanglement import concurrence, negativity
 from resetqfi.metrology import N_PARTICLES, c_matrix, top_axes
+from resetqfi.point import closed_form_gap
 from resetqfi.sweep import CRITICAL_BRACKET_WIDTH, EMIT_CHUNK, SWEEP_CHUNK
 
 DATA = Path(__file__).parent / "data"
@@ -501,9 +502,10 @@ def _serial_bisection(spec):
     Returns the critical point and the number of halvings.
 
     A gap of exactly 0 at an end has no sign, and the other end gives the
-    sign below the crossing.  The search reports a crossing once it has
-    seen a gap of the sign below and one of the other sign, or a midpoint
-    gap of 0."""
+    sign below the crossing; a midpoint gap of 0 counts as the sign above
+    it.  The search halves past the width until it has met a gap of the
+    sign below and one not of that sign, or the ends are adjacent floats,
+    and reports a crossing only if it has met both."""
 
     def gap(value):
         row = evaluate_point(spec.params_at(value), spec.method)
@@ -519,8 +521,10 @@ def _serial_bisection(spec):
         raise no_crossing
     seen = {np.sign(gap_lo), np.sign(gap_hi)} - {0.0}
     halvings = 0
-    while hi - lo > CRITICAL_BRACKET_WIDTH:
+    while hi - lo > CRITICAL_BRACKET_WIDTH or seen != {below, -below}:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         sign = np.sign(gap(mid))
         seen.add(sign if sign == below else -below)
         if sign == below:
@@ -623,7 +627,9 @@ class TestCriticalBisection:
         SweepSpec(vary="gamma", start=0.01, stop=3.0, steps=2, fixed_r=1.0, g_ratio=5.0),
         SweepSpec(vary="r", start=0.0, stop=8.0, steps=2, fixed_gamma=0.5, g_ratio=5.0),
         SweepSpec(vary="r", start=1, stop=8, steps=2, fixed_gamma=1, g=2),
-    ], ids=["acceptance_r", "acceptance_gamma", "from_r_0", "integer_bounds"])
+        SweepSpec(vary="r", start=0.0, stop=8e-5, steps=2, fixed_gamma=5e-6, g_ratio=5.0),
+    ], ids=["acceptance_r", "acceptance_gamma", "from_r_0", "integer_bounds",
+            "from_r_0_narrow"])
     def test_acceptance_brackets_match_serial_bisection(self, spec):
         assert _outcome(find_critical_point, spec) == _reference_outcome(spec)
 
@@ -652,24 +658,39 @@ class TestCriticalBisection:
         crossing = find_critical_point(spec)
         assert abs(crossing.value - 2.3) <= crossing.bracket_width <= CRITICAL_BRACKET_WIDTH
 
-    def test_zero_gap_at_an_end_takes_its_sign_from_the_other(self, closed_form_gaps):
+    @pytest.mark.parametrize("scale", [1.0, 1e-5], ids=["wide", "narrower_than_the_width"])
+    def test_zero_gap_at_an_end_takes_its_sign_from_the_other(self, closed_form_gaps, scale):
         # C = 0 at r = 0, so the gap there is exactly 0 and has no sign; the
-        # halving follows the sign at r = 8 to the crossing at 2.32578230
-        spec = SweepSpec(vary="r", start=0.0, stop=8.0, steps=2, fixed_gamma=0.5, g_ratio=5.0)
+        # halving follows the sign at r = 8 to the crossing at 2.32578230.
+        # The gap is scale-invariant: scaled by 1e-5 the bracket is narrower
+        # than the width, and the halving goes on until a midpoint has the
+        # sign below the crossing
+        spec = SweepSpec(vary="r", start=0.0, stop=8.0 * scale, steps=2,
+                         fixed_gamma=0.5 * scale, g_ratio=5.0)
         crossing = find_critical_point(spec)
-        assert closed_form_gaps[0] == (0.0, 0.5, 2.5)
-        assert abs(crossing.value - 2.32578230) <= crossing.bracket_width
+        assert closed_form_gaps[0] == (0.0, 0.5 * scale, 2.5 * scale)
+        assert abs(crossing.value - 2.32578230 * scale) <= crossing.bracket_width
         assert crossing.bracket_width <= CRITICAL_BRACKET_WIDTH
 
-    def test_zero_gap_at_an_end_is_no_crossing(self, closed_form_gaps):
-        # the gap is positive on (0, 1]: the search halves towards r = 0 and
-        # never sees the other sign
+    def test_zero_gap_at_an_end_is_no_crossing(self, monkeypatch):
+        # the gap is positive on (0, 1]: the search halves towards r = 0,
+        # past the width, and never meets the sign below the crossing; it
+        # stops once hi = 2^-1074, the smallest float above 0
+        rates = []
+
+        def recording(r, gamma, g):
+            rates.append(r)
+            return closed_form_gap(r, gamma, g)
+
+        monkeypatch.setattr(point, "closed_form_gap", recording)
         spec = SweepSpec(vary="r", start=0.0, stop=1.0, steps=2, fixed_gamma=0.5, g_ratio=5.0)
         message = ("lambda_x - lambda_yz_hi keeps its sign on r in [0.0, 1.0] "
                    "(0.000e+00 and 1.252e-01)")
-        assert _reference_outcome(spec) == ("NoSignChangeError", message)
         assert _outcome(find_critical_point, spec) == ("NoSignChangeError", message)
-        assert len(closed_form_gaps) == 2 + 14
+        assert len(rates) == 2 + 1074
+        assert rates[-1] == math.ulp(0.0)
+        monkeypatch.undo()
+        assert _reference_outcome(spec) == ("NoSignChangeError", message)
 
     @pytest.mark.parametrize("spec", [
         # r = 0: C = 0 at every gamma
