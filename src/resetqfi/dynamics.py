@@ -229,15 +229,16 @@ def _scaled(r, gamma, g) -> tuple:
     return r / scale, gamma / scale, g / scale
 
 
-def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
-    """Moment matrices C, shape (N, 3, 3), and the negativities, shape (N,),
-    of the closed-form steady states at valid rates that broadcast to shape
-    (N,): arrays of N points, with a fixed rate given as one number.
+def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, ...]:
+    """C_xx, C_yy, C_yz and the negativity of the closed-form steady states
+    at valid rates that broadcast to shape (N,): arrays of N points, with a
+    fixed rate given as one number.  Each figure is an array of shape (N,).
 
     Equal, up to rounding, to ``c_matrix`` and ``negativity`` of
     ``closed_form_steady_state``, without building or eigensolving the states.
     C (Hyllus, Guehne and Smerzi, arXiv:0912.4349) is block-diagonal:
-    C_xy = C_xz = 0 and C_yy = C_zz.  The entries and the negativity are
+    C_xy = C_xz = 0 and C_yy = C_zz, so these three entries are all of it,
+    and no 3x3 matrix is built.  The entries and the negativity are
     ratios of polynomials in the rates, derived symbolically from the
     closed-form state; every polynomial has non-negative coefficients, so
     nothing cancels near pure states.  The concurrence of these states is
@@ -266,11 +267,7 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, np.ndarray]:
     zero_reset = r == 0.0
     c_xx, c_yy, c_yz, negativity = np.where(zero_reset, 0.0, (c_xx, c_yy, c_yz, negativity))
     _check_psd(np.where(zero_reset, 0.25, smallest))  # I/4 at r = 0
-    c = np.zeros(np.shape(r) + (3, 3))
-    c[..., 0, 0] = c_xx
-    c[..., 1, 1] = c[..., 2, 2] = c_yy
-    c[..., 1, 2] = c[..., 2, 1] = c_yz
-    return c, negativity
+    return c_xx, c_yy, c_yz, negativity
 
 
 def closed_form_steady_state(p: ModelParams) -> DensityMatrix:

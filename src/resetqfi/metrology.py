@@ -125,7 +125,7 @@ def c_matrix(rho: DensityMatrix) -> np.ndarray:
     return np.ascontiguousarray(c.real)
 
 
-# the axes a block-diagonal C can have, rows indexed as in top_axes, with the
+# the axes a block-diagonal C can have, rows indexed as in block_axes, with the
 # bits of the eigh path: 1 / sqrt(2) is what LAPACK returns for it, and the
 # sign flip that makes ny positive leaves nx = -0.0 where nz < 0
 _BLOCK_AXES = np.array([[1.0, 0.0, 0.0],
@@ -148,6 +148,32 @@ def _tied_axis(values: list, vectors: list) -> list:
     return [-x for x in axis] if lead < 0.0 else axis
 
 
+def block_axes(c_xx, c_yy, c_yz) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue, clipped at 0, and optimal axis of each block-diagonal
+    moment matrix, C_yx = C_zx = 0 and C_yy = C_zz with finite entries,
+    given by its entries C_xx, C_yy and C_yz as arrays of shape (N,).
+
+    This is the rule of ``top_axes`` in closed form, with no eigensolve.
+    The eigenvalues are C_xx with axis x, hi = C_yy + |C_yz| with
+    (0, 1, sign C_yz)/sqrt(2) and lo = C_yy - |C_yz| with
+    (0, 1, -sign C_yz)/sqrt(2); top = max(C_xx, hi), and with
+    tie = 1e-10 max(1, |top|) the axis is
+      x                             if C_xx >= top - tie, else
+      (0, 1, 0)                     if C_yz = 0 (e_y and e_z tie), else
+      (0, 1, -sign C_yz)/sqrt(2)    if lo >= top - tie (lo comes first), else
+      (0, 1, sign C_yz)/sqrt(2),
+    with the bits that ``np.linalg.eigh`` and the rule give.
+    """
+    size = np.abs(c_yz)
+    top = np.maximum(c_xx, c_yy + size)
+    floor = top - DIRECTION_TIE_TOL * np.maximum(1.0, np.abs(top))
+    # row 3 of _BLOCK_AXES has nz > 0: the hi axis for C_yz > 0, the lo one for C_yz < 0
+    row = 2 + ((c_yy - size >= floor) != (c_yz > 0.0))
+    row[c_yz == 0.0] = 1
+    row[c_xx >= floor] = 0
+    return np.where(top > 0.0, top, 0.0), _BLOCK_AXES[row]
+
+
 def top_axes(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalue, clipped at 0, and optimal axis of each moment matrix
     in a stack of shape (N, 3, 3).
@@ -158,38 +184,21 @@ def top_axes(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first component of modulus above 1e-12 made positive.
 
     A stack of block-diagonal matrices, C_yx = C_zx = 0 and C_yy = C_zz
-    with finite entries, as ``closed_form_figures`` builds them, takes
-    this rule in closed form, with no eigensolve.  The eigenvalues are
-    C_xx with axis x, hi = C_yy + |C_yz| with (0, 1, sign C_yz)/sqrt(2)
-    and lo = C_yy - |C_yz| with (0, 1, -sign C_yz)/sqrt(2); top =
-    max(C_xx, hi), and the axis is
-      x                             if C_xx >= top - tie, else
-      (0, 1, 0)                     if C_yz = 0 (e_y and e_z tie), else
-      (0, 1, -sign C_yz)/sqrt(2)    if lo >= top - tie (lo comes first), else
-      (0, 1, sign C_yz)/sqrt(2).
-    The entries are read from the lower triangle, as ``eigh`` reads them.
-    Any other stack goes to ``np.linalg.eigh``.
+    with finite entries, goes to ``block_axes``, which takes this rule in
+    closed form; the entries are read from the lower triangle, as ``eigh``
+    reads them.  Any other stack goes to ``np.linalg.eigh``.
     """
     if ((c[:, 1, 0] == 0.0).all() and (c[:, 2, 0] == 0.0).all()
             and (c[:, 1, 1] == c[:, 2, 2]).all()
             and np.isfinite(c[:, (0, 1, 2), (0, 1, 1)]).all()):
-        c_xx, c_yy, c_yz = c[:, 0, 0], c[:, 1, 1], c[:, 2, 1]
-        size = np.abs(c_yz)
-        top = np.maximum(c_xx, c_yy + size)
-        floor = top - DIRECTION_TIE_TOL * np.maximum(1.0, np.abs(top))
-        # row 3 of _BLOCK_AXES has nz > 0: the hi axis for C_yz > 0, the lo one for C_yz < 0
-        row = 2 + ((c_yy - size >= floor) != (c_yz > 0.0))
-        row[c_yz == 0.0] = 1
-        row[c_xx >= floor] = 0
-        axes = _BLOCK_AXES[row]
-    else:
-        eigenvalues, eigenvectors = np.linalg.eigh(c)
-        top = eigenvalues[:, -1]
-        # the rule per matrix on Python floats: at N = 1 a quarter of the
-        # cost of masked passes over the stack, at N = 256 about 5 us more
-        # per matrix
-        axes = np.array([_tied_axis(values, vectors) for values, vectors
-                         in zip(eigenvalues.tolist(), eigenvectors.swapaxes(1, 2).tolist())])
+        return block_axes(c[:, 0, 0], c[:, 1, 1], c[:, 2, 1])
+    eigenvalues, eigenvectors = np.linalg.eigh(c)
+    # the rule per matrix on Python floats: at N = 1 a quarter of the
+    # cost of masked passes over the stack, at N = 256 about 5 us more
+    # per matrix
+    axes = np.array([_tied_axis(values, vectors) for values, vectors
+                     in zip(eigenvalues.tolist(), eigenvectors.swapaxes(1, 2).tolist())])
+    top = eigenvalues[:, -1]
     # C is positive semidefinite up to eigensolver noise
     return np.where(top > 0.0, top, 0.0), axes
 

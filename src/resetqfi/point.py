@@ -203,7 +203,8 @@ def closed_form_gap(r: float, gamma: float, g: float) -> float:
     state at one point of valid rates given as Python floats.
 
     The same terms as ``dynamics.closed_form_figures``, with the same
-    checks, and the same bits as the branch gap of its C, without a numpy
+    checks, and the same bits as lambda_x - lambda_yz_hi of the closed-form
+    row that ``sweep`` builds from its C_xx, C_yy and C_yz, without a numpy
     call.  Python raises ZeroDivisionError where numpy gives inf, so
     r = 0 (C = 0) and |++> (C = diag(0, 2, 2)) branch before they divide.
     """

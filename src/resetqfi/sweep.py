@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import ModelParams, closed_form_figures, steady_state
 from .entanglement import concurrence, negativity
 from .errors import SOLVER_ERRORS
-from .metrology import N_PARTICLES, c_matrix, top_axes
+from .metrology import N_PARTICLES, block_axes, c_matrix, top_axes
 
 # The specifications, the bisection and emit live in the numpy-free point
 # module; emit, find_critical_point and CRITICAL_BRACKET_WIDTH are imported
@@ -35,14 +35,15 @@ from .point import (  # noqa: F401
     find_critical_point,
 )
 
-# Grid points per stacked pass of run_sweep.  A 10^5-point closed-form
-# sweep peaks 10.6 MB above import in chunks of 512 (9.6 MB of it the
-# table it returns) and 42 MB in one pass, in 0.22-0.25 s against
-# 0.17-0.33 s (3 runs each, 2-core Xeon, numpy 2.4.6, BLAS on 1 thread).
-SWEEP_CHUNK = 512
+# Grid points per pass of a closed-form run_sweep; 1024 holds the paper's
+# 1000-point sweeps in one pass.  At 10^3, 10^4 and 10^5 points a point
+# takes 195, 191 and 196 ns (512: 281, 287, 300 ns; 2048: 205, 159, 162
+# ns), and a 10^5-point sweep peaks 10.62 MB (512: 10.51; 2048: 10.83),
+# 9.6 MB of it the table it returns (best of 7, 2-core Xeon, numpy 2.4.6).
+SWEEP_CHUNK = 1024
 # Rows per formatted piece of emit.  A piece costs about 10 us beyond its
-# formatting and a pass of run_sweep about 0.28 ms (2-core Xeon, numpy
-# 2.4.6), so pieces are shorter than passes: over fewer rows a column
+# formatting and a 1000-point pass of run_sweep about 0.2 ms (2-core Xeon,
+# numpy 2.4.6), so pieces are shorter than passes: over fewer rows a column
 # more often holds one value (the optimal axis, zero entanglement below
 # the threshold) and is formatted once.
 EMIT_CHUNK = 256
@@ -90,16 +91,20 @@ def _branches(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _rows(rates) -> np.ndarray:
     """(N, 12) array of N closed-form points in CSV_FIELDS order at rates
-    (r, gamma and g, each an array of N or one fixed value): C and the
-    negativity come from ``closed_form_figures``, and the concurrence is
-    twice the negativity."""
-    c, negativities = closed_form_figures(*rates)
-    lambda_max, axes = top_axes(c)
-    table = np.empty((len(c), len(CSV_FIELDS)))
+    (r, gamma and g, each an array of N or one fixed value), from the
+    entries of C and the negativity of ``closed_form_figures``: the
+    branches are C_yy +/- |C_yz|, the bits of ``_branches`` at C_yy = C_zz,
+    and the concurrence is twice the negativity."""
+    c_xx, c_yy, c_yz, negativities = closed_form_figures(*rates)
+    lambda_max, axes = block_axes(c_xx, c_yy, c_yz)
+    size = np.abs(c_yz)
+    table = np.empty((len(c_xx), len(CSV_FIELDS)))
     columns = table.T
     columns[0], columns[1], columns[2] = rates
     columns[3] = lambda_max / N_PARTICLES
-    columns[4], columns[5], columns[6] = _branches(c)
+    columns[4] = c_xx
+    columns[5] = c_yy + size
+    columns[6] = c_yy - size
     columns[7] = 2.0 * negativities
     columns[8] = negativities
     table[:, 9:] = axes
@@ -112,10 +117,10 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
     lambda_x is the moment-matrix entry C_xx; the yz block contributes
     the branches m +/- sqrt(((C_yy - C_zz)/2)^2 + C_yz^2) around its mean
     m.  Their crossing with lambda_x is what ``find_critical_point``
-    bisects on.  The closed form takes C and the entanglement measures
-    from ``closed_form_figures``.  The other routes take C, its branches
-    and axis, the concurrence and the negativity from one validated
-    state; a route sweep builds its rows here.
+    bisects on.  The closed form takes the row from ``_rows``.  The other
+    routes take C, its branches and axis, the concurrence and the
+    negativity from one validated state; a route sweep builds its rows
+    here.
     """
     if method == "closed_form":
         rates = np.array([[params.r], [params.gamma], [params.g]])

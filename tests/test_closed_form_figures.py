@@ -36,6 +36,20 @@ def _figures(r, gamma, g):
                                np.array([float(g)]))
 
 
+def _values(r, gamma, g):
+    """C_xx, C_yy, C_yz and the negativity at one point, as Python floats."""
+    return tuple(x.item() for x in _figures(r, gamma, g))
+
+
+def _matrices(c_xx, c_yy, c_yz, *_):
+    """The (N, 3, 3) block-diagonal C of the entries ``closed_form_figures`` gives."""
+    c = np.zeros(np.shape(c_xx) + (3, 3))
+    c[:, 0, 0] = c_xx
+    c[:, 1, 1] = c[:, 2, 2] = c_yy
+    c[:, 1, 2] = c[:, 2, 1] = c_yz
+    return c
+
+
 # r = 0, gamma = g = 0, g too small to square against r, and huge rates
 EDGE_RATES = ((0.0, 0.5, 2.5), (0.0, 0.0, 2.5), (3.0, 0.0, 0.0), (1.0, 0.0, 1e-170),
               (1e200, 3e199, 2e200))
@@ -61,25 +75,28 @@ def eigen_figures(log_uniform_rates):
 
 class TestAgainstEigenPipeline:
     def test_moment_matrix(self, log_uniform_rates, eigen_figures):
-        c, _ = closed_form_figures(*log_uniform_rates)
+        # the entries as a block-diagonal C, off-block zeros included,
+        # against the full C of each state
+        c = _matrices(*closed_form_figures(*log_uniform_rates))
         want, _ = eigen_figures
         assert np.abs(c - want).max() <= 2e-14
 
     def test_structure(self, log_uniform_rates):
-        c, _ = closed_form_figures(*log_uniform_rates)
-        assert (c[:, 0, 1] == 0.0).all() and (c[:, 0, 2] == 0.0).all()
-        assert (c[:, 1, 1] == c[:, 2, 2]).all()
-        assert (c == c.swapaxes(1, 2)).all()
-        assert (c[:, 1, 2] >= 0.0).all()
+        figures = closed_form_figures(*log_uniform_rates)
+        assert len(figures) == 4
+        assert all(x.shape == (log_uniform_rates.shape[1],) for x in figures)
+        c_xx, c_yy, c_yz, _ = figures
+        assert (c_xx >= 0.0).all() and (c_yz >= 0.0).all() and (c_yy >= c_yz).all()
 
     def test_branches(self, log_uniform_rates, eigen_figures):
-        c, _ = closed_form_figures(*log_uniform_rates)
+        # the rows take the branches from the entries, C_yy +- |C_yz|
+        rows = sweep._rows(log_uniform_rates)
         want, _ = eigen_figures
-        for got, expected in zip(sweep._branches(c), sweep._branches(want)):
+        for got, expected in zip(rows.T[4:7], sweep._branches(want)):
             assert np.abs(got - expected).max() <= 2e-14
 
     def test_negativity(self, log_uniform_rates, eigen_figures):
-        _, got = closed_form_figures(*log_uniform_rates)
+        got = closed_form_figures(*log_uniform_rates)[3]
         _, want = eigen_figures
         assert np.abs(got - want).max() <= 1e-15
         assert (got > 0.0).any() and (got == 0.0).any()
@@ -89,11 +106,10 @@ def test_each_row_equals_its_point_alone(log_uniform_rates):
     """A stacked row is bit-equal to the same point as a one-element stack,
     so a sweep row does not depend on the chunk it is computed in."""
     rates = np.concatenate((log_uniform_rates, np.array(EDGE_RATES).T), axis=1)
-    c, negativity = closed_form_figures(*rates)
+    figures = closed_form_figures(*rates)
     for k, point in enumerate(rates.T):
-        c_k, negativity_k = _figures(*point)
-        assert c_k.tobytes() == c[k:k + 1].tobytes(), point
-        assert negativity_k.tobytes() == negativity[k:k + 1].tobytes(), point
+        for alone, stacked in zip(_figures(*point), figures):
+            assert alone.tobytes() == stacked[k:k + 1].tobytes(), point
 
 
 def _mp_state(mp, r, gamma, g):
@@ -153,7 +169,8 @@ class TestAgainstMpmath:
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             c_ref, negativity_ref, concurrence_ref = _mp_reference(mp, *rates)
-            c, negativity = _figures(*rates)
+            figures = _figures(*rates)
+            c, negativity = _matrices(*figures), figures[3]
             assert max(abs(c[0][k, m] - c_ref[k, m]) for k in range(3) for m in range(3)) <= 4e-15
             assert abs(negativity[0] - negativity_ref) <= 1e-16
             assert abs(2.0 * negativity[0] - concurrence_ref) <= 2e-16
@@ -164,32 +181,27 @@ class TestAgainstMpmath:
 
 class TestEdgeCases:
     def test_no_reset(self, capsys):
-        c, negativity = _figures(0.0, 0.5, 2.5)
-        assert (c == 0.0).all() and negativity[0] == 0.0
-        c, _ = _figures(0.0, 0.0, 2.5)
-        assert (c == 0.0).all()
+        assert _values(0.0, 0.5, 2.5) == (0.0,) * 4
+        assert _values(0.0, 0.0, 2.5) == (0.0,) * 4
         row = evaluate_point(ModelParams(r=0.0, gamma=0.5, g=2.5))
         emit([row])
         assert capsys.readouterr().out.split("\n")[1] == "0,0.5,2.5,0,0,0,0,0,0,1,0,0"
 
     def test_no_dephasing_no_coupling_is_plus_plus(self):
-        c, negativity = _figures(3.0, 0.0, 0.0)
-        assert (c[0] == np.diag([0.0, 2.0, 2.0])).all() and negativity[0] == 0.0
+        assert _values(3.0, 0.0, 0.0) == (0.0, 2.0, 0.0, 0.0)
         row = evaluate_point(ModelParams(r=3.0, gamma=0.0, g=0.0))
         assert ((row.mean_qfi, row.lambda_x, row.lambda_yz_hi, row.lambda_yz_lo)
                 == (1.0, 0.0, 2.0, 2.0))
         assert (row.opt_nx, row.opt_ny, row.opt_nz) == (0.0, 1.0, 0.0)
 
     def test_coupling_too_small_to_square(self):
-        c, negativity = _figures(1.0, 0.0, 1e-170)
-        assert (c[0] == np.diag([0.0, 2.0, 2.0])).all()
-        assert negativity[0] == 5e-171
+        assert _values(1.0, 0.0, 1e-170) == (0.0, 2.0, 0.0, 5e-171)
 
     def test_no_coupling_tie_goes_to_y(self):
         # C = diag(0, c, c): y and z tie and the largest |ny| wins
-        c, negativity = _figures(2.0, 0.5, 0.0)
-        assert c[0, 1, 1] == c[0, 2, 2] > 0.0
-        assert c[0, 0, 0] == c[0, 1, 2] == 0.0 and negativity[0] == 0.0
+        c_xx, c_yy, c_yz, negativity = _values(2.0, 0.5, 0.0)
+        assert c_yy > 0.0
+        assert c_xx == c_yz == negativity == 0.0
         dephasing = run_sweep(SweepSpec(vary="gamma", start=0.0, stop=3.0, steps=31,
                                         fixed_r=1.0, g_ratio=0.0))
         reset = run_sweep(SweepSpec(vary="r", start=0.1, stop=3.0, steps=30,
@@ -201,8 +213,8 @@ class TestEdgeCases:
     def _crossing(self):
         """Adjacent reset rates around lambda_x = lambda_yz_hi at gamma = 0.5, g = 2.5."""
         def gap(r):
-            lambda_x, lambda_yz_hi, _ = sweep._branches(_figures(r, 0.5, 2.5)[0])
-            return float(lambda_x[0] - lambda_yz_hi[0])
+            c_xx, c_yy, c_yz, _ = _figures(r, 0.5, 2.5)
+            return float(c_xx[0] - (c_yy[0] + abs(c_yz[0])))
 
         lo, hi = 1.5, 3.5
         assert gap(lo) > 0.0 > gap(hi)
@@ -236,11 +248,11 @@ class TestEdgeCases:
                 == _bits(evaluate_point(ModelParams(r=28.0, gamma=1.0, g=5.0))))
 
     def test_huge_rates_stay_finite(self):
-        c, negativity = _figures(1e200, 3e199, 2e200)
-        assert np.isfinite(c).all() and np.isfinite(negativity).all()
+        figures = _figures(1e200, 3e199, 2e200)
+        assert all(np.isfinite(x).all() for x in figures)
         want = _figures(1.0, 0.3, 2.0)
-        assert np.abs(c - want[0]).max() <= 1e-15
-        assert abs(negativity[0] - want[1][0]) <= 1e-16
+        assert all(abs(x[0] - y[0]) <= 1e-15 for x, y in zip(figures[:3], want))
+        assert abs(figures[3][0] - want[3][0]) <= 1e-16
         row = evaluate_point(ModelParams(r=1e200, gamma=1e200, g=1e200))
         assert all(np.isfinite(getattr(row, name)) for name in FIGURES)
 

@@ -2,21 +2,19 @@
 
 ``closed_form_gap`` takes lambda_x - lambda_yz_hi of the closed-form state
 at one point of Python floats.  It must give the bits of the same gap
-taken by ``sweep._branches`` from the C of ``closed_form_figures``, and
-raise what that raises, with the same message.
+taken from the lambda_x and lambda_yz_hi of the closed-form row of
+``evaluate_point``, and raise what that raises, with the same message.
 """
 
 import math
 
-import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from resetqfi import DegenerateLimitError, point, sweep  # noqa: E402
-from resetqfi.dynamics import closed_form_figures  # noqa: E402
+from resetqfi import DegenerateLimitError, ModelParams, evaluate_point, point  # noqa: E402
 from resetqfi.point import closed_form_gap  # noqa: E402
 
 # log-uniform over [1e-300, 1e300], zero, or subnormal
@@ -26,9 +24,8 @@ RATE = st.one_of(LOG_UNIFORM, st.just(0.0), SUBNORMAL)
 
 
 def _array_gap(r, gamma, g) -> float:
-    c = closed_form_figures(np.array([r]), np.array([gamma]), np.array([g]))[0]
-    lambda_x, lambda_yz_hi, _ = sweep._branches(c)
-    return float(lambda_x[0] - lambda_yz_hi[0])
+    row = evaluate_point(ModelParams(r, gamma, g))
+    return row.lambda_x - row.lambda_yz_hi
 
 
 def _outcome(gap, rates):

@@ -73,7 +73,7 @@ class TestConcurrence:
         # are about 1e-12, not far above their rounding error.  The exact
         # concurrence is twice the analytic negativity, accurate to 1e-16 here.
         params = ModelParams(r=1.0, gamma=1e-6, g=5e-6)
-        exact = 2.0 * closed_form_figures(*(np.array([x]) for x in (1.0, 1e-6, 5e-6)))[1][0]
+        exact = 2.0 * closed_form_figures(*(np.array([x]) for x in (1.0, 1e-6, 5e-6)))[3][0]
         assert abs(concurrence(closed_form_steady_state(params)) - exact) <= 1e-16
         assert abs(concurrence(steady_state(params, "nullspace")) - exact) <= 2e-15
         assert abs(evaluate_point(params, "nullspace").concurrence - exact) <= 2e-15

@@ -23,7 +23,7 @@ from resetqfi import (
 )
 from resetqfi.dynamics import closed_form_figures
 from resetqfi import metrology
-from resetqfi.metrology import top_axes
+from resetqfi.metrology import block_axes, top_axes
 
 BELL = np.zeros(4, dtype=complex)
 BELL[0] = BELL[3] = 1.0 / np.sqrt(2.0)
@@ -307,7 +307,7 @@ TIE = 1e-10 * 1.5
 
 class TestTopAxesBlockDiagonal:
     """A stack of block-diagonal moment matrices takes the top axis in
-    closed form, with the bits of the eigh path."""
+    closed form, through ``block_axes``, with the bits of the eigh path."""
 
     @pytest.mark.parametrize("c", [
         np.zeros((3, 3)), np.diag([0.0, 2.0, 2.0]), np.diag([1.0, 2.0, 2.0]),
@@ -348,9 +348,16 @@ class TestTopAxesBlockDiagonal:
     def test_closed_form_figures_match_the_eigh_path(self, eigh_calls):
         rng = np.random.default_rng(14)
         r, gamma, g = 10.0 ** rng.uniform(-4.0, 4.0, size=(3, 200_000))
-        c, _ = closed_form_figures(r, gamma, g)
-        lambda_max, axes = top_axes(c)
+        c_xx, c_yy, c_yz, _ = closed_form_figures(r, gamma, g)
+        lambda_max, axes = block_axes(c_xx, c_yy, c_yz)
+        c = np.zeros((len(c_xx), 3, 3))
+        c[:, 0, 0] = c_xx
+        c[:, 1, 1] = c[:, 2, 2] = c_yy
+        c[:, 1, 2] = c[:, 2, 1] = c_yz
+        stack_lambda, stack_axes = top_axes(c)
         assert eigh_calls == []
+        assert stack_lambda.tobytes() == lambda_max.tobytes()
+        assert stack_axes.tobytes() == axes.tobytes()
         # one matrix off the block structure sends the whole stack to eigh
         mixed = np.concatenate((c, np.eye(3)[None] + 1e-3))
         eigh_lambda, eigh_axes = top_axes(mixed)
@@ -373,6 +380,21 @@ class TestTopAxesBlockDiagonal:
             ref_lam, ref_axis = reference(c)
             assert lam.hex() == ref_lam.hex()
             assert hexes(axis) == hexes(ref_axis)
+
+    def test_block_stack_takes_block_axes(self, monkeypatch):
+        # the closed-form rule lives in block_axes alone; top_axes hands a
+        # block stack its lower-triangle entries
+        calls = []
+
+        def recording(c_xx, c_yy, c_yz):
+            calls.append((c_xx.tolist(), c_yy.tolist(), c_yz.tolist()))
+            return block_axes(c_xx, c_yy, c_yz)
+
+        monkeypatch.setattr(metrology, "block_axes", recording)
+        c = block(0.1, 1.0, 0.5)
+        c[1, 2] = -3.0
+        top_axes(c[None])
+        assert calls == [([0.1], [1.0], [0.5])]
 
     def test_reads_the_lower_triangle(self, eigh_calls):
         c = block(0.1, 1.0, 0.5)

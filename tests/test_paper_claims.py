@@ -10,12 +10,12 @@ per particle exceeds 1 is entangled (Pezze and Smerzi, PRL 102, 100401,
 import numpy as np
 
 from resetqfi.dynamics import closed_form_figures
-from resetqfi.metrology import top_axes
+from resetqfi.metrology import block_axes
 
 
 def _qfi_per_particle_and_negativity(r, g):
-    c, negativity = closed_form_figures(r, 1.0, g)
-    lambda_max, _ = top_axes(c)
+    c_xx, c_yy, c_yz, negativity = closed_form_figures(r, 1.0, g)
+    lambda_max, _ = block_axes(c_xx, c_yy, c_yz)
     return lambda_max / 2.0, negativity
 
 

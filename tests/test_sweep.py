@@ -26,6 +26,7 @@ from resetqfi import (
     emit,
     evaluate_point,
     find_critical_point,
+    metrology,
     parse_csv,
     point,
     run_sweep,
@@ -322,6 +323,20 @@ class TestTopAxesPath:
     """Closed-form C is block-diagonal, so its top axis takes no eigensolve;
     C of a route state is not exactly, so it keeps eigh."""
 
+    def test_closed_form_rows_take_the_entries_of_c(self, monkeypatch):
+        # the rows come from C_xx, C_yy and C_yz: no stack of C is tested
+        # for its block form and no branch is taken from a matrix
+        def unreachable(*args):
+            raise AssertionError("a closed-form row calls no top_axes and no _branches")
+
+        for owner, name in ((metrology, "top_axes"), (sweep, "top_axes"),
+                            (sweep, "_branches")):
+            monkeypatch.setattr(owner, name, unreachable)
+        spec = SweepSpec(vary="r", start=0.0, stop=20.0, steps=SWEEP_CHUNK + 3,
+                         fixed_gamma=0.5, g_ratio=5.0)
+        assert len(run_sweep(spec)) == spec.steps
+        assert evaluate_point(ModelParams(r=14.0, gamma=0.5, g=2.5)).lambda_x > 0.0
+
     def test_closed_form_sweep_and_point_run_no_eigh(self, eigh_calls):
         run_sweep(SweepSpec(vary="r", start=0.0, stop=20.0, steps=SWEEP_CHUNK + 3,
                             fixed_gamma=0.5, g_ratio=5.0))
@@ -453,6 +468,22 @@ class TestSweepTable:
             tracemalloc.stop()
         assert len(table) == spec.steps
         assert held <= 128 * spec.steps
+
+    def test_long_sweep_transient_memory_stays_below_2_mb(self):
+        # beyond the table it returns, a sweep holds the temporaries of one
+        # pass of SWEEP_CHUNK points at a time: about 1 MB at 1024 points;
+        # a larger chunk trades this memory for speed
+        spec = SweepSpec(vary="r", start=0.0, stop=20.0, steps=100_000,
+                         fixed_gamma=0.5, g_ratio=5.0)
+        run_sweep(spec)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            table = run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - table.array.nbytes <= 2_000_000
 
 
 class TestCriticalPoint:
