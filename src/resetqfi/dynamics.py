@@ -120,15 +120,6 @@ class DensityMatrix:
         return self._eig
 
 
-def _check_psd(smallest) -> None:
-    """The ``DensityMatrix`` positivity check on the smallest eigenvalue of
-    each state, given as one number or an array of any shape, against
-    ``point.PSD_TOL``; the first failing state raises."""
-    bad = smallest < point.PSD_TOL
-    if np.count_nonzero(bad):  # half the cost of bad.any() on a numpy scalar
-        point._check_smallest(np.ravel(smallest)[np.ravel(bad).argmax()])
-
-
 def hamiltonian(p: ModelParams) -> np.ndarray:
     """H = g sigma_z x sigma_z = g diag(1, -1, -1, 1)."""
     return p.g * _ZZ
@@ -249,7 +240,8 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, ...]:
     At r = 0 the continuity limit I/4 has C = 0.  Where gamma = g = 0, or g
     is too small to square against r, the state is |++> and C is
     diag(0, 2, 2).  The ``DensityMatrix`` positivity check runs on the
-    analytic spectrum; unit trace and Hermiticity hold by construction.
+    analytic spectrum of each point, and the first failing point raises its
+    error; unit trace and Hermiticity hold by construction.
     ``point.closed_form_gap`` takes the same terms, through the shared
     ``point._closed_form_terms``, at one point of Python floats.
     """
@@ -266,7 +258,10 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, ...]:
     # one select over the four figures, shape (4, N), which unpacks into rows
     zero_reset = r == 0.0
     c_xx, c_yy, c_yz, negativity = np.where(zero_reset, 0.0, (c_xx, c_yy, c_yz, negativity))
-    _check_psd(np.where(zero_reset, 0.25, smallest))  # I/4 at r = 0
+    smallest = np.where(zero_reset, 0.25, smallest)  # I/4 at r = 0
+    bad = smallest < point.PSD_TOL
+    if np.count_nonzero(bad):  # under half the cost of bad.any()
+        point._check_smallest(smallest[bad.argmax()])
     return c_xx, c_yy, c_yz, negativity
 
 

@@ -134,20 +134,6 @@ _BLOCK_AXES = np.array([[1.0, 0.0, 0.0],
                         [0.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)]])
 
 
-def _tied_axis(values: list, vectors: list) -> list:
-    """The ``top_axes`` axis of one matrix from its ascending eigenvalues
-    and their eigenvectors: among the eigenvectors of the eigenvalues tied
-    with the top one, the first of largest |nx|, then of largest |ny|,
-    with its first component above 1e-12 in modulus made positive.  No
-    eigenvalue ties when they are NaN; the first eigenvector is taken."""
-    top = values[-1]
-    floor = top - DIRECTION_TIE_TOL * max(1.0, abs(top))
-    tied = [vector for value, vector in zip(values, vectors) if value >= floor] or vectors[:1]
-    axis = max(tied, key=lambda vector: (abs(vector[0]), abs(vector[1])))
-    lead = next((x for x in axis if abs(x) > 1e-12), axis[0])
-    return [-x for x in axis] if lead < 0.0 else axis
-
-
 def block_axes(c_xx, c_yy, c_yz) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalue, clipped at 0, and optimal axis of each block-diagonal
     moment matrix, C_yx = C_zx = 0 and C_yy = C_zz with finite entries,
@@ -174,33 +160,28 @@ def block_axes(c_xx, c_yy, c_yz) -> tuple[np.ndarray, np.ndarray]:
     return np.where(top > 0.0, top, 0.0), _BLOCK_AXES[row]
 
 
-def top_axes(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenvalue, clipped at 0, and optimal axis of each moment matrix
-    in a stack of shape (N, 3, 3).
+def top_axes(c: np.ndarray) -> tuple[float, list]:
+    """Top eigenvalue, clipped at 0, and optimal axis of one 3x3 moment
+    matrix, as a float and a list of three floats, from one
+    ``np.linalg.eigh``, which reads the lower triangle.
 
     The eigenvalues within tie = 1e-10 max(1, |top|) of the top one tie.
     Among their eigenvectors the axis is the one of largest |nx|, then of
     largest |ny|, then the first in ascending eigenvalue order, with its
-    first component of modulus above 1e-12 made positive.
-
-    A stack of block-diagonal matrices, C_yx = C_zx = 0 and C_yy = C_zz
-    with finite entries, goes to ``block_axes``, which takes this rule in
-    closed form; the entries are read from the lower triangle, as ``eigh``
-    reads them.  Any other stack goes to ``np.linalg.eigh``.
+    first component of modulus above 1e-12 made positive.  No eigenvalue
+    ties when they are NaN; the first eigenvector is taken.
+    ``block_axes`` takes this rule in closed form.
     """
-    if ((c[:, 1, 0] == 0.0).all() and (c[:, 2, 0] == 0.0).all()
-            and (c[:, 1, 1] == c[:, 2, 2]).all()
-            and np.isfinite(c[:, (0, 1, 2), (0, 1, 1)]).all()):
-        return block_axes(c[:, 0, 0], c[:, 1, 1], c[:, 2, 1])
     eigenvalues, eigenvectors = np.linalg.eigh(c)
-    # the rule per matrix on Python floats: at N = 1 a quarter of the
-    # cost of masked passes over the stack, at N = 256 about 5 us more
-    # per matrix
-    axes = np.array([_tied_axis(values, vectors) for values, vectors
-                     in zip(eigenvalues.tolist(), eigenvectors.swapaxes(1, 2).tolist())])
-    top = eigenvalues[:, -1]
+    values = eigenvalues.tolist()
+    vectors = eigenvectors.T.tolist()
+    top = values[-1]
+    floor = top - DIRECTION_TIE_TOL * max(1.0, abs(top))
+    tied = [vector for value, vector in zip(values, vectors) if value >= floor] or vectors[:1]
+    axis = max(tied, key=lambda vector: (abs(vector[0]), abs(vector[1])))
+    lead = next((x for x in axis if abs(x) > 1e-12), axis[0])
     # C is positive semidefinite up to eigensolver noise
-    return np.where(top > 0.0, top, 0.0), axes
+    return top if top > 0.0 else 0.0, [-x for x in axis] if lead < 0.0 else axis
 
 
 def optimal_direction(c) -> Direction:
@@ -214,20 +195,18 @@ def optimal_direction(c) -> Direction:
     defect = float(np.abs(c - c.T).max())
     if defect > 1e-10:
         raise NotSymmetricError(f"moment matrix deviates from symmetric by {defect:.3e}")
-    _, axes = top_axes(c[None])
-    return Direction(*axes[0])
+    return Direction(*top_axes(c)[1])
 
 
 def mean_qfi_max(rho: DensityMatrix) -> QfiResult:
     """Maximize the QFI over rotation axes and report it per particle."""
     c = c_matrix(rho)
-    top, axes = top_axes(c[None])
-    lam = float(top[0])
+    lam, axis = top_axes(c)
     return QfiResult(
         c=c,
         lambda_max=lam,
         mean_f=lam / N_PARTICLES,
-        opt_dir=Direction(*axes[0]),
+        opt_dir=Direction(*axis),
     )
 
 

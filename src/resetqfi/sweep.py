@@ -82,8 +82,7 @@ class SweepTable(Sequence):
 
 
 def _branches(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lambda_x, lambda_yz_hi and lambda_yz_lo of a moment matrix, or of each
-    in a stack."""
+    """lambda_x, lambda_yz_hi and lambda_yz_lo of a moment matrix."""
     block_mean = 0.5 * (c[..., 1, 1] + c[..., 2, 2])
     half_gap = np.hypot(0.5 * (c[..., 1, 1] - c[..., 2, 2]), c[..., 1, 2])
     return c[..., 0, 0], block_mean + half_gap, block_mean - half_gap
@@ -127,10 +126,9 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
         return SweepRow(*_rows(rates)[0].tolist())
     rho = steady_state(params, method)
     c = c_matrix(rho)
-    lambda_max, axes = top_axes(c[None])
-    return SweepRow(params.r, params.gamma, params.g, lambda_max.item() / N_PARTICLES,
-                    *map(float, _branches(c)), concurrence(rho), negativity(rho),
-                    *axes[0].tolist())
+    lambda_max, axis = top_axes(c)
+    return SweepRow(params.r, params.gamma, params.g, lambda_max / N_PARTICLES,
+                    *map(float, _branches(c)), concurrence(rho), negativity(rho), *axis)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:

@@ -14,6 +14,7 @@ from resetqfi import (
     OutOfRangeError,
     c_matrix,
     closed_form_steady_state,
+    evaluate_point,
     mean_qfi_max,
     optimal_direction,
     qfi_direction,
@@ -252,7 +253,7 @@ class TestOptimalDirection:
         with pytest.raises(OutOfRangeError, match="non-finite"):
             optimal_direction(bad)
 
-    def test_stack_matches_per_matrix_reference(self):
+    def test_stack_matches_per_matrix_reference(self, eigh_calls):
         rng = np.random.default_rng(35)
         stack = [np.zeros((3, 3)), np.eye(3), np.diag([2.0, 2.0, 1.0]), np.diag([1.0, 2.0, 2.0]),
                  np.diag([1.0, 5.0, 2.0]), np.diag([3.0, 3.0, 3.0 + 1e-11])]
@@ -261,42 +262,62 @@ class TestOptimalDirection:
         for _ in range(20):
             m = rng.normal(size=(3, 3))
             stack.append(m @ m.T)
-        lambda_max, axes = top_axes(np.array(stack))
-        for c, lam, axis in zip(stack, lambda_max, axes):
-            ref_lam, ref_axis = reference(c)
-            assert lam == ref_lam
-            assert hexes(axis) == hexes(ref_axis)
-
-    def test_each_row_equals_its_single_matrix_call(self, eigh_calls):
-        # a route sweep takes its axes from one stacked call and evaluate_point
-        # from an N = 1 call, and the two must give the same row
+        # ties of two and three eigenvalues, exact and within 5e-11, on the
+        # axes and rotated, and C of route states with the top eigenvalue
+        # tied exactly and within 5e-11
         rng = np.random.default_rng(17)
-        stack = [c_matrix(steady_state(ModelParams(*rates), method))
-                 for rates in ((14.0, 0.5, 2.5), (1.8, 0.5, 2.5), (0.3, 2.0, 0.7),
-                               (1.0, 0.01, 0.05), (0.01, 0.005, 0.02))
-                 for method in ("nullspace", "integrate")]
         for tied in ([2.0, 2.0, 1.0], [1.0, 2.0, 2.0], [3.0, 3.0, 3.0], [1.0, 2.0, 2.0 - 5e-11],
                      [2.0 - 5e-11, 2.0, 1.0], [2.0, 2.0 - 5e-11, 2.0 + 5e-11]):
             stack.append(np.diag(tied))
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             stack.append((q * tied) @ q.T)
-        for c in stack[:10]:
-            # the top eigenvalue of a route C tied exactly and within 5e-11
-            values, vectors = np.linalg.eigh(c)
-            for shift in (0.0, 5e-11):
-                values[-2] = values[-1] - shift
-                stack.append((vectors * values) @ vectors.T)
-        stack = np.array(stack)
-        lambda_max, axes = top_axes(stack)
-        assert eigh_calls[-1] == stack.shape
-        for k, c in enumerate(stack):
-            single_lambda, single_axes = top_axes(c[None])
-            assert single_lambda.tobytes() == lambda_max[k:k + 1].tobytes()
-            assert single_axes.tobytes() == axes[k:k + 1].tobytes()
+        for rates in ((14.0, 0.5, 2.5), (1.8, 0.5, 2.5), (0.3, 2.0, 0.7), (1.0, 0.01, 0.05),
+                      (0.01, 0.005, 0.02)):
+            for method in ("nullspace", "integrate"):
+                c = c_matrix(steady_state(ModelParams(*rates), method))
+                stack.append(c)
+                values, vectors = np.linalg.eigh(c)
+                for shift in (0.0, 5e-11):
+                    values[-2] = values[-1] - shift
+                    stack.append((vectors * values) @ vectors.T)
+        for c in stack:
+            eigh_calls.clear()
+            lambda_max, axis = top_axes(c)
+            assert eigh_calls == [(3, 3)]
+            ref_lam, ref_axis = reference(c)
+            assert lambda_max.hex() == ref_lam.hex()
+            assert hexes(axis) == hexes(ref_axis)
 
 
 def block(c_xx, c_yy, c_yz):
     return np.array([[c_xx, 0.0, 0.0], [0.0, c_yy, c_yz], [0.0, c_yz, c_yy]])
+
+
+def entries(*matrices):
+    """C_xx, C_yy and C_yz of block-diagonal matrices, the arrays of shape
+    (N,) that ``block_axes`` takes."""
+    c = np.array(matrices)
+    return c[:, 0, 0], c[:, 1, 1], c[:, 2, 1]
+
+
+def stacked_reference(c):
+    """``reference`` of each matrix of a stack of shape (N, 3, 3), in array
+    passes: one stacked eigh, then the tie-break over the eigenvectors in
+    ascending order."""
+    eigenvalues, eigenvectors = np.linalg.eigh(c)
+    top = eigenvalues[:, -1]
+    floor = top - 1e-10 * np.maximum(1.0, np.abs(top))
+    best = np.zeros((len(c), 3))
+    found = np.zeros(len(c), dtype=bool)
+    for k in range(3):
+        u = eigenvectors[:, :, k]
+        better = ~found | (np.abs(u[:, 0]) > np.abs(best[:, 0])) | (
+            (np.abs(u[:, 0]) == np.abs(best[:, 0])) & (np.abs(u[:, 1]) > np.abs(best[:, 1])))
+        take = (eigenvalues[:, k] >= floor) & better
+        best = np.where(take[:, None], u, best)
+        found |= take
+    lead = best[np.arange(len(c)), (np.abs(best) > 1e-12).argmax(axis=1)]
+    return np.where(top > 0.0, top, 0.0), np.where((lead < 0.0)[:, None], -best, best)
 
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -306,8 +327,10 @@ TIE = 1e-10 * 1.5
 
 
 class TestTopAxesBlockDiagonal:
-    """A stack of block-diagonal moment matrices takes the top axis in
-    closed form, through ``block_axes``, with the bits of the eigh path."""
+    """Block-diagonal moment matrices, C_yx = C_zx = 0 and C_yy = C_zz:
+    ``block_axes`` takes their top axis from the entries in closed form,
+    with the bits of the eigh path; ``top_axes`` takes eigh for them as for
+    any matrix."""
 
     @pytest.mark.parametrize("c", [
         np.zeros((3, 3)), np.diag([0.0, 2.0, 2.0]), np.diag([1.0, 2.0, 2.0]),
@@ -319,12 +342,15 @@ class TestTopAxesBlockDiagonal:
             "x_two_ties_below", "hi", "hi_negative_c_yz", "x_equals_hi_negative_c_yz",
             "x_two_ties_below_negative_c_yz", "lo_ties_negative_c_yz", "lo_ties"])
     def test_matches_reference_bit_for_bit(self, c, eigh_calls):
-        lambda_max, axes = top_axes(np.array([c, c]))
+        lambda_max, axes = block_axes(*entries(c, c))
         assert eigh_calls == []
         ref_lam, ref_axis = reference(c)
-        for lam, axis in zip(lambda_max, axes):
+        for lam, axis in zip(lambda_max.tolist(), axes):
             assert lam.hex() == ref_lam.hex()
             assert hexes(axis) == hexes(ref_axis)
+        lam, axis = top_axes(c)
+        assert lam.hex() == ref_lam.hex()
+        assert hexes(axis) == hexes(ref_axis)
 
     @pytest.mark.parametrize("c_yz", [1e-11, -1e-11, 3e-17, -3e-17, 1e-300])
     def test_yz_axes_tie_below_half_a_tie(self, c_yz, eigh_calls):
@@ -332,16 +358,19 @@ class TestTopAxesBlockDiagonal:
         # ascending order; eigh agrees until C_yz falls below about 1e-16
         # C_yy, where it drops C_yz and returns e_y, so the rule is the
         # reference here
-        lambda_max, axes = top_axes(block(0.5, 1.0, c_yz)[None])
+        lambda_max, axes = block_axes(*entries(block(0.5, 1.0, c_yz)))
         assert eigh_calls == []
         assert lambda_max[0] == 1.0 + abs(c_yz)
         lo_axis = (-0.0, INV_SQRT2, -INV_SQRT2) if c_yz > 0.0 else (0.0, INV_SQRT2, INV_SQRT2)
         assert hexes(axes[0]) == hexes(lo_axis)
+        # top_axes takes what eigh gives
+        _, axis = top_axes(block(0.5, 1.0, c_yz))
+        assert hexes(axis) == hexes(lo_axis if abs(c_yz) > 1e-16 else (0.0, 1.0, 0.0))
 
     def test_lo_ties_at_exactly_one_tie_below_top(self):
         # lo = 0.5 - C_yz against top - tie = 0.5 + C_yz - 1e-10
         assert 0.5 - 5e-11 == (0.5 + 5e-11) - 1e-10
-        _, axes = top_axes(np.array([block(0.1, 0.5, 5e-11), block(0.1, 0.5, 5.001e-11)]))
+        _, axes = block_axes(*entries(block(0.1, 0.5, 5e-11), block(0.1, 0.5, 5.001e-11)))
         assert hexes(axes[0]) == hexes((-0.0, INV_SQRT2, -INV_SQRT2))
         assert hexes(axes[1]) == hexes((0.0, INV_SQRT2, INV_SQRT2))
 
@@ -350,20 +379,19 @@ class TestTopAxesBlockDiagonal:
         r, gamma, g = 10.0 ** rng.uniform(-4.0, 4.0, size=(3, 200_000))
         c_xx, c_yy, c_yz, _ = closed_form_figures(r, gamma, g)
         lambda_max, axes = block_axes(c_xx, c_yy, c_yz)
+        assert eigh_calls == []
         c = np.zeros((len(c_xx), 3, 3))
         c[:, 0, 0] = c_xx
         c[:, 1, 1] = c[:, 2, 2] = c_yy
         c[:, 1, 2] = c[:, 2, 1] = c_yz
-        stack_lambda, stack_axes = top_axes(c)
-        assert eigh_calls == []
-        assert stack_lambda.tobytes() == lambda_max.tobytes()
-        assert stack_axes.tobytes() == axes.tobytes()
-        # one matrix off the block structure sends the whole stack to eigh
-        mixed = np.concatenate((c, np.eye(3)[None] + 1e-3))
-        eigh_lambda, eigh_axes = top_axes(mixed)
-        assert eigh_calls == [mixed.shape]
-        assert (lambda_max.view(np.int64) == eigh_lambda[:-1].view(np.int64)).all()
-        assert (axes.view(np.int64) == eigh_axes[:-1].view(np.int64)).all()
+        eigh_lambda, eigh_axes = stacked_reference(c)
+        assert (lambda_max.view(np.int64) == eigh_lambda.view(np.int64)).all()
+        assert (axes.view(np.int64) == eigh_axes.view(np.int64)).all()
+        # the stacked oracle is the per-matrix rule
+        for k in range(0, len(c), 997):
+            lam, axis = top_axes(c[k])
+            assert lam.hex() == eigh_lambda[k].hex()
+            assert hexes(axis) == hexes(eigh_axes[k])
         # x, hi and lo all occur; (0, 1, 0) needs C_yz = 0, so g = 0
         assert {tuple(axis) for axis in axes[:, 1:].tolist()} == {
             (0.0, 0.0), (INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2)}
@@ -372,38 +400,42 @@ class TestTopAxesBlockDiagonal:
         ((1, 0), 1e-17), ((2, 0), -1e-300), ((2, 2), 1.0 + 2.0**-52), ((0, 0), np.nan),
     ], ids=["c_yx", "c_zx", "c_zz", "nan_c_xx"])
     def test_a_mixed_stack_goes_to_eigh(self, off, eigh_calls):
-        stack = np.array([block(0.1, 1.0, 0.5), block(0.1, 1.0, 0.5)])
-        stack[1][off[0]] = off[1]
-        lambda_max, axes = top_axes(stack)
-        assert eigh_calls == [stack.shape]
-        for c, lam, axis in zip(stack, lambda_max, axes):
-            ref_lam, ref_axis = reference(c)
+        # a block matrix and one off the block form in a single entry each
+        # take one eigh: top_axes does not test a matrix for the block form
+        c = block(0.1, 1.0, 0.5)
+        mixed = [c, c.copy()]
+        mixed[1][off[0]] = off[1]
+        results = [top_axes(matrix) for matrix in mixed]
+        assert eigh_calls == [(3, 3), (3, 3)]
+        for matrix, (lam, axis) in zip(mixed, results):
+            ref_lam, ref_axis = reference(matrix)
             assert lam.hex() == ref_lam.hex()
             assert hexes(axis) == hexes(ref_axis)
-
-    def test_block_stack_takes_block_axes(self, monkeypatch):
-        # the closed-form rule lives in block_axes alone; top_axes hands a
-        # block stack its lower-triangle entries
-        calls = []
-
-        def recording(c_xx, c_yy, c_yz):
-            calls.append((c_xx.tolist(), c_yy.tolist(), c_yz.tolist()))
-            return block_axes(c_xx, c_yy, c_yz)
-
-        monkeypatch.setattr(metrology, "block_axes", recording)
-        c = block(0.1, 1.0, 0.5)
-        c[1, 2] = -3.0
-        top_axes(c[None])
-        assert calls == [([0.1], [1.0], [0.5])]
 
     def test_reads_the_lower_triangle(self, eigh_calls):
         c = block(0.1, 1.0, 0.5)
         c[0, 1] = c[0, 2] = 7.0
         c[1, 2] = -3.0
-        lambda_max, axes = top_axes(c[None])
-        assert eigh_calls == []
-        assert lambda_max[0] == 1.5
-        assert hexes(axes[0]) == hexes((0.0, INV_SQRT2, INV_SQRT2))
+        lambda_max, axis = top_axes(c)
+        assert eigh_calls == [(3, 3)]
+        assert lambda_max == 1.5
+        assert hexes(axis) == hexes((0.0, INV_SQRT2, INV_SQRT2))
+
+    def test_top_axes_callers_reach_no_block_axes(self, monkeypatch):
+        # only closed-form rows take block_axes; route rows, mean_qfi_max and
+        # optimal_direction take top_axes, block-diagonal C included
+        def unreachable(*args):
+            raise AssertionError("top_axes and its callers call no block_axes")
+
+        monkeypatch.setattr(metrology, "block_axes", unreachable)
+        for method in ("nullspace", "integrate"):
+            row = evaluate_point(POINT_A, method)
+            _, ref_axis = reference(c_matrix(steady_state(POINT_A, method)))
+            assert hexes((row.opt_nx, row.opt_ny, row.opt_nz)) == hexes(ref_axis)
+        rho = closed_form_steady_state(POINT_A)
+        assert hexes(vector(mean_qfi_max(rho).opt_dir)) == hexes(reference(c_matrix(rho))[1])
+        for c in (np.diag([1.0, 2.0, 2.0]), block(0.1, 1.0, 0.5)):
+            assert hexes(vector(optimal_direction(c))) == hexes(reference(c)[1])
 
 
 class TestMeanQfiMax:

@@ -297,9 +297,9 @@ class TestStackedSweep:
             params = ModelParams(*rates)
             rho = steady_state(params, method)
             c = c_matrix(rho)
-            top, axes = top_axes(c[None])
-            want = (*rates, top[0] / N_PARTICLES, *sweep._branches(c), concurrence(rho),
-                    negativity(rho), *axes[0])
+            top, axis = top_axes(c)
+            want = (*rates, top / N_PARTICLES, *sweep._branches(c), concurrence(rho),
+                    negativity(rho), *axis)
             assert _bits(evaluate_point(params, method)) == tuple(
                 float.hex(float(x)) for x in want), rates
 
@@ -346,7 +346,7 @@ class TestTopAxesPath:
 
     def test_nullspace_point_keeps_eigh(self, eigh_calls):
         evaluate_point(ModelParams(r=14.0, gamma=0.5, g=2.5), "nullspace")
-        assert (1, 3, 3) in eigh_calls
+        assert (3, 3) in eigh_calls
 
 
 class TestGoldenOutput:
