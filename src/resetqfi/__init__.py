@@ -37,19 +37,17 @@ from .point import (
     SweepSpec,
     emit,
     find_critical_point,
-    parse_csv,
 )
 
 # the array-side names, by home module
 _ARRAY_NAMES = {
-    "dynamics": ("PLUS", "DensityMatrix", "closed_form_steady_state", "hamiltonian",
-                 "liouvillian_apply", "liouvillian_superoperator", "steady_state",
-                 "unvectorize", "vectorize"),
+    "dynamics": ("PLUS", "DensityMatrix", "closed_form_steady_state", "liouvillian_apply",
+                 "liouvillian_superoperator", "steady_state", "unvectorize", "vectorize"),
     "entanglement": ("concurrence", "negativity"),
     "metrology": ("X_AXIS", "Y_AXIS", "Z_AXIS", "Direction", "QfiResult", "c_matrix",
                   "mean_qfi_max", "optimal_direction", "qfi_direction", "qfi_pure", "rotate"),
-    "qlinalg": ("HermitianEig", "hermitian_eig", "hermiticity_defect", "kron", "partial_trace",
-                "partial_transpose", "sigma_x", "sigma_y", "sigma_z", "trace_norm"),
+    "qlinalg": ("HermitianEig", "hermitian_eig", "kron", "partial_trace", "partial_transpose",
+                "sigma_x", "sigma_y", "sigma_z", "trace_norm"),
     "sweep": ("SweepTable", "evaluate_point", "run_sweep"),
 }
 _HOME = {name: module for module, names in _ARRAY_NAMES.items() for name in names}

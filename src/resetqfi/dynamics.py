@@ -120,22 +120,18 @@ class DensityMatrix:
         return self._eig
 
 
-def hamiltonian(p: ModelParams) -> np.ndarray:
-    """H = g sigma_z x sigma_z = g diag(1, -1, -1, 1)."""
-    return p.g * _ZZ
-
-
 def liouvillian_apply(p: ModelParams, rho) -> np.ndarray:
     """Right-hand side of the master equation, drho/dt.
 
-    Unitary part -i[H, rho], dephasing (gamma/2) sum_i (Z_i rho Z_i - rho)
-    and reset r sum_i (|+><+|_i kron tr_i rho - rho).  Linear in rho;
-    the result is traceless and Hermitian for Hermitian input.
+    Unitary part -i[H, rho] with H = g sigma_z x sigma_z = g diag(1, -1,
+    -1, 1), dephasing (gamma/2) sum_i (Z_i rho Z_i - rho) and reset
+    r sum_i (|+><+|_i kron tr_i rho - rho).  Linear in rho; the result is
+    traceless and Hermitian for Hermitian input.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise BadDimensionError(f"expected a 4x4 operator, got shape {rho.shape}")
-    h = hamiltonian(p)
+    h = p.g * _ZZ
     out = -1j * (h @ rho - rho @ h)
     for z in (_Z1, _Z2):
         out = out + 0.5 * p.gamma * (z @ rho @ z - rho)
@@ -314,6 +310,18 @@ def _integrate_steady_state(p: ModelParams) -> np.ndarray:
     if p.r == 0.0:
         raise DegenerateSteadyStateError(
             "integration needs r > 0; at r = 0 the steady state is not unique")
+    # ||L||_1 scales the convergence test.  Its column sums overflow before
+    # the entries of L do (at gamma = 0.5, g = 2.5: from r = 4.5e307, the
+    # entries from 9e307), and an infinite scale would pass an unconverged
+    # first round; an entry -i inf of the unitary part is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        sup = liouvillian_superoperator(p)
+        norm = np.abs(sup).sum(axis=0).max()
+    if not np.isfinite(norm):
+        raise NoConvergenceError(
+            "||L||_1, the largest column sum of |L|, overflows; the RK4 residual test "
+            "needs it finite")
+    tol = RK4_RESIDUAL_SCALE * norm
     # L in the basis P_ab, summed in the order of liouvillian_superoperator
     real = p.g * _REAL_UNITARY
     for dephasing in _REAL_DEPHASING:
@@ -340,8 +348,6 @@ def _integrate_steady_state(p: ModelParams) -> np.ndarray:
             block = power if block is None else block @ power
         if steps:
             power = power @ power
-    sup = liouvillian_superoperator(p)
-    tol = RK4_RESIDUAL_SCALE * np.abs(sup).sum(axis=0).max()
     coherence = _REAL_EYE16[0] / 2.0  # I/4 = P_11 / 2
     for _ in range(RK4_ROUND_CAP):
         coherence = block @ coherence
@@ -371,7 +377,8 @@ def steady_state(p: ModelParams, method: str = "closed_form") -> DensityMatrix:
         16x16 matrix each, L in the Pauli basis), until
         ||drho/dt||_max < 3e-13 ||L||_1,
         with ||L||_1 the largest column sum of |L|; NoConvergenceError
-        after 20 rounds.  The state is Hermitian by construction.  Trusted
+        after 20 rounds, or at once where ||L||_1 overflows (rates near the
+        largest float).  The state is Hermitian by construction.  Trusted
         on [1e-3, 1e2]^3 in (r, gamma, g): within 9.1e-13 of the nullspace
         state on 2560 seeded points of that cube, stiffness
         max(r, gamma, 4 g) / r up to 3.4e5 among them.

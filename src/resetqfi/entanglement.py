@@ -31,5 +31,5 @@ def negativity(rho: DensityMatrix) -> float:
     Zero whenever the partial transpose is positive semidefinite and 1/2
     for Bell states.
     """
-    value = 0.5 * (trace_norm(partial_transpose(rho.mat, 2)) - 1.0)
+    value = 0.5 * (trace_norm(partial_transpose(rho.mat)) - 1.0)
     return max(0.0, value)  # trace norm of a unit-trace state is >= 1

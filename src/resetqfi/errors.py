@@ -38,7 +38,8 @@ class NoSignChangeError(RuntimeError):
 
 
 # Failures of a solver on valid input (as opposed to bad input): run_sweep
-# names the grid point they occur at, and the command line exits with 3.
+# and the crossing search (point._gap) name the point they occur at, and
+# the command line exits with 3.
 SOLVER_ERRORS = (
     DegenerateSteadyStateError,
     NoConvergenceError,

@@ -10,7 +10,6 @@ function-level imports of ``sweep``.
 """
 
 import contextlib
-import io
 import math
 import operator
 import sys
@@ -343,26 +342,3 @@ def emit(payload, fmt: str = "csv", path: str | None = None) -> None:
         for piece in pieces:
             handle.write(piece)
 
-
-def parse_csv(text: str) -> list[SweepRow]:
-    """Read sweep rows back from CSV produced by ``emit``; blank lines are
-    skipped, and a row without one number per field raises ValueError
-    naming its line."""
-    import csv
-
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != list(CSV_FIELDS):
-        raise ValueError(f"unexpected CSV header {header}")
-    rows = []
-    for record in reader:
-        if not record:
-            continue
-        if len(record) != len(CSV_FIELDS):
-            raise ValueError(f"CSV line {reader.line_num}: {len(record)} fields, "
-                             f"expected {len(CSV_FIELDS)}")
-        try:
-            rows.append(SweepRow(*map(float, record)))
-        except ValueError as err:
-            raise ValueError(f"CSV line {reader.line_num}: {err}") from None
-    return rows

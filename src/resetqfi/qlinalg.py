@@ -2,8 +2,9 @@
 
 Plain complex ndarrays are the carrier throughout: Hermitian
 eigendecomposition with a fixed phase convention, tensor products,
-two-qubit partial trace / partial transpose, and the trace norm.  Each
-function takes one matrix; a stack of them is rejected.
+two-qubit partial trace, the partial transpose of the second qubit and
+the trace norm.  Each function takes one matrix; a stack of them is
+rejected.
 """
 
 from dataclasses import dataclass
@@ -40,12 +41,6 @@ def _finite_square(m) -> np.ndarray:
     if np.count_nonzero(np.isfinite(m)) < m.size:  # cheaper than .all() on a few entries
         raise OutOfRangeError(f"matrix has non-finite entries: {m.tolist()}")
     return m
-
-
-def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation of a finite square matrix from its
-    conjugate transpose; a NaN or infinite entry raises OutOfRangeError."""
-    return _defect(_finite_square(m))
 
 
 def _defect(m: np.ndarray) -> float:
@@ -133,16 +128,10 @@ def partial_trace(m, qubit: int) -> np.ndarray:
     raise ValueError(f"qubit must be 1 or 2, got {qubit}")
 
 
-def partial_transpose(m, qubit: int) -> np.ndarray:
-    """Transpose the indices of one qubit; applying it twice is the identity."""
-    blocks = _two_qubit_blocks(m)
-    if qubit == 1:
-        swapped = blocks.swapaxes(0, 2)
-    elif qubit == 2:
-        swapped = blocks.swapaxes(1, 3)
-    else:
-        raise ValueError(f"qubit must be 1 or 2, got {qubit}")
-    return swapped.reshape(4, 4)
+def partial_transpose(m) -> np.ndarray:
+    """Transpose the indices of the second qubit (right tensor factor);
+    applying it twice is the identity."""
+    return _two_qubit_blocks(m).swapaxes(1, 3).reshape(4, 4)
 
 
 def trace_norm(m) -> float:

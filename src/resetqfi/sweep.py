@@ -81,11 +81,13 @@ class SweepTable(Sequence):
         return (SweepRow(*values.tolist()) for values in self.array)
 
 
-def _branches(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lambda_x, lambda_yz_hi and lambda_yz_lo of a moment matrix."""
-    block_mean = 0.5 * (c[..., 1, 1] + c[..., 2, 2])
-    half_gap = np.hypot(0.5 * (c[..., 1, 1] - c[..., 2, 2]), c[..., 1, 2])
-    return c[..., 0, 0], block_mean + half_gap, block_mean - half_gap
+def _branches(c: np.ndarray) -> tuple[float, float, float]:
+    """lambda_x, lambda_yz_hi and lambda_yz_lo of one 3x3 moment matrix,
+    as Python floats."""
+    (c_xx, _, _), (_, c_yy, c_yz), (_, _, c_zz) = c.tolist()
+    block_mean = 0.5 * (c_yy + c_zz)
+    half_gap = float(np.hypot(0.5 * (c_yy - c_zz), c_yz))
+    return c_xx, block_mean + half_gap, block_mean - half_gap
 
 
 def _rows(rates) -> np.ndarray:
@@ -128,7 +130,7 @@ def evaluate_point(params: ModelParams, method: str = "closed_form") -> SweepRow
     c = c_matrix(rho)
     lambda_max, axis = top_axes(c)
     return SweepRow(params.r, params.gamma, params.g, lambda_max / N_PARTICLES,
-                    *map(float, _branches(c)), concurrence(rho), negativity(rho), *axis)
+                    *_branches(c), concurrence(rho), negativity(rho), *axis)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -154,7 +156,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     return SweepTable(table)
 
 
-def _route_gap(params: ModelParams, method: str):
+def _route_gap(params: ModelParams, method: str) -> float:
     """lambda_x - lambda_yz_hi at one point by a route other than the
     closed form, from C alone: no entanglement measure is computed."""
     lambda_x, lambda_yz_hi, _ = _branches(c_matrix(steady_state(params, method)))

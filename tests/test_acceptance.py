@@ -4,6 +4,9 @@ Run ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS/FAIL lines; any FAIL also fails the corresponding test.
 """
 
+import csv
+import io
+
 import numpy as np
 
 from resetqfi import (
@@ -24,7 +27,6 @@ from resetqfi import (
     mean_qfi_max,
     negativity,
     optimal_direction,
-    parse_csv,
     qfi_direction,
     qfi_pure,
     rotate,
@@ -253,12 +255,12 @@ def test_criterion_8_cli_determinism_and_round_trip(tmp_path):
 
     text = first.read_text()
     _expect(failures, "\r" not in text and text.endswith("\n"), "line endings are not bare LF")
-    rows = parse_csv(text)
+    rows = list(csv.DictReader(io.StringIO(text)))
     _expect(failures, len(rows) == 201, f"expected 201 rows, parsed {len(rows)}")
     fresh = run_sweep(SweepSpec(vary="r", start=0.0, stop=20.0, steps=201,
                                 fixed_gamma=0.5, g_ratio=5.0))
     round_trip_ok = all(
-        getattr(parsed, name) == float(f"{getattr(row, name):.9g}")
+        float(parsed[name]) == float(f"{getattr(row, name):.9g}")
         for parsed, row in zip(rows, fresh)
         for name in ("r", "gamma", "g", "mean_qfi", "lambda_x", "lambda_yz_hi",
                      "lambda_yz_lo", "concurrence", "negativity",

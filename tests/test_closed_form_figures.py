@@ -92,8 +92,8 @@ class TestAgainstEigenPipeline:
         # the rows take the branches from the entries, C_yy +- |C_yz|
         rows = sweep._rows(log_uniform_rates)
         want, _ = eigen_figures
-        for got, expected in zip(rows.T[4:7], sweep._branches(want)):
-            assert np.abs(got - expected).max() <= 2e-14
+        expected = np.array([sweep._branches(c) for c in want])
+        assert np.abs(rows[:, 4:7] - expected).max() <= 2e-14
 
     def test_negativity(self, log_uniform_rates, eigen_figures):
         got = closed_form_figures(*log_uniform_rates)[3]

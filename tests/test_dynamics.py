@@ -17,8 +17,6 @@ from resetqfi import (
     PLUS,
     closed_form_steady_state,
     evaluate_point,
-    hamiltonian,
-    hermiticity_defect,
     liouvillian_apply,
     liouvillian_superoperator,
     steady_state,
@@ -134,12 +132,19 @@ class TestDensityMatrix:
 
 
 class TestHamiltonian:
+    """At r = gamma = 0 the generator is -i g [ZZ, rho], ZZ = diag(1, -1, -1, 1)."""
+
     def test_diagonal_form(self):
-        h = hamiltonian(ModelParams(r=1.0, gamma=0.5, g=2.5))
-        assert np.array_equal(h, np.diag([2.5, -2.5, -2.5, 2.5]).astype(complex))
+        rng = np.random.default_rng(24)
+        h = np.diag([2.5, -2.5, -2.5, 2.5]).astype(complex)
+        for _ in range(5):
+            rho = random_hermitian(rng)
+            out = liouvillian_apply(ModelParams(r=0.0, gamma=0.0, g=2.5), rho)
+            assert np.array_equal(out, -1j * (h @ rho - rho @ h))
 
     def test_vanishes_without_coupling(self):
-        assert np.abs(hamiltonian(ModelParams(r=1.0, gamma=0.5, g=0.0))).max() == 0.0
+        rho = random_hermitian(np.random.default_rng(25))
+        assert np.abs(liouvillian_apply(ModelParams(r=0.0, gamma=0.0, g=0.0), rho)).max() == 0.0
 
 
 class TestLiouvillianApply:
@@ -194,7 +199,7 @@ class TestLiouvillianApply:
         p = ModelParams(r=2.0, gamma=1.1, g=0.4)
         for _ in range(10):
             out = liouvillian_apply(p, random_hermitian(rng))
-            assert hermiticity_defect(out) <= 1e-12
+            assert np.abs(out - out.conj().T).max() <= 1e-12
 
 
 class TestVectorization:
@@ -290,7 +295,7 @@ def kron_superoperator(p):
     """The superoperator built term by term from kron products, per call."""
     i2, z = np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)
     eye4, eye16 = np.eye(4, dtype=complex), np.eye(16, dtype=complex)
-    h = hamiltonian(p)
+    h = p.g * np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
     want = -1j * (np.kron(eye4, h) - np.kron(h.T, eye4))
     for z_i in (np.kron(z, i2), np.kron(i2, z)):
         want = want + 0.5 * p.gamma * (np.kron(z_i.T, z_i) - eye16)
@@ -433,6 +438,26 @@ class TestSteadyState:
                            match=r"^residual still above 3e-13 \|\|L\|\|_1 = 6\.000e-13 after "
                                  r"20 rounds \(1048575000 RK4 steps\)$"):
             steady_state(p, "integrate")
+
+    @pytest.mark.parametrize("r, gamma, g", [(4.5e307, 0.5, 2.5), (8.9e307, 0.5, 2.5),
+                                             (5e307, 1e305, 1e305), (1.7e308, 0.5, 2.5),
+                                             (1.0, 0.0, 1.7e308)])
+    def test_integrate_raises_where_the_norm_of_l_overflows(self, r, gamma, g):
+        # the column sums of |L| overflow from r = 4.5e307 at gamma = 0.5,
+        # g = 2.5, its entries only from r = 9e307; an infinite ||L||_1 made
+        # the residual test pass after the first round, with a state of mean
+        # QFI 0.99991 where it is 1, and an overflow warning as the only sign.
+        # At g = 1.7e308 the unitary part of L holds -i inf, which is NaN
+        p = ModelParams(r=r, gamma=gamma, g=g)
+        with pytest.raises(NoConvergenceError,
+                           match=r"^\|\|L\|\|_1, the largest column sum of \|L\|, overflows; "
+                                 r"the RK4 residual test needs it finite$"):
+            steady_state(p, "integrate")
+
+    def test_integrate_holds_below_the_overflow_of_the_norm_of_l(self):
+        p = ModelParams(r=4.4e307, gamma=0.5, g=2.5)
+        diff = steady_state(p, "integrate").mat - closed_form_steady_state(p).mat
+        assert np.abs(diff).max() <= 1e-12
 
     def test_integrate_converges_at_a_stiff_point(self):
         # 14 rounds, 1.6e7 steps; a fixed absolute residual of 1e-12 did not

@@ -119,7 +119,7 @@ class TestNegativity:
         rng = np.random.default_rng(44)
         for _ in range(50):
             rho = random_density(rng)
-            smallest = np.linalg.eigvalsh(partial_transpose(rho.mat, 2)).min()
+            smallest = np.linalg.eigvalsh(partial_transpose(rho.mat)).min()
             value = negativity(rho)
             if smallest >= -1e-10:
                 assert value <= 2e-10

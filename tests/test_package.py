@@ -15,15 +15,14 @@ HOMES = {
                "NoConvergenceError", "NoSignChangeError", "NotHermitianError",
                "NotNormalizedError", "NotSymmetricError", "OutOfRangeError"),
     "point": ("CSV_FIELDS", "CSV_HEADER", "CriticalPoint", "ModelParams", "SweepRow",
-              "SweepSpec", "emit", "find_critical_point", "parse_csv"),
-    "dynamics": ("PLUS", "DensityMatrix", "closed_form_steady_state", "hamiltonian",
-                 "liouvillian_apply", "liouvillian_superoperator", "steady_state",
-                 "unvectorize", "vectorize"),
+              "SweepSpec", "emit", "find_critical_point"),
+    "dynamics": ("PLUS", "DensityMatrix", "closed_form_steady_state", "liouvillian_apply",
+                 "liouvillian_superoperator", "steady_state", "unvectorize", "vectorize"),
     "entanglement": ("concurrence", "negativity"),
     "metrology": ("X_AXIS", "Y_AXIS", "Z_AXIS", "Direction", "QfiResult", "c_matrix",
                   "mean_qfi_max", "optimal_direction", "qfi_direction", "qfi_pure", "rotate"),
-    "qlinalg": ("HermitianEig", "hermitian_eig", "hermiticity_defect", "kron", "partial_trace",
-                "partial_transpose", "sigma_x", "sigma_y", "sigma_z", "trace_norm"),
+    "qlinalg": ("HermitianEig", "hermitian_eig", "kron", "partial_trace", "partial_transpose",
+                "sigma_x", "sigma_y", "sigma_z", "trace_norm"),
     "sweep": ("SweepTable", "evaluate_point", "run_sweep"),
 }
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -10,7 +10,6 @@ from resetqfi import (
     NotHermitianError,
     OutOfRangeError,
     hermitian_eig,
-    hermiticity_defect,
     kron,
     partial_trace,
     partial_transpose,
@@ -174,33 +173,27 @@ class TestPartialTranspose:
     def test_product_operator(self):
         a = np.array([[1, 2], [3, 4]], dtype=complex)
         b = np.array([[5, 6], [7, 8]], dtype=complex)
-        assert np.array_equal(partial_transpose(kron(a, b), 2), kron(a, b.T))
-        assert np.array_equal(partial_transpose(kron(a, b), 1), kron(a.T, b))
+        assert np.array_equal(partial_transpose(kron(a, b)), kron(a, b.T))
 
     def test_bell_state_negative_eigenvalue(self):
-        eigenvalues = np.linalg.eigvalsh(partial_transpose(BELL, 2))
+        eigenvalues = np.linalg.eigvalsh(partial_transpose(BELL))
         assert abs(eigenvalues.min() + 0.5) <= 1e-12
 
     def test_involution(self):
         rng = np.random.default_rng(11)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        for qubit in (1, 2):
-            assert np.array_equal(partial_transpose(partial_transpose(m, qubit), qubit), m)
+        assert np.array_equal(partial_transpose(partial_transpose(m)), m)
 
     def test_preserves_hermiticity(self):
         rng = np.random.default_rng(12)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = 0.5 * (m + m.conj().T)
-        assert hermiticity_defect(partial_transpose(m, 2)) <= 1e-14
+        transposed = partial_transpose(m)
+        assert np.abs(transposed - transposed.conj().T).max() <= 1e-14
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(BadDimensionError):
-            partial_transpose(np.eye(2), 1)
-
-    @pytest.mark.parametrize("qubit", [0, 3])
-    def test_rejects_bad_qubit(self, qubit):
-        with pytest.raises(ValueError, match=f"^qubit must be 1 or 2, got {qubit}$"):
-            partial_transpose(BELL, qubit)
+            partial_transpose(np.eye(2))
 
 
 class TestTraceNorm:
@@ -211,7 +204,7 @@ class TestTraceNorm:
         assert abs(trace_norm(np.diag([1.0, -1.0])) - 2.0) <= 1e-12
 
     def test_bell_partial_transpose(self):
-        assert abs(trace_norm(partial_transpose(BELL, 2)) - 2.0) <= 1e-12
+        assert abs(trace_norm(partial_transpose(BELL)) - 2.0) <= 1e-12
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
@@ -226,13 +219,11 @@ class TestTraceNorm:
 
 @pytest.mark.parametrize("call", [
     hermitian_eig,
-    hermiticity_defect,
     lambda m: partial_trace(m, 1),
-    lambda m: partial_transpose(m, 2),
+    partial_transpose,
     trace_norm,
     DensityMatrix,
-], ids=["hermitian_eig", "hermiticity_defect", "partial_trace", "partial_transpose",
-        "trace_norm", "DensityMatrix"])
+], ids=["hermitian_eig", "partial_trace", "partial_transpose", "trace_norm", "DensityMatrix"])
 def test_rejects_stacks(call):
     # each per-state function takes one matrix; a stack of two states is rejected
     stack = np.stack([BELL, np.eye(4, dtype=complex) / 4])
@@ -247,8 +238,8 @@ def _with_entries(entries):
     return m
 
 
-@pytest.mark.parametrize("call", [hermitian_eig, hermiticity_defect, DensityMatrix, trace_norm],
-                         ids=["hermitian_eig", "hermiticity_defect", "DensityMatrix", "trace_norm"])
+@pytest.mark.parametrize("call", [hermitian_eig, DensityMatrix, trace_norm],
+                         ids=["hermitian_eig", "DensityMatrix", "trace_norm"])
 @pytest.mark.parametrize("m", [
     np.diag([0.25, 0.25, 0.25, np.nan]),
     np.full((4, 4), np.nan),
@@ -267,8 +258,7 @@ def test_rejects_non_finite_entries(call, m):
             call(m)
 
 
-@pytest.mark.parametrize("call", [hermitian_eig, hermiticity_defect, trace_norm],
-                         ids=["hermitian_eig", "hermiticity_defect", "trace_norm"])
+@pytest.mark.parametrize("call", [hermitian_eig, trace_norm], ids=["hermitian_eig", "trace_norm"])
 def test_rejects_a_matrix_with_no_entries(call):
     # a 0x0 matrix is square but has nothing to reduce over
     with pytest.raises(BadDimensionError,
