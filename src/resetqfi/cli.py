@@ -9,7 +9,14 @@ import argparse
 import sys
 
 from .errors import SOLVER_ERRORS
-from .point import STEADY_STATE_METHODS, ModelParams, SweepSpec, emit, find_critical_point
+from .point import (
+    STEADY_STATE_METHODS,
+    ModelParams,
+    SweepSpec,
+    closed_form_row,
+    emit,
+    find_critical_point,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,13 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     method = args.method.replace("-", "_")
-    # eval and sweep rows come from the array side, which loads numpy; a
-    # closed-form critical search runs on Python floats and loads none
+    # a closed-form eval row and a closed-form critical search run on Python
+    # floats and load no numpy.  The solver routes build states, and sweep
+    # rows are built as whole numpy columns, which a float row per point
+    # would lose at 10^5 points; both load numpy
     if args.command == "eval":
-        from .sweep import evaluate_point
+        params = ModelParams(r=args.r, gamma=args.gamma, g=args.g)
+        if method == "closed_form":
+            row = closed_form_row(params)
+        else:
+            from .sweep import evaluate_point
 
-        payload = [evaluate_point(ModelParams(r=args.r, gamma=args.gamma, g=args.g),
-                                  method=method)]
+            row = evaluate_point(params, method=method)
+        payload = [row]
     else:
         spec = SweepSpec(vary=args.vary, start=args.start, stop=args.stop, steps=args.steps,
                          fixed_r=args.r, fixed_gamma=args.gamma, g=args.g,

@@ -238,8 +238,9 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, ...]:
     diag(0, 2, 2).  The ``DensityMatrix`` positivity check runs on the
     analytic spectrum of each point, and the first failing point raises its
     error; unit trace and Hermiticity hold by construction.
-    ``point.closed_form_gap`` takes the same terms, through the shared
-    ``point._closed_form_terms``, at one point of Python floats.
+    ``point.closed_form_gap`` and ``point.closed_form_row`` take the same
+    terms, through the shared ``point._closed_form_terms``, at one point
+    of Python floats.
     """
     r, gamma, g = _scaled(r, gamma, g)
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 and |++> rows are replaced below
@@ -286,6 +287,16 @@ def closed_form_steady_state(p: ModelParams) -> DensityMatrix:
                                    [anti, edge, edge, 0.25]]))
 
 
+def _quiet_superoperator(p: ModelParams) -> np.ndarray:
+    """``liouvillian_superoperator`` for the nullspace and integrate routes,
+    built with no overflow warning.  Near the largest float a sum of scaled
+    pieces overflows (at gamma = 0.5, g = 2.5 from r = 9e307), and an
+    entry -i inf of the unitary part is NaN; each route checks L where it
+    needs it finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return liouvillian_superoperator(p)
+
+
 _TRACE_ROW = vectorize(_EYE4)  # the trace functional, border row of the nullspace solve
 _TRACE_ROW.flags.writeable = False
 
@@ -295,7 +306,11 @@ def _nullspace_steady_state(p: ModelParams) -> np.ndarray:
     # and row 0 is redundant: the trace functional takes its place, and
     # L rho = 0, tr rho = 1 becomes one square solve (bordered as in
     # QuTiP's steadystate, Johansson, Nation and Nori, arXiv:1110.0573)
-    bordered = liouvillian_superoperator(p)
+    bordered = _quiet_superoperator(p)
+    # a solve on an L with an infinite entry returns NaN
+    if not np.isfinite(bordered).all():
+        raise NoConvergenceError(
+            "an entry of L, the superoperator, overflows; the bordered solve needs it finite")
     bordered[0] = _TRACE_ROW
     try:
         rho = unvectorize(np.linalg.solve(bordered, _EYE16[0]))
@@ -313,9 +328,9 @@ def _integrate_steady_state(p: ModelParams) -> np.ndarray:
     # ||L||_1 scales the convergence test.  Its column sums overflow before
     # the entries of L do (at gamma = 0.5, g = 2.5: from r = 4.5e307, the
     # entries from 9e307), and an infinite scale would pass an unconverged
-    # first round; an entry -i inf of the unitary part is NaN
+    # first round; it is not finite either where an entry of L is not
+    sup = _quiet_superoperator(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        sup = liouvillian_superoperator(p)
         norm = np.abs(sup).sum(axis=0).max()
     if not np.isfinite(norm):
         raise NoConvergenceError(
@@ -370,7 +385,8 @@ def steady_state(p: ModelParams, method: str = "closed_form") -> DensityMatrix:
         Kernel of the superoperator from one linear solve, with the
         first row of L replaced by the trace; trusted for every r > 0.
         At r = 0 the kernel is not one-dimensional and the solve raises
-        DegenerateSteadyStateError.
+        DegenerateSteadyStateError; where an entry of L overflows (rates
+        near the largest float) it raises NoConvergenceError.
     integrate
         Fixed-step RK4 from I/4, with the step 0.01 / max(r, gamma, 4 g),
         in rounds of 1000, 2000, 4000, ... steps (one power of a real

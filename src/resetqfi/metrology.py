@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import point
 from .dynamics import DensityMatrix
 from .errors import (
     BadDimensionError,
@@ -19,13 +20,14 @@ from .errors import (
     NotSymmetricError,
     OutOfRangeError,
 )
+# the particle count and the tie tolerance of the axis rule live in the
+# numpy-free point module, which applies that rule to one closed-form row
+from .point import DIRECTION_TIE_TOL, N_PARTICLES
 from .qlinalg import kron, sigma_x, sigma_y, sigma_z
 
-N_PARTICLES = 2
 # eigenvalue pairs with p_i + p_j at or below this drop out of the spectral sums
 EIGENVALUE_CUTOFF = 1e-12
 IMAG_RESIDUE_TOL = 1e-10
-DIRECTION_TIE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -125,13 +127,8 @@ def c_matrix(rho: DensityMatrix) -> np.ndarray:
     return np.ascontiguousarray(c.real)
 
 
-# the axes a block-diagonal C can have, rows indexed as in block_axes, with the
-# bits of the eigh path: 1 / sqrt(2) is what LAPACK returns for it, and the
-# sign flip that makes ny positive leaves nx = -0.0 where nz < 0
-_BLOCK_AXES = np.array([[1.0, 0.0, 0.0],
-                        [0.0, 1.0, 0.0],
-                        [-0.0, 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)],
-                        [0.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)]])
+# the four axes a block-diagonal C can have, the table of point._block_axis
+_BLOCK_AXES = np.array(point._BLOCK_AXES)
 
 
 def block_axes(c_xx, c_yy, c_yz) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +136,8 @@ def block_axes(c_xx, c_yy, c_yz) -> tuple[np.ndarray, np.ndarray]:
     moment matrix, C_yx = C_zx = 0 and C_yy = C_zz with finite entries,
     given by its entries C_xx, C_yy and C_yz as arrays of shape (N,).
 
-    This is the rule of ``top_axes`` in closed form, with no eigensolve.
+    This is the rule of ``top_axes`` in closed form, with no eigensolve;
+    ``point._block_axis`` applies it to one point of Python floats.
     The eigenvalues are C_xx with axis x, hi = C_yy + |C_yz| with
     (0, 1, sign C_yz)/sqrt(2) and lo = C_yy - |C_yz| with
     (0, 1, -sign C_yz)/sqrt(2); top = max(C_xx, hi), and with

@@ -1,19 +1,23 @@
 """The numpy-free part of the package: model parameters, sweep and
-crossing specifications, the closed-form branch gap on Python floats,
-the bisection for the axis-flip crossing and the text of a crossing.
+crossing specifications, the closed-form row and branch gap of one point
+on Python floats, the bisection for the axis-flip crossing, and the
+text of rows and of a crossing.
 
 Nothing here imports numpy at import time, so ``import resetqfi`` and
-the closed-form ``critical`` command run without loading it.
-``dynamics`` and ``sweep`` import these names back.  The gap of a solver
-route and the rows that ``emit`` writes are reached from here through
-function-level imports of ``sweep``.
+the closed-form ``eval`` and ``critical`` commands run without loading
+it.  ``dynamics``, ``metrology`` and ``sweep`` import these names back.
+The gap of a solver route is reached from here through a function-level
+import of ``sweep``; ``emit`` hands the rows of a ``SweepTable`` to
+``sweep``, which is loaded wherever such a table exists.
 """
 
 import contextlib
 import math
 import operator
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SOLVER_ERRORS, DegenerateLimitError, NoSignChangeError
 
@@ -28,6 +32,23 @@ CSV_HEADER = ("r,gamma,g,mean_qfi,lambda_x,lambda_yz_hi,lambda_yz_lo,"
 CSV_FIELDS = tuple(CSV_HEADER.split(","))
 CRITICAL_BRACKET_WIDTH = 1e-4
 _ALL_RATES_ZERO = "r = gamma = g = 0 singles out no steady state"
+N_PARTICLES = 2
+# eigenvalues of C within this, times max(1, |top|), of the top one tie
+DIRECTION_TIE_TOL = 1e-10
+_HALF_SQRT2 = 1.0 / math.sqrt(2.0)
+# the axes a block-diagonal C can have, rows indexed as in _block_axis, with the
+# bits of the eigh path: 1 / sqrt(2) is what LAPACK returns for it, and the
+# sign flip that makes ny positive leaves nx = -0.0 where nz < 0
+_BLOCK_AXES = ((1.0, 0.0, 0.0),
+               (0.0, 1.0, 0.0),
+               (-0.0, _HALF_SQRT2, -_HALF_SQRT2),
+               (0.0, _HALF_SQRT2, _HALF_SQRT2))
+# Rows per formatted piece of emit.  A piece costs about 10 us beyond its
+# formatting and a 1000-point pass of run_sweep about 0.2 ms (2-core Xeon,
+# numpy 2.4.6), so pieces are shorter than passes: over fewer rows a column
+# more often holds one value (the optimal axis, zero entanglement below
+# the threshold) and is formatted once.
+EMIT_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -66,6 +87,9 @@ class SweepRow:
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_FIELDS}
+
+
+_ROW_VALUES = operator.attrgetter(*CSV_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -220,6 +244,52 @@ def closed_form_gap(r: float, gamma: float, g: float) -> float:
     return c_xx - (yy / kp + abs(yz / kp))
 
 
+def _block_axis(c_xx: float, c_yy: float, c_yz: float) -> tuple[float, tuple]:
+    """Top eigenvalue, clipped at 0, and optimal axis of one block-diagonal
+    moment matrix given by its entries C_xx, C_yy = C_zz and C_yz as Python
+    floats: the rule of ``metrology.block_axes``, with the same bits."""
+    size = abs(c_yz)
+    top = max(c_xx, c_yy + size)
+    floor = top - DIRECTION_TIE_TOL * max(1.0, abs(top))
+    if c_xx >= floor:
+        row = 0
+    elif c_yz == 0.0:  # e_y and e_z tie
+        row = 1
+    else:  # row 3 has nz > 0: the hi axis for C_yz > 0, the lo one for C_yz < 0
+        row = 2 + ((c_yy - size >= floor) != (c_yz > 0.0))
+    return top if top > 0.0 else 0.0, _BLOCK_AXES[row]
+
+
+def closed_form_row(params: ModelParams) -> SweepRow:
+    """The closed-form row of one point on Python floats, bit for bit the
+    row ``sweep.evaluate_point`` builds through numpy, with the same errors.
+
+    The terms are those of ``dynamics.closed_form_figures``, with its
+    branches: r = 0 gives I/4, so C = 0 and no entanglement, a zero K P
+    the |++> entries C_yy = 2, C_yz = 0, and the positivity check runs on
+    the smallest eigenvalue; the axis follows ``_block_axis``.  Python
+    raises ZeroDivisionError where numpy gives inf, so both branches come
+    before a division.
+    """
+    r, gamma, g = params.r, params.gamma, params.g
+    scale = max(r, gamma, g)
+    if scale == 0.0:  # non-negative rates, so all three are 0
+        raise DegenerateLimitError(_ALL_RATES_ZERO)
+    if r / scale == 0.0:  # I/4, whose eigenvalues are all 1/4
+        c_xx = c_yy = c_yz = negativity = 0.0
+        smallest = 0.25
+    else:
+        c_xx, yy, yz, kp, excess, smallest = _closed_form_terms(
+            r / scale, gamma / scale, g / scale, math.sqrt, min)
+        c_yy, c_yz = (2.0, 0.0) if kp == 0.0 else (yy / kp, yz / kp)
+        negativity = excess if excess > 0.0 else 0.0
+    _check_smallest(smallest)
+    top, axis = _block_axis(c_xx, c_yy, c_yz)
+    size = abs(c_yz)
+    return SweepRow(r, gamma, g, top / N_PARTICLES, c_xx, c_yy + size, c_yy - size,
+                    2.0 * negativity, negativity, *axis)
+
+
 def _at(spec: SweepSpec, value, err: Exception) -> Exception:
     """``err`` again, its message naming the value of the varied rate."""
     return type(err)(f"{err} [at {spec.vary} = {value:.9g}]")
@@ -305,6 +375,64 @@ def _json_cell(x: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
+class _Layout(NamedTuple):
+    """The text of a table in one format, around its cells."""
+
+    leads: tuple      # the text before each field of a row
+    end: str          # after the last field
+    between: str      # between rows
+    opening: str      # before the first row
+    closing: str      # after the last row
+    empty: str        # the whole text of a table of no rows
+    slot: str         # the slot of a value that varies down a piece
+    cell: Callable | None  # what fills a slot from a value; None, the value
+
+
+_LAYOUTS = {
+    "csv": _Layout(("",) + (",",) * (len(CSV_FIELDS) - 1), "\n", "",
+                   CSV_HEADER + "\n", "", CSV_HEADER + "\n", "%.9g", None),
+    # the text of json.dumps(rows, indent=2), one object per row
+    "json": _Layout(tuple(("\n  {" if k == 0 else ",") + f'\n    "{name}": '
+                          for k, name in enumerate(CSV_FIELDS)),
+                    "\n  }", ",", "[", "\n]\n", "[]\n", "%s", _json_cell),
+}
+_NONE_FIXED = (False,) * len(CSV_FIELDS)
+
+
+def _all_varying(chunk: list) -> tuple:
+    """The split of ``_row_pieces`` that formats every cell of a chunk
+    of value tuples on its own."""
+    return chunk[0], _NONE_FIXED, [x for values in chunk for x in values]
+
+
+def _row_pieces(rows, fmt: str, split: Callable):
+    """The CSV or JSON text of ``rows``, in pieces of EMIT_CHUNK rows, so
+    no text of the whole output is built.
+
+    ``rows`` is a list of 12-value tuples or an (N, 12) float array; a
+    slice of it is a chunk, and ``split(chunk)`` gives the values of the
+    chunk's first row, a flag per column that is true where the column
+    holds that value all the way down, and the values of the other
+    columns row by row.  A flagged column is formatted once, into the
+    row template; the other cells fill its slots, repeated over the piece.
+    """
+    leads, end, between, opening, closing, empty, slot, cell = _LAYOUTS[fmt]
+    if not len(rows):
+        yield empty
+        return
+    yield opening
+    for start in range(0, len(rows), EMIT_CHUNK):
+        chunk = rows[start:start + EMIT_CHUNK]
+        first, fixed, cells = split(chunk)
+        row = "".join([lead + (slot % (x if cell is None else cell(x)) if same else slot)
+                       for lead, x, same in zip(leads, first, fixed)])
+        text = (row + end + between) * len(chunk) % tuple(
+            cells if cell is None else map(cell, cells))
+        # the last row of the table ends without a separator
+        yield text[:len(text) - len(between)] if start + EMIT_CHUNK >= len(rows) else text
+    yield closing
+
+
 def _critical_text(point: CriticalPoint, fmt: str) -> str:
     if fmt == "csv":
         return ("vary,value,bracket_width\n"
@@ -322,8 +450,8 @@ def emit(payload, fmt: str = "csv", path: str | None = None) -> None:
 
     Rows are a ``SweepTable`` or any iterable of ``SweepRow``; they are
     formatted and written EMIT_CHUNK at a time, by one writer for both
-    formats, and a column that holds one value over those rows is
-    formatted once for them.  Values carry 9 significant digits: CSV has
+    formats, and a column of a table that holds one value over those rows
+    is formatted once for them.  Values carry 9 significant digits: CSV has
     the bytes of ``"%.9g" % value`` for each value, JSON those of
     ``json.dumps(..., indent=2)`` of one object per row holding
     ``float("%.9g" % value)``.  Lines end with a bare newline.  ``path``
@@ -331,12 +459,15 @@ def emit(payload, fmt: str = "csv", path: str | None = None) -> None:
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; choose csv or json")
+    # a SweepTable exists only once sweep, and numpy, are loaded; any other
+    # rows are formatted on Python floats
+    sweep = sys.modules.get(f"{__package__}.sweep")
     if isinstance(payload, CriticalPoint):
         pieces = [_critical_text(payload, fmt)]
+    elif sweep is not None and isinstance(payload, sweep.SweepTable):
+        pieces = _row_pieces(payload.array, fmt, sweep._fixed_columns)
     else:
-        from .sweep import _row_array, _row_pieces
-
-        pieces = _row_pieces(_row_array(payload), fmt)
+        pieces = _row_pieces([_ROW_VALUES(row) for row in payload], fmt, _all_varying)
     with (contextlib.nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="ascii", newline="")) as handle:
         for piece in pieces:

@@ -10,8 +10,7 @@ calls back into this module for the solver routes.
 """
 
 import operator
-from collections.abc import Callable, Sequence
-from typing import NamedTuple
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -24,13 +23,12 @@ from .metrology import N_PARTICLES, block_axes, c_matrix, top_axes
 # module; emit, find_critical_point and CRITICAL_BRACKET_WIDTH are imported
 # here too because the benchmark's tracer and workloads read them from here.
 from .point import (  # noqa: F401
+    _ROW_VALUES,
     CRITICAL_BRACKET_WIDTH,
     CSV_FIELDS,
-    CSV_HEADER,
     SweepRow,
     SweepSpec,
     _at,
-    _json_cell,
     emit,
     find_critical_point,
 )
@@ -41,14 +39,6 @@ from .point import (  # noqa: F401
 # ns), and a 10^5-point sweep peaks 10.62 MB (512: 10.51; 2048: 10.83),
 # 9.6 MB of it the table it returns (best of 7, 2-core Xeon, numpy 2.4.6).
 SWEEP_CHUNK = 1024
-# Rows per formatted piece of emit.  A piece costs about 10 us beyond its
-# formatting and a 1000-point pass of run_sweep about 0.2 ms (2-core Xeon,
-# numpy 2.4.6), so pieces are shorter than passes: over fewer rows a column
-# more often holds one value (the optimal axis, zero entanglement below
-# the threshold) and is formatted once.
-EMIT_CHUNK = 256
-
-_ROW_VALUES = operator.attrgetter(*CSV_FIELDS)
 
 
 class SweepTable(Sequence):
@@ -163,59 +153,10 @@ def _route_gap(params: ModelParams, method: str) -> float:
     return lambda_x - lambda_yz_hi
 
 
-def _row_array(rows) -> np.ndarray:
-    """The (N, 12) array of a SweepTable, or of any iterable of SweepRow."""
-    if isinstance(rows, SweepTable):
-        return rows.array
-    return np.array([_ROW_VALUES(row) for row in rows], dtype=float).reshape(-1, len(CSV_FIELDS))
-
-
-class _Layout(NamedTuple):
-    """The text of a table in one format, around its cells."""
-
-    leads: tuple      # the text before each field of a row
-    end: str          # after the last field
-    between: str      # between rows
-    opening: str      # before the first row
-    closing: str      # after the last row
-    empty: str        # the whole text of a table of no rows
-    slot: str         # the slot of a value that varies down a piece
-    cell: Callable | None  # what fills a slot from a value; None, the value
-
-
-_LAYOUTS = {
-    "csv": _Layout(("",) + (",",) * (len(CSV_FIELDS) - 1), "\n", "",
-                   CSV_HEADER + "\n", "", CSV_HEADER + "\n", "%.9g", None),
-    # the text of json.dumps(rows, indent=2), one object per row
-    "json": _Layout(tuple(("\n  {" if k == 0 else ",") + f'\n    "{name}": '
-                          for k, name in enumerate(CSV_FIELDS)),
-                    "\n  }", ",", "[", "\n]\n", "[]\n", "%s", _json_cell),
-}
-
-
-def _row_pieces(array: np.ndarray, fmt: str):
-    """The CSV or JSON text of an (N, 12) row array, in pieces of
-    EMIT_CHUNK rows, so no text of the whole output is built.  A column
-    that holds one value over a piece is formatted once for that piece;
-    the other cells fill the slots of one row template repeated over the
-    piece."""
-    leads, end, between, opening, closing, empty, slot, cell = _LAYOUTS[fmt]
-    if not len(array):
-        yield empty
-        return
-    yield opening
-    for start in range(0, len(array), EMIT_CHUNK):
-        chunk = array[start:start + EMIT_CHUNK]
-        # a column whose bits equal its first row's all the way down is
-        # formatted once, into the row template; bits keep -0.0 ("-0")
-        # apart from 0.0 ("0")
-        bits = chunk.view(np.int64)
-        fixed = (bits == bits[0]).all(axis=0)
-        row = "".join([lead + (slot % (x if cell is None else cell(x)) if same else slot)
-                       for lead, x, same in zip(leads, chunk[0].tolist(), fixed.tolist())])
-        cells = chunk[:, ~fixed].ravel().tolist()
-        text = (row + end + between) * len(chunk) % tuple(
-            cells if cell is None else map(cell, cells))
-        # the last row of the table ends without a separator
-        yield text[:len(text) - len(between)] if start + EMIT_CHUNK >= len(array) else text
-    yield closing
+def _fixed_columns(chunk: np.ndarray) -> tuple:
+    """The split of ``point._row_pieces`` for a chunk of a SweepTable: a
+    column whose bits equal its first row's all the way down is formatted
+    once; bits keep -0.0 ("-0") apart from 0.0 ("0")."""
+    bits = chunk.view(np.int64)
+    fixed = (bits == bits[0]).all(axis=0)
+    return chunk[0].tolist(), fixed.tolist(), chunk[:, ~fixed].ravel().tolist()

@@ -238,9 +238,16 @@ README_CRITICAL = ["critical", "--vary", "r", "--lo", "0.5", "--hi", "8", "--gam
                    "--g-ratio", "5"]
 
 
+EVAL_A_CSV = (CSV_HEADER + "\n14,0.5,2.5,1.00225507,0.108618821,2.00451013,1.42980908,"
+              "0.0992485788,0.0496242894,0,0.707106781,0.707106781\n")
+EVAL_A_JSON = json.dumps([dict(zip(CSV_HEADER.split(","), map(float, EVAL_A_CSV.split(
+    "\n")[1].split(","))))], indent=2) + "\n"
+
+
 class TestClosedFormCriticalLoadsNoNumpy:
-    """A closed-form critical search runs on Python floats: in a fresh
-    interpreter it, its error exits and a bare import load no numpy."""
+    """A closed-form critical search and a closed-form eval run on Python
+    floats: in a fresh interpreter they, their error exits and a bare
+    import load no numpy."""
 
     @pytest.mark.parametrize("argv, code, out", [
         (README_CRITICAL, EXIT_OK, "vary,value,bracket_width\nr,2.3257618,2.86102295e-05\n"),
@@ -249,7 +256,12 @@ class TestClosedFormCriticalLoadsNoNumpy:
         (README_CRITICAL[:-1] + ["-5"], EXIT_USAGE, ""),
         (["critical", "--vary", "r", "--lo", "3", "--hi", "8", "--gamma", "0.5",
           "--g-ratio", "5"], EXIT_SOLVER, ""),
-    ], ids=["readme", "all-rates-zero", "negative-g-ratio", "no-sign-change"])
+        (EVAL_A, EXIT_OK, EVAL_A_CSV),
+        (EVAL_A + ["--format", "json"], EXIT_OK, EVAL_A_JSON),
+        (["eval", "--r", "0", "--gamma", "0", "--g", "0"], EXIT_SOLVER, ""),
+        (EVAL_A[:-1] + ["-2.5"], EXIT_USAGE, ""),
+    ], ids=["readme", "all-rates-zero", "negative-g-ratio", "no-sign-change", "eval",
+            "eval-json", "eval-all-rates-zero", "eval-negative-g"])
     def test_command(self, argv, code, out):
         returncode, stdout, stderr, numpy_loaded = _fresh(_FRESH_MAIN, *argv)
         assert (returncode, stdout) == (code, out)
@@ -260,8 +272,9 @@ class TestClosedFormCriticalLoadsNoNumpy:
         code = "import sys, resetqfi; sys.stderr.write(f\"numpy loaded: {'numpy' in sys.modules}\")"
         assert _fresh(code)[3] is False
 
-    @pytest.mark.parametrize("argv", [SWEEP_SMALL, EVAL_A, EVAL_A + ["--method", "nullspace"]],
-                             ids=["sweep", "eval", "eval-nullspace"])
+    @pytest.mark.parametrize("argv", [SWEEP_SMALL, EVAL_A + ["--method", "nullspace"],
+                                      EVAL_A + ["--method", "integrate"]],
+                             ids=["sweep", "eval-nullspace", "eval-integrate"])
     def test_array_side_still_runs_and_loads_numpy(self, argv):
         returncode, stdout, stderr, numpy_loaded = _fresh(_FRESH_MAIN, *argv)
         assert (returncode, stderr) == (EXIT_OK, "")

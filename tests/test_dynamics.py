@@ -454,6 +454,24 @@ class TestSteadyState:
                                  r"the RK4 residual test needs it finite$"):
             steady_state(p, "integrate")
 
+    @pytest.mark.parametrize("r, gamma, g", [(9e307, 0.5, 2.5), (1.7e308, 0.5, 2.5),
+                                             (1.0, 0.5, 9.5e307), (1.0, 1.7e308, 2.5)])
+    def test_nullspace_raises_where_an_entry_of_l_overflows(self, r, gamma, g):
+        # from r = 9e307 at gamma = 0.5, g = 2.5 the entries of L overflow,
+        # the solve returned NaN and the state check raised OutOfRangeError,
+        # a bad-input error, after an overflow warning; from g = 9e307 the
+        # unitary part holds -i inf, which is NaN
+        with pytest.raises(NoConvergenceError,
+                           match=r"^an entry of L, the superoperator, overflows; "
+                                 r"the bordered solve needs it finite$"):
+            steady_state(ModelParams(r=r, gamma=gamma, g=g), "nullspace")
+
+    @pytest.mark.parametrize("r, gamma, g", [(8.9e307, 0.5, 2.5), (1.0, 0.5, 8.9e307)])
+    def test_nullspace_holds_below_the_overflow_of_l(self, r, gamma, g):
+        p = ModelParams(r=r, gamma=gamma, g=g)
+        diff = steady_state(p, "nullspace").mat - closed_form_steady_state(p).mat
+        assert np.abs(diff).max() <= 1e-15
+
     def test_integrate_holds_below_the_overflow_of_the_norm_of_l(self):
         p = ModelParams(r=4.4e307, gamma=0.5, g=2.5)
         diff = steady_state(p, "integrate").mat - closed_form_steady_state(p).mat

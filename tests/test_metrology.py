@@ -23,7 +23,7 @@ from resetqfi import (
     steady_state,
 )
 from resetqfi.dynamics import closed_form_figures
-from resetqfi import metrology
+from resetqfi import metrology, point
 from resetqfi.metrology import block_axes, top_axes
 
 BELL = np.zeros(4, dtype=complex)
@@ -348,6 +348,10 @@ class TestTopAxesBlockDiagonal:
         for lam, axis in zip(lambda_max.tolist(), axes):
             assert lam.hex() == ref_lam.hex()
             assert hexes(axis) == hexes(ref_axis)
+        # the rule at one point of Python floats
+        lam, axis = point._block_axis(*(x.item() for x in entries(c)))
+        assert lam.hex() == ref_lam.hex()
+        assert hexes(axis) == hexes(ref_axis)
         lam, axis = top_axes(c)
         assert lam.hex() == ref_lam.hex()
         assert hexes(axis) == hexes(ref_axis)
@@ -363,6 +367,8 @@ class TestTopAxesBlockDiagonal:
         assert lambda_max[0] == 1.0 + abs(c_yz)
         lo_axis = (-0.0, INV_SQRT2, -INV_SQRT2) if c_yz > 0.0 else (0.0, INV_SQRT2, INV_SQRT2)
         assert hexes(axes[0]) == hexes(lo_axis)
+        lam, axis = point._block_axis(0.5, 1.0, c_yz)
+        assert (lam.hex(), hexes(axis)) == (lambda_max[0].item().hex(), hexes(axes[0]))
         # top_axes takes what eigh gives
         _, axis = top_axes(block(0.5, 1.0, c_yz))
         assert hexes(axis) == hexes(lo_axis if abs(c_yz) > 1e-16 else (0.0, 1.0, 0.0))
@@ -373,6 +379,15 @@ class TestTopAxesBlockDiagonal:
         _, axes = block_axes(*entries(block(0.1, 0.5, 5e-11), block(0.1, 0.5, 5.001e-11)))
         assert hexes(axes[0]) == hexes((-0.0, INV_SQRT2, -INV_SQRT2))
         assert hexes(axes[1]) == hexes((0.0, INV_SQRT2, INV_SQRT2))
+        for c_yz, axis in zip((5e-11, 5.001e-11), axes):
+            assert hexes(point._block_axis(0.1, 0.5, c_yz)[1]) == hexes(axis)
+
+    def test_float_rule_takes_each_block_axis(self):
+        # x, then e_y and e_z tied at C_yz = 0, then hi for C_yz < 0 and > 0
+        taken = [point._block_axis(*c)[1] for c in
+                 [(1.0, 0.5, 0.5), (0.5, 1.0, 0.0), (0.1, 1.0, -0.5), (0.1, 1.0, 0.5)]]
+        assert taken == list(point._BLOCK_AXES)
+        assert hexes(np.array(point._BLOCK_AXES).ravel()) == hexes(metrology._BLOCK_AXES.ravel())
 
     def test_closed_form_figures_match_the_eigh_path(self, eigh_calls):
         rng = np.random.default_rng(14)

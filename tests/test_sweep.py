@@ -37,8 +37,8 @@ from resetqfi.cli import EXIT_OK, EXIT_SOLVER, main
 from resetqfi.dynamics import steady_state
 from resetqfi.entanglement import concurrence, negativity
 from resetqfi.metrology import N_PARTICLES, c_matrix, top_axes
-from resetqfi.point import closed_form_gap
-from resetqfi.sweep import CRITICAL_BRACKET_WIDTH, EMIT_CHUNK, SWEEP_CHUNK
+from resetqfi.point import EMIT_CHUNK, closed_form_gap
+from resetqfi.sweep import CRITICAL_BRACKET_WIDTH, SWEEP_CHUNK
 
 DATA = Path(__file__).parent / "data"
 
@@ -988,9 +988,36 @@ EMIT_PIECES = [1, 2, 3, EMIT_CHUNK, "whole"]
 
 
 def _emit_in_pieces(monkeypatch, capsys, payload, piece, fmt) -> str:
-    monkeypatch.setattr(sweep, "EMIT_CHUNK", len(payload) + 1 if piece == "whole" else piece)
+    monkeypatch.setattr(point, "EMIT_CHUNK", len(payload) + 1 if piece == "whole" else piece)
     emit(payload, fmt=fmt)
     return capsys.readouterr().out
+
+
+def _negative_zero_axes() -> SweepTable:
+    """Paper-point rows whose axis has nx = -0.0, the lo axis of a
+    negative C_yz, in every row or in some rows only."""
+    row = list(astuple(evaluate_point(ModelParams(r=14.0, gamma=0.5, g=2.5))))
+    row[9:] = [-0.0, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)]
+    mixed = [row, [*row[:9], 0.0, *row[10:]], row]
+    return SweepTable(np.array([row, *mixed]))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", ["empty", "one-row", "negative-zero-axis", "special-values",
+                                  "sweep-vary-r"])
+def test_row_list_emits_the_bytes_of_its_table(capsys, emit_payloads, case, fmt):
+    # a list of rows is formatted on Python floats, cell by cell, a table
+    # through its array with its fixed columns formatted once per piece;
+    # "sweep-vary-r" holds more rows than EMIT_CHUNK
+    table = _negative_zero_axes() if case == "negative-zero-axis" else emit_payloads[case]
+    emit(table, fmt=fmt)
+    from_table = capsys.readouterr().out
+    emit(list(table), fmt=fmt)
+    assert capsys.readouterr().out == from_table
+    if case == "negative-zero-axis":
+        assert ("-0," if fmt == "csv" else '"opt_nx": -0.0,') in from_table
+    if case == "sweep-vary-r":
+        assert len(table) > EMIT_CHUNK
 
 
 class TestEmitPieces:
