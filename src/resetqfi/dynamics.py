@@ -238,9 +238,8 @@ def closed_form_figures(r, gamma, g) -> tuple[np.ndarray, ...]:
     diag(0, 2, 2).  The ``DensityMatrix`` positivity check runs on the
     analytic spectrum of each point, and the first failing point raises its
     error; unit trace and Hermiticity hold by construction.
-    ``point.closed_form_gap`` and ``point.closed_form_row`` take the same
-    terms, through the shared ``point._closed_form_terms``, at one point
-    of Python floats.
+    ``point._closed_form_point`` gives these figures at one point of
+    Python floats, bit for bit, through the shared ``_closed_form_terms``.
     """
     r, gamma, g = _scaled(r, gamma, g)
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 and |++> rows are replaced below

@@ -1,7 +1,7 @@
 """The numpy-free part of the package: model parameters, sweep and
-crossing specifications, the closed-form row and branch gap of one point
-on Python floats, the bisection for the axis-flip crossing, and the
-text of rows and of a crossing.
+crossing specifications, the closed-form figures of one point on Python
+floats with the row and branch gap built from them, the bisection for
+the axis-flip crossing, and the text of rows and of a crossing.
 
 Nothing here imports numpy at import time, so ``import resetqfi`` and
 the closed-form ``eval`` and ``critical`` commands run without loading
@@ -23,8 +23,8 @@ from .errors import SOLVER_ERRORS, DegenerateLimitError, NoSignChangeError
 
 STEADY_STATE_METHODS = ("closed_form", "nullspace", "integrate")
 # A state whose smallest eigenvalue lies below this fails validation; the
-# check of DensityMatrix and the closed-form gap on floats read it here,
-# at call time.
+# check of DensityMatrix and the closed-form figures read it here, at call
+# time.
 PSD_TOL = -1e-10
 
 CSV_HEADER = ("r,gamma,g,mean_qfi,lambda_x,lambda_yz_hi,lambda_yz_lo,"
@@ -221,29 +221,6 @@ def _check_smallest(smallest) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
 
 
-def closed_form_gap(r: float, gamma: float, g: float) -> float:
-    """lambda_x - lambda_yz_hi = C_xx - (C_yy + |C_yz|) of the closed-form
-    state at one point of valid rates given as Python floats.
-
-    The same terms as ``dynamics.closed_form_figures``, with the same
-    checks, and the same bits as lambda_x - lambda_yz_hi of the closed-form
-    row that ``sweep`` builds from its C_xx, C_yy and C_yz, without a numpy
-    call.  Python raises ZeroDivisionError where numpy gives inf, so
-    r = 0 (C = 0) and |++> (C = diag(0, 2, 2)) branch before they divide.
-    """
-    scale = max(r, gamma, g)
-    if scale == 0.0:  # non-negative rates, so all three are 0
-        raise DegenerateLimitError(_ALL_RATES_ZERO)
-    r, gamma, g = r / scale, gamma / scale, g / scale
-    if r == 0.0:
-        return 0.0
-    c_xx, yy, yz, kp, _, smallest = _closed_form_terms(r, gamma, g, math.sqrt, min)
-    _check_smallest(smallest)
-    if kp == 0.0:  # |++>: C_yy = 2, C_yz = 0
-        return c_xx - 2.0
-    return c_xx - (yy / kp + abs(yz / kp))
-
-
 def _block_axis(c_xx: float, c_yy: float, c_yz: float) -> tuple[float, tuple]:
     """Top eigenvalue, clipped at 0, and optimal axis of one block-diagonal
     moment matrix given by its entries C_xx, C_yy = C_zz and C_yz as Python
@@ -260,18 +237,19 @@ def _block_axis(c_xx: float, c_yy: float, c_yz: float) -> tuple[float, tuple]:
     return top if top > 0.0 else 0.0, _BLOCK_AXES[row]
 
 
-def closed_form_row(params: ModelParams) -> SweepRow:
-    """The closed-form row of one point on Python floats, bit for bit the
-    row ``sweep.evaluate_point`` builds through numpy, with the same errors.
+def _closed_form_point(r: float, gamma: float, g: float) -> tuple:
+    """C_xx, C_yy, C_yz and the negativity of the closed-form state at one
+    point of valid rates given as Python floats: bit for bit the figures
+    of ``dynamics.closed_form_figures`` at N = 1, with the same errors,
+    without a numpy call.
 
-    The terms are those of ``dynamics.closed_form_figures``, with its
-    branches: r = 0 gives I/4, so C = 0 and no entanglement, a zero K P
-    the |++> entries C_yy = 2, C_yz = 0, and the positivity check runs on
-    the smallest eigenvalue; the axis follows ``_block_axis``.  Python
-    raises ZeroDivisionError where numpy gives inf, so both branches come
-    before a division.
+    The rates enter divided by the largest of them, and the branches are
+    those of ``closed_form_figures``: r = 0 gives I/4, so C = 0 and no
+    entanglement, a zero K P the |++> entries C_yy = 2, C_yz = 0, and the
+    positivity check runs on the smallest eigenvalue, 1/4 at r = 0.
+    Python raises ZeroDivisionError where numpy gives inf, so both
+    branches come before a division.
     """
-    r, gamma, g = params.r, params.gamma, params.g
     scale = max(r, gamma, g)
     if scale == 0.0:  # non-negative rates, so all three are 0
         raise DegenerateLimitError(_ALL_RATES_ZERO)
@@ -284,6 +262,16 @@ def closed_form_row(params: ModelParams) -> SweepRow:
         c_yy, c_yz = (2.0, 0.0) if kp == 0.0 else (yy / kp, yz / kp)
         negativity = excess if excess > 0.0 else 0.0
     _check_smallest(smallest)
+    return c_xx, c_yy, c_yz, negativity
+
+
+def closed_form_row(params: ModelParams) -> SweepRow:
+    """The closed-form row of one point on Python floats, bit for bit the
+    row ``sweep.evaluate_point`` builds through numpy, with the same
+    errors: the figures of ``_closed_form_point`` and the axis of
+    ``_block_axis``."""
+    r, gamma, g = params.r, params.gamma, params.g
+    c_xx, c_yy, c_yz, negativity = _closed_form_point(r, gamma, g)
     top, axis = _block_axis(c_xx, c_yy, c_yz)
     size = abs(c_yz)
     return SweepRow(r, gamma, g, top / N_PARTICLES, c_xx, c_yy + size, c_yy - size,
@@ -296,13 +284,15 @@ def _at(spec: SweepSpec, value, err: Exception) -> Exception:
 
 
 def _gap(spec: SweepSpec, value) -> float:
-    """lambda_x - lambda_yz_hi at one value of the varied rate: from
-    ``closed_form_gap`` on Python floats for the closed form, from
+    """lambda_x - lambda_yz_hi = C_xx - (C_yy + |C_yz|) at one value of
+    the varied rate: from ``_closed_form_point`` on Python floats for the
+    closed form, the bits of the gap of its row, from
     ``sweep._route_gap``, C of one solved state, by the other routes.  A
     solver error names the value."""
     try:
         if spec.method == "closed_form":
-            return closed_form_gap(*spec.rates(value))
+            c_xx, c_yy, c_yz, _ = _closed_form_point(*spec.rates(value))
+            return c_xx - (c_yy + abs(c_yz))
         from .sweep import _route_gap
 
         return _route_gap(spec.params_at(value), spec.method)

@@ -34,17 +34,18 @@ def _as_square(m) -> np.ndarray:
     return m
 
 
-def _finite_square(m) -> np.ndarray:
-    """``_as_square``, rejecting NaN and infinite entries, which would slip
-    past the tolerance tests (or, for inf, warn in ``m - m.conj().T``)."""
+def _hermitian(m) -> np.ndarray:
+    """``_as_square`` of a finite matrix Hermitian within ``HERMITIAN_TOL``.
+    NaN and infinite entries are rejected first: they would slip past the
+    tolerance test (or, for inf, warn in ``m - m.conj().T``)."""
     m = _as_square(m)
     if np.count_nonzero(np.isfinite(m)) < m.size:  # cheaper than .all() on a few entries
         raise OutOfRangeError(f"matrix has non-finite entries: {m.tolist()}")
+    defect = float(np.abs(m - m.conj().T).max())
+    if defect > HERMITIAN_TOL:
+        raise NotHermitianError(
+            f"matrix deviates from Hermitian by {defect:.3e} (tol {HERMITIAN_TOL:.1e})")
     return m
-
-
-def _defect(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max())
 
 
 @dataclass(frozen=True)
@@ -60,15 +61,10 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
 
-_COLUMNS4 = np.arange(4)  # the column index of a two-qubit state's eigenvectors
-_COLUMNS4.flags.writeable = False
-
-
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     # a unit vector always has a component above PHASE_TOL
     first = (np.abs(vectors) > PHASE_TOL).argmax(axis=0)
-    columns = _COLUMNS4 if len(first) == 4 else np.arange(len(first))
-    lead = vectors[first, columns]
+    lead = vectors[first, np.arange(len(first))]
     return vectors * (lead.conj() / np.abs(lead))
 
 
@@ -90,13 +86,8 @@ def hermitian_eig(m) -> HermitianEig:
     NoConvergenceError
         If the underlying eigensolver fails to converge.
     """
-    m = _finite_square(m)
-    defect = _defect(m)
-    if defect > HERMITIAN_TOL:
-        raise NotHermitianError(
-            f"matrix deviates from Hermitian by {defect:.3e} (tol {HERMITIAN_TOL:.1e})")
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(m)
+        eigenvalues, eigenvectors = np.linalg.eigh(_hermitian(m))
     except np.linalg.LinAlgError as err:
         raise NoConvergenceError(f"Hermitian eigensolver failed: {err}") from err
     return HermitianEig(eigenvalues, _fix_phases(eigenvectors))
@@ -136,12 +127,8 @@ def partial_transpose(m) -> np.ndarray:
 
 def trace_norm(m) -> float:
     """Sum of absolute eigenvalues of a finite Hermitian matrix."""
-    m = _finite_square(m)
-    defect = _defect(m)
-    if defect > HERMITIAN_TOL:
-        raise NotHermitianError(f"trace_norm needs a Hermitian input; defect {defect:.3e}")
     try:
-        eigenvalues = np.linalg.eigvalsh(m)
+        eigenvalues = np.linalg.eigvalsh(_hermitian(m))
     except np.linalg.LinAlgError as err:
         raise NoConvergenceError(f"Hermitian eigensolver failed: {err}") from err
     return float(np.abs(eigenvalues).sum())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from resetqfi import ModelParams, point
-from resetqfi.point import closed_form_gap
+from resetqfi.point import _closed_form_point
 
 
 def model_grid():
@@ -22,19 +22,19 @@ def grid():
 
 @pytest.fixture
 def closed_form_gaps(monkeypatch):
-    """The rates (r, gamma, g) of each ``closed_form_gap`` call that
-    ``find_critical_point`` makes.  The 257th call fails, far more than the searches of
-    one test make here (at most 104), so a search that would not end
-    fails instead of hanging."""
+    """The rates (r, gamma, g) of each ``_closed_form_point`` call, one per
+    closed-form gap that ``find_critical_point`` takes.  The 257th call
+    fails, far more than the searches of one test make here (at most 104),
+    so a search that would not end fails instead of hanging."""
     calls = []
 
     def counting(r, gamma, g):
         calls.append((r, gamma, g))
         if len(calls) > 256:
             raise AssertionError("more than 256 closed-form gap evaluations")
-        return closed_form_gap(r, gamma, g)
+        return _closed_form_point(r, gamma, g)
 
-    monkeypatch.setattr(point, "closed_form_gap", counting)
+    monkeypatch.setattr(point, "_closed_form_point", counting)
     return calls
 
 

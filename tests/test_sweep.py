@@ -37,7 +37,7 @@ from resetqfi.cli import EXIT_OK, EXIT_SOLVER, main
 from resetqfi.dynamics import steady_state
 from resetqfi.entanglement import concurrence, negativity
 from resetqfi.metrology import N_PARTICLES, c_matrix, top_axes
-from resetqfi.point import EMIT_CHUNK, closed_form_gap
+from resetqfi.point import EMIT_CHUNK, _closed_form_point
 from resetqfi.sweep import CRITICAL_BRACKET_WIDTH, SWEEP_CHUNK
 
 DATA = Path(__file__).parent / "data"
@@ -685,7 +685,8 @@ class TestCriticalBisection:
     def test_tiny_gaps_keep_their_signs_while_halving(self, monkeypatch):
         # a gap of 1e-170 per unit of r: every product of two gaps underflows
         # to 0, so a product test would take each midpoint as the new hi
-        monkeypatch.setattr(point, "closed_form_gap", lambda r, gamma, g: 1e-170 * (2.3 - r))
+        monkeypatch.setattr(point, "_closed_form_point",
+                            lambda r, gamma, g: (1e-170 * (2.3 - r), 0.0, 0.0, 0.0))
         spec = SweepSpec(vary="r", start=0.5, stop=8.0, steps=2, fixed_gamma=0.5, g_ratio=5.0)
         crossing = find_critical_point(spec)
         assert abs(crossing.value - 2.3) <= crossing.bracket_width <= CRITICAL_BRACKET_WIDTH
@@ -712,9 +713,9 @@ class TestCriticalBisection:
 
         def recording(r, gamma, g):
             rates.append(r)
-            return closed_form_gap(r, gamma, g)
+            return _closed_form_point(r, gamma, g)
 
-        monkeypatch.setattr(point, "closed_form_gap", recording)
+        monkeypatch.setattr(point, "_closed_form_point", recording)
         spec = SweepSpec(vary="r", start=0.0, stop=1.0, steps=2, fixed_gamma=0.5, g_ratio=5.0)
         message = ("lambda_x - lambda_yz_hi keeps its sign on r in [0.0, 1.0] "
                    "(0.000e+00 and 1.252e-01)")
@@ -741,7 +742,8 @@ class TestCriticalBisection:
 
     def test_zero_gap_at_a_midpoint_is_a_crossing(self, monkeypatch):
         # 0 at both r = 0 and the first midpoint r = 2, negative at r = 4
-        monkeypatch.setattr(point, "closed_form_gap", lambda r, gamma, g: r * (2.0 - r))
+        monkeypatch.setattr(point, "_closed_form_point",
+                            lambda r, gamma, g: (r * (2.0 - r), 0.0, 0.0, 0.0))
         spec = SweepSpec(vary="r", start=0.0, stop=4.0, steps=2, fixed_gamma=0.5, g_ratio=5.0)
         crossing = find_critical_point(spec)
         assert crossing.value < 2.0 <= crossing.value + crossing.bracket_width
