@@ -11,9 +11,11 @@ import sys
 from .errors import SOLVER_ERRORS
 from .point import (
     STEADY_STATE_METHODS,
+    SWEEP_CHUNK,
     ModelParams,
     SweepSpec,
     closed_form_row,
+    closed_form_rows,
     emit,
     find_critical_point,
 )
@@ -68,19 +70,22 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--r", type=float, help="fixed reset rate (with --vary gamma)")
     cr.add_argument("--gamma", type=float, help="fixed dephasing rate (with --vary r)")
     _add_coupling(cr)
+    cr.add_argument("--format", choices=("csv", "json"), default="csv")
     # find_critical_point takes a SweepSpec, which needs steps >= 2; the
     # bisection never reads them (ROADMAP aim 2)
-    cr.set_defaults(steps=2, method="closed-form", format="csv", out=None)
+    cr.set_defaults(steps=2, method="closed-form", out=None)
 
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> int:
     method = args.method.replace("-", "_")
-    # a closed-form eval row and a closed-form critical search run on Python
-    # floats and load no numpy.  The solver routes build states, and sweep
-    # rows are built as whole numpy columns, which a float row per point
-    # would lose at 10^5 points; both load numpy
+    # a closed-form eval row, a closed-form critical search and a closed-form
+    # sweep of one pass run on Python floats and load no numpy: a float row
+    # per point saves numpy's import, about 85 ms of the wall time of a
+    # 201- or 1024-point sweep.  A longer sweep is built as whole numpy
+    # columns, which the float rows lose to from about 8k points on, and the
+    # solver routes build states; both load numpy
     if args.command == "eval":
         params = ModelParams(r=args.r, gamma=args.gamma, g=args.g)
         if method == "closed_form":
@@ -94,12 +99,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         spec = SweepSpec(vary=args.vary, start=args.start, stop=args.stop, steps=args.steps,
                          fixed_r=args.r, fixed_gamma=args.gamma, g=args.g,
                          g_ratio=args.g_ratio, method=method)
-        if args.command == "sweep":
+        if args.command == "critical":
+            payload = find_critical_point(spec)
+        elif method == "closed_form" and spec.steps <= SWEEP_CHUNK:
+            payload = closed_form_rows(spec)
+        else:
             from .sweep import run_sweep
 
             payload = run_sweep(spec)
-        else:
-            payload = find_critical_point(spec)
     emit(payload, fmt=args.format, path=args.out)
     return EXIT_OK
 

@@ -19,26 +19,21 @@ from .entanglement import concurrence, negativity
 from .errors import SOLVER_ERRORS
 from .metrology import N_PARTICLES, block_axes, c_matrix, top_axes
 
-# The specifications, the bisection and emit live in the numpy-free point
-# module; emit, find_critical_point and CRITICAL_BRACKET_WIDTH are imported
-# here too because the benchmark's tracer and workloads read them from here.
+# The specifications, the pass size, the bisection and emit live in the
+# numpy-free point module; emit, find_critical_point and
+# CRITICAL_BRACKET_WIDTH are imported here too because the benchmark's
+# tracer and workloads read them from here.
 from .point import (  # noqa: F401
     _ROW_VALUES,
     CRITICAL_BRACKET_WIDTH,
     CSV_FIELDS,
+    SWEEP_CHUNK,
     SweepRow,
     SweepSpec,
     _at,
     emit,
     find_critical_point,
 )
-
-# Grid points per pass of a closed-form run_sweep; 1024 holds the paper's
-# 1000-point sweeps in one pass.  At 10^3, 10^4 and 10^5 points a point
-# takes 195, 191 and 196 ns (512: 281, 287, 300 ns; 2048: 205, 159, 162
-# ns), and a 10^5-point sweep peaks 10.62 MB (512: 10.51; 2048: 10.83),
-# 9.6 MB of it the table it returns (best of 7, 2-core Xeon, numpy 2.4.6).
-SWEEP_CHUNK = 1024
 
 
 class SweepTable(Sequence):

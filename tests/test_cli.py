@@ -10,13 +10,15 @@ from pathlib import Path
 import pytest
 
 import resetqfi
-from resetqfi import CSV_HEADER, SweepSpec
+from resetqfi import CSV_HEADER, SweepSpec, emit, run_sweep
 from resetqfi.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main
 from resetqfi.dynamics import STEADY_STATE_METHODS
 
 EVAL_A = ["eval", "--r", "14", "--gamma", "0.5", "--g", "2.5"]
 SWEEP_SMALL = ["sweep", "--vary", "r", "--from", "0", "--to", "20", "--steps", "21",
                "--gamma", "0.5", "--g-ratio", "5"]
+SWEEP_SMALL_SPEC = SweepSpec(vary="r", start=0.0, stop=20.0, steps=21, fixed_gamma=0.5,
+                             g_ratio=5.0)
 
 
 class TestEval:
@@ -236,6 +238,11 @@ def _fresh(code: str, *args: str):
 
 README_CRITICAL = ["critical", "--vary", "r", "--lo", "0.5", "--hi", "8", "--gamma", "0.5",
                    "--g-ratio", "5"]
+CRITICAL_JSON = '{\n  "vary": "r",\n  "value": 2.3257618,\n  "bracket_width": 2.86102295e-05\n}\n'
+# one past a pass of a closed-form run_sweep, and a route sweep
+SWEEP_TWO_PASSES = SWEEP_SMALL[:8] + ["1025"] + SWEEP_SMALL[9:]
+SWEEP_NULLSPACE = ["sweep", "--vary", "r", "--from", "1", "--to", "3", "--steps", "5",
+                   "--gamma", "0.5", "--g-ratio", "5", "--method", "nullspace"]
 
 
 EVAL_A_CSV = (CSV_HEADER + "\n14,0.5,2.5,1.00225507,0.108618821,2.00451013,1.42980908,"
@@ -245,12 +252,13 @@ EVAL_A_JSON = json.dumps([dict(zip(CSV_HEADER.split(","), map(float, EVAL_A_CSV.
 
 
 class TestClosedFormCriticalLoadsNoNumpy:
-    """A closed-form critical search and a closed-form eval run on Python
-    floats: in a fresh interpreter they, their error exits and a bare
-    import load no numpy."""
+    """A closed-form critical search, a closed-form eval and a closed-form
+    sweep of at most one pass run on Python floats: in a fresh interpreter
+    they, their error exits and a bare import load no numpy."""
 
     @pytest.mark.parametrize("argv, code, out", [
         (README_CRITICAL, EXIT_OK, "vary,value,bracket_width\nr,2.3257618,2.86102295e-05\n"),
+        (README_CRITICAL + ["--format", "json"], EXIT_OK, CRITICAL_JSON),
         (["critical", "--vary", "r", "--lo", "0", "--hi", "1", "--gamma", "0", "--g", "0"],
          EXIT_SOLVER, ""),
         (README_CRITICAL[:-1] + ["-5"], EXIT_USAGE, ""),
@@ -260,21 +268,33 @@ class TestClosedFormCriticalLoadsNoNumpy:
         (EVAL_A + ["--format", "json"], EXIT_OK, EVAL_A_JSON),
         (["eval", "--r", "0", "--gamma", "0", "--g", "0"], EXIT_SOLVER, ""),
         (EVAL_A[:-1] + ["-2.5"], EXIT_USAGE, ""),
-    ], ids=["readme", "all-rates-zero", "negative-g-ratio", "no-sign-change", "eval",
-            "eval-json", "eval-all-rates-zero", "eval-negative-g"])
+        (["sweep", "--vary", "r", "--from", "0", "--to", "1", "--steps", "3", "--gamma", "0",
+          "--g", "0"], EXIT_SOLVER, ""),
+    ], ids=["readme", "readme-json", "all-rates-zero", "negative-g-ratio", "no-sign-change",
+            "eval", "eval-json", "eval-all-rates-zero", "eval-negative-g",
+            "sweep-all-rates-zero"])
     def test_command(self, argv, code, out):
         returncode, stdout, stderr, numpy_loaded = _fresh(_FRESH_MAIN, *argv)
         assert (returncode, stdout) == (code, out)
         assert bool(stderr) == (code != EXIT_OK)
         assert not numpy_loaded
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep(self, capsys, fmt):
+        returncode, stdout, stderr, numpy_loaded = _fresh(_FRESH_MAIN, *SWEEP_SMALL,
+                                                          "--format", fmt)
+        emit(run_sweep(SWEEP_SMALL_SPEC), fmt=fmt)
+        assert (returncode, stdout, stderr) == (EXIT_OK, capsys.readouterr().out, "")
+        assert not numpy_loaded
+
     def test_import(self):
         code = "import sys, resetqfi; sys.stderr.write(f\"numpy loaded: {'numpy' in sys.modules}\")"
         assert _fresh(code)[3] is False
 
-    @pytest.mark.parametrize("argv", [SWEEP_SMALL, EVAL_A + ["--method", "nullspace"],
+    @pytest.mark.parametrize("argv", [SWEEP_TWO_PASSES, SWEEP_NULLSPACE,
+                                      EVAL_A + ["--method", "nullspace"],
                                       EVAL_A + ["--method", "integrate"]],
-                             ids=["sweep", "eval-nullspace", "eval-integrate"])
+                             ids=["sweep", "sweep-nullspace", "eval-nullspace", "eval-integrate"])
     def test_array_side_still_runs_and_loads_numpy(self, argv):
         returncode, stdout, stderr, numpy_loaded = _fresh(_FRESH_MAIN, *argv)
         assert (returncode, stderr) == (EXIT_OK, "")
